@@ -8,10 +8,19 @@ the barrier gap m/t drops below tolerance.
 Builders may supply an exact combined-curvature callback; without one the
 inner iterations fall back to damped BFGS seeded with the Gauss-Newton part
 of the barrier Hessian.
+
+A program may also declare the shape of its Hessian (BlockStructure): small
+independent variable blocks, an optional dense border coupled to every block,
+and a few dense coupling constraint rows.  Its Jacobian and curvature
+callbacks then answer in block form, and each Newton step is solved by block
+elimination of the border plus a Sherman-Morrison-Woodbury correction for the
+coupling rows, in O(n) time and memory.  Programs without a declared
+structure (phase-I, generic programs) take the dense Cholesky step.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +41,88 @@ class NumericError(RuntimeError):
         self.point = None if point is None else np.array(point)
 
 
+class BlockStructure:
+    """Declared shape of a program's constraints and curvature.
+
+    blocks: (nb, s) variable indices.  Constraint row j < nb is local: it
+    touches only the variables blocks[j] and the border.  The remaining
+    k = m - nb rows couple everything and must be few.
+    border: (b,) variable indices shared by every local row (may be empty).
+    Variables in neither are free: outside the coupling rows their Hessian
+    is diagonal.  Curvature may couple variables within a block and within
+    the border, never across.
+    """
+
+    def __init__(self, n: int, blocks, border=()):
+        blocks = np.asarray(blocks, dtype=np.intp)
+        self.blocks = blocks.reshape(len(blocks), -1)
+        self.border = np.asarray(border, dtype=np.intp).reshape(-1)
+        self.n = n
+        used = np.concatenate([self.blocks.ravel(), self.border])
+        if used.size and (np.unique(used).size != used.size
+                          or used.min() < 0 or used.max() >= n):
+            raise ValueError("blocks and border must be disjoint variable indices")
+        self.free = np.setdiff1d(np.arange(n), used)
+
+
+@dataclass
+class BlockJacobian:
+    """Constraint Jacobian of a structured program, in block form.
+
+    local[j] holds row j on blocks[j], border_part[j] row j on the border,
+    and coupling the dense rows that follow the local ones.
+    """
+
+    structure: BlockStructure
+    local: np.ndarray                           # (nb, s)
+    coupling: np.ndarray                        # (k, n)
+    border_part: Optional[np.ndarray] = None    # (nb, b)
+
+    def rmatvec(self, y):
+        """J^T y."""
+        st = self.structure
+        nb = len(st.blocks)
+        out = self.coupling.T @ y[nb:]
+        out[st.blocks] += self.local * y[:nb, None]
+        if self.border_part is not None:
+            out[st.border] += y[:nb] @ self.border_part
+        return out
+
+    def all_finite(self):
+        return bool(np.isfinite(self.local).all() and np.isfinite(self.coupling).all()
+                    and (self.border_part is None or np.isfinite(self.border_part).all()))
+
+    def dense(self):
+        st = self.structure
+        nb = len(st.blocks)
+        J = np.zeros((nb + len(self.coupling), st.n))
+        J[np.arange(nb)[:, None], st.blocks] = self.local
+        if self.border_part is not None:
+            J[:nb, st.border] = self.border_part
+        J[nb:] = self.coupling
+        return J
+
+
+@dataclass
+class BlockCurvature:
+    """hess f + sum_j w_j hess g_j of a structured program, in block form:
+    a full diagonal plus optional within-block and border matrices."""
+
+    structure: BlockStructure
+    diag: np.ndarray                        # (n,)
+    blocks: Optional[np.ndarray] = None     # (nb, s, s)
+    border: Optional[np.ndarray] = None     # (b, b)
+
+    def dense(self):
+        st = self.structure
+        H = np.diag(self.diag)
+        if self.blocks is not None:
+            H[st.blocks[:, :, None], st.blocks[:, None, :]] += self.blocks
+        if self.border is not None:
+            H[np.ix_(st.border, st.border)] += self.border
+        return H
+
+
 @dataclass
 class ConcaveProgram:
     """Concave maximization problem in callback form.
@@ -42,6 +133,9 @@ class ConcaveProgram:
     lower/upper: box bounds, +-inf entries allowed.
     curvature: optional callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v),
     enabling exact Newton steps.
+    structure: optional BlockStructure; when given, constraint_jac returns a
+    BlockJacobian, curvature (then required) a BlockCurvature, and Newton
+    steps are solved in block form.
     """
 
     n: int
@@ -53,6 +147,7 @@ class ConcaveProgram:
     upper: np.ndarray
     curvature: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     name: str = ""
+    structure: Optional[BlockStructure] = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -61,6 +156,8 @@ class ConcaveProgram:
             raise ValueError("box bounds must have shape (n,)")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper on every coordinate")
+        if self.structure is not None and (self.structure.n != self.n or self.curvature is None):
+            raise ValueError("a structured program needs n to match and a curvature callback")
 
     def midpoint(self) -> np.ndarray:
         lo = np.where(np.isfinite(self.lower), self.lower, -1.0)
@@ -85,55 +182,74 @@ def _interior(program: ConcaveProgram, v: np.ndarray, margin: float = 0.0) -> bo
     return bool(np.all(np.isfinite(g)) and np.all(g > margin))
 
 
+def without_structure(program: ConcaveProgram) -> ConcaveProgram:
+    """The same program with dense Jacobian and curvature callbacks."""
+    if program.structure is None:
+        return program
+    jac, curvature = program.constraint_jac, program.curvature
+    return dataclasses.replace(program, structure=None,
+                               constraint_jac=lambda v: jac(v).dense(),
+                               curvature=lambda v, w: curvature(v, w).dense())
+
+
 class _Barrier:
     """Barrier subproblem phi_t(v) = -f(v) - (1/t)(sum ln g + box terms), minimized."""
 
     def __init__(self, program: ConcaveProgram, t: float):
         self.p = program
         self.t = t
-        self.fin_lo = np.isfinite(program.lower)
-        self.fin_hi = np.isfinite(program.upper)
+        # Finite box sides; a slice (a view) when a side is finite throughout.
+        fin_lo, fin_hi = np.isfinite(program.lower), np.isfinite(program.upper)
+        self.fin_lo = slice(None) if fin_lo.all() else fin_lo
+        self.fin_hi = slice(None) if fin_hi.all() else fin_hi
 
     def value(self, v):
-        g = np.atleast_1d(self.p.constraints(v))
         dlo = v[self.fin_lo] - self.p.lower[self.fin_lo]
         dhi = self.p.upper[self.fin_hi] - v[self.fin_hi]
-        if (g.size and np.any(g <= 0)) or np.any(dlo <= 0) or np.any(dhi <= 0):
+        if (dlo <= 0).any() or (dhi <= 0).any():
+            return np.inf
+        g = np.atleast_1d(self.p.constraints(v))
+        if g.size and (g <= 0).any():
             return np.inf
         f = self.p.objective(v)
         if not np.isfinite(f):
             return np.inf
         barrier = 0.0
         if g.size:
-            barrier += float(np.sum(np.log(g)))
-        barrier += float(np.sum(np.log(dlo))) + float(np.sum(np.log(dhi)))
+            barrier += float(np.log(g).sum())
+        barrier += float(np.log(dlo).sum()) + float(np.log(dhi).sum())
         return -f - barrier / self.t
 
     def grad_and_pieces(self, v):
         g = np.atleast_1d(self.p.constraints(v))
         J = self.p.constraint_jac(v)
-        J = np.atleast_2d(np.asarray(J, dtype=float)) if g.size else np.zeros((0, self.p.n))
+        if self.p.structure is not None:
+            finite = J.all_finite()
+        else:
+            J = np.atleast_2d(np.asarray(J, dtype=float)) if g.size else np.zeros((0, self.p.n))
+            finite = np.isfinite(J).all()
         grad_f = np.asarray(self.p.gradient(v), dtype=float)
-        if not (np.all(np.isfinite(grad_f)) and np.all(np.isfinite(g)) and np.all(np.isfinite(J))):
+        if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and finite):
             raise NumericError("non-finite objective/constraint derivatives", v)
         grad = -grad_f
         if g.size:
-            grad -= (J.T @ (1.0 / g)) / self.t
-        box_grad = np.zeros(self.p.n)
-        box_grad[self.fin_lo] -= 1.0 / (v[self.fin_lo] - self.p.lower[self.fin_lo])
-        box_grad[self.fin_hi] += 1.0 / (self.p.upper[self.fin_hi] - v[self.fin_hi])
+            jtg = J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
+            grad -= jtg / self.t
+        # Infinite box sides contribute 1/inf = 0.
+        box_grad = 1.0 / (self.p.upper - v) - 1.0 / (v - self.p.lower)
         grad += box_grad / self.t
         return grad, g, J
+
+    def box_hessian(self, v):
+        """Diagonal of the box terms' Hessian."""
+        return (1.0 / (v - self.p.lower) ** 2 + 1.0 / (self.p.upper - v) ** 2) / self.t
 
     def gauss_newton_hessian(self, v, g, J):
         """PSD part of the barrier Hessian (exact for the box, GN for g)."""
         H = np.zeros((self.p.n, self.p.n))
         if g.size:
             H += (J.T * (1.0 / g**2)) @ J / self.t
-        diag = np.zeros(self.p.n)
-        diag[self.fin_lo] += 1.0 / (v[self.fin_lo] - self.p.lower[self.fin_lo]) ** 2
-        diag[self.fin_hi] += 1.0 / (self.p.upper[self.fin_hi] - v[self.fin_hi]) ** 2
-        H[np.diag_indices_from(H)] += diag / self.t
+        H[np.diag_indices_from(H)] += self.box_hessian(v)
         return H
 
     def hessian(self, v, g, J):
@@ -142,6 +258,39 @@ class _Barrier:
             w = (1.0 / (self.t * g)) if g.size else np.zeros(0)
             H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
         return H
+
+    def newton_direction(self, v, g, J, grad):
+        """Solve (barrier Hessian) d = -grad, in block form when declared."""
+        if self.p.structure is None:
+            return _solve_spd(self.hessian(v, g, J), -grad)
+        return _solve_structured(self._block_hessian(v, g, J), -grad)
+
+    def _block_hessian(self, v, g, J):
+        """The barrier Hessian in block form: the blocks, the border, the
+        block-border entries, the free diagonal and the coupling rows scaled
+        by the square roots of their Gauss-Newton weights 1/(t g^2)."""
+        st = self.p.structure
+        nb, size = st.blocks.shape
+        w = 1.0 / (self.t * g)
+        curv = self.p.curvature(v, w)
+        root_gn = np.sqrt(w / g)
+        diag = self.box_hessian(v) - curv.diag
+        a = J.local * root_gn[:nb, None]
+        blocks = a[:, :, None] * a[:, None, :]
+        if curv.blocks is not None:
+            blocks -= curv.blocks
+        blocks.reshape(nb, -1)[:, ::size + 1] += diag[st.blocks]
+        if st.border.size:
+            c = J.border_part * root_gn[:nb, None]
+            border = c.T @ c
+            border.flat[::len(st.border) + 1] += diag[st.border]
+            if curv.border is not None:
+                border -= curv.border
+            cross = a[:, :, None] * c[:, None, :]
+        else:
+            border, cross = np.zeros((0, 0)), np.zeros((nb, size, 0))
+        coupling = J.coupling.T * root_gn[nb:]
+        return _BlockHessian(st, blocks, border, cross, diag[st.free], coupling)
 
 
 def _solve_spd(H, rhs):
@@ -157,6 +306,94 @@ def _solve_spd(H, rhs):
     return np.linalg.lstsq(H + ridge * eye, rhs, rcond=None)[0]
 
 
+@dataclass
+class _BlockHessian:
+    """H = M + Uc Uc^T, where M is block diagonal over the blocks and the free
+    variables except for a dense border coupled to every block."""
+
+    structure: BlockStructure
+    blocks: np.ndarray      # (nb, s, s)
+    border: np.ndarray      # (b, b)
+    cross: np.ndarray       # (nb, s, b) block-border entries
+    free: np.ndarray        # (n_free,) diagonal of the free variables
+    coupling: np.ndarray    # (n, k)
+
+    def max_diag(self):
+        """Largest |H_ii|, as _solve_spd reads it off the dense matrix."""
+        st = self.structure
+        size = self.blocks.shape[1]
+        diag = np.square(self.coupling).sum(axis=1)
+        diag[st.blocks] += self.blocks.reshape(len(st.blocks), -1)[:, ::size + 1]
+        diag[st.border] += self.border.diagonal()
+        diag[st.free] += self.free
+        return float(np.abs(diag).max())
+
+    def solve(self, rhs, ridge):
+        """(H + ridge I)^{-1} rhs.
+
+        With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
+        [[M, Uc], [Uc^T, -I]].  Eliminating the block and free variables
+        leaves one small system in the border step and y, of size b + k: the
+        border's Schur complement and the Sherman-Morrison-Woodbury capacitance
+        in one matrix.  Raises LinAlgError unless the blocks, the free
+        diagonal and the border's Schur complement are positive definite.
+        """
+        st = self.structure
+        b, k = len(st.border), self.coupling.shape[1]
+        size = self.blocks.shape[1]
+        # Columns: the right-hand side, the border coupling, the coupling rows.
+        Zb = np.concatenate([rhs[st.blocks][:, :, None], self.cross,
+                             self.coupling[st.blocks]], axis=2)
+        if size == 1:
+            pivots = self.blocks + ridge
+            if (pivots <= 0).any():
+                raise np.linalg.LinAlgError("block not positive definite")
+            Yb = Zb / pivots
+        else:
+            blocks = self.blocks + ridge * np.eye(size)
+            np.linalg.cholesky(blocks)       # raises unless every block is positive definite
+            Yb = np.linalg.solve(blocks, Zb)
+        P = Zb[:, :, 1:].reshape(-1, b + k).T @ Yb.reshape(-1, 1 + b + k)
+        if st.free.size:
+            free = self.free + ridge
+            if (free <= 0).any():
+                raise np.linalg.LinAlgError("free diagonal not positive")
+            Uf = self.coupling[st.free]
+            Yf = np.concatenate([rhs[st.free, None], np.zeros((len(free), b)), Uf], axis=1) \
+                / free[:, None]
+            P[b:] += Uf.T @ Yf
+        Ub = self.coupling[st.border]
+        K = -P[:, 1:]
+        K[:b, :b] += self.border
+        K[:b, b:] += Ub
+        K[b:, :b] += Ub.T
+        diag = K.reshape(-1)[::b + k + 1]
+        diag[:b] += ridge
+        diag[b:] -= 1.0
+        if b:
+            np.linalg.cholesky(K[:b, :b])
+        small_rhs = -P[:, 0]
+        small_rhs[:b] += rhs[st.border]
+        border_and_y = np.linalg.solve(K, small_rhs)
+        d = np.empty_like(rhs)
+        d[st.border] = border_and_y[:b]
+        d[st.blocks] = Yb[:, :, 0] - Yb[:, :, 1:] @ border_and_y
+        if st.free.size:
+            d[st.free] = Yf[:, 0] - Yf[:, 1:] @ border_and_y
+        return d
+
+
+def _solve_structured(H: _BlockHessian, rhs):
+    """_solve_spd's ridge escalation on a Hessian in block form."""
+    ridge = _RIDGE0 * max(1.0, H.max_diag())
+    for _ in range(12):
+        try:
+            return H.solve(rhs, ridge)
+        except np.linalg.LinAlgError:
+            ridge *= 100.0
+    return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
+
+
 def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol, use_bfgs):
     """Minimize one barrier subproblem; returns (v, last_decrement, steps)."""
     grad, g, J = barrier.grad_and_pieces(v)
@@ -164,8 +401,7 @@ def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol, use_bfgs):
     phi = barrier.value(v)
     decrement = np.inf
     for step in range(max_steps):
-        H = B if use_bfgs else barrier.hessian(v, g, J)
-        d = _solve_spd(H, -grad)
+        d = _solve_spd(B, -grad) if use_bfgs else barrier.newton_direction(v, g, J, grad)
         decrement = float(-grad @ d)
         if decrement < 0:        # model not PD enough; fall back to steepest descent
             d = -grad
@@ -251,6 +487,7 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
 
 def _phase_one(program: ConcaveProgram, candidate, tol, max_newton):
     """Find a strictly interior point by minimizing the worst constraint slack."""
+    program = without_structure(program)
     v0 = program.midpoint() if candidate is None else np.clip(
         candidate,
         np.where(np.isfinite(program.lower), program.lower, -np.inf) + 1e-9,
@@ -304,6 +541,7 @@ def check_gradients(program: ConcaveProgram, reference_point, rng=None,
     toward random box points, shrunk until they stay interior.
     """
     rng = np.random.default_rng(0) if rng is None else rng
+    program = without_structure(program)
     v0 = np.asarray(reference_point, dtype=float)
     if not _interior(program, v0):
         raise ValueError("reference_point must be strictly interior")

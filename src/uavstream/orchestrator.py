@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import LinkBudget
-from .convex_core import ConcaveProgram, solve_concave
+from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
+                          solve_concave)
 from .scenario import Scenario, UavPlacement
 from .subproblems import (
     DecisionState, capped_fill, exact_fill_objective, make_link_budget,
@@ -251,30 +252,35 @@ def _no_relay_resource_program(scenario, budget, q_obs, r_direct):
         g[U + 1] = r_direct - v[sr].sum()
         return g
 
+    # Local rows: user u's cap touches (x_u, r_u); coupling rows: the
+    # bandwidth sum and the direct link against sum r.
+    idx = np.arange(U)
+    structure = BlockStructure(n, np.column_stack([idx, U + idx]))
+    coupling = np.zeros((2, n))
+    coupling[0, sx] = -1.0
+    coupling[1, sr] = -1.0
+
     def constraint_jac(v):
-        J = np.zeros((U + 2, n))
         dx, _ = _persp_grads(v[sx], A, p_user)
-        idx = np.arange(U)
-        J[idx, idx] = one_m_rho * dx
-        J[idx, U + idx] = -1.0
-        J[U, sx] = -1.0
-        J[U + 1, sr] = -1.0
-        return J
+        local = np.empty((U, 2))
+        local[:, 0] = one_m_rho * dx
+        local[:, 1] = -1.0
+        return BlockJacobian(structure, local, coupling)
 
     def curvature(v, w):
-        H = np.zeros((n, n))
-        idx = np.arange(U)
-        H[U + idx, U + idx] = -theta_over_U / v[sr] ** 2
         rxx, _, _ = _persp_curvs(v[sx], A, p_user)
-        H[idx, idx] += w[:U] * one_m_rho * rxx
-        return H
+        diag = np.empty(n)
+        diag[sx] = w[:U] * one_m_rho * rxx
+        diag[sr] = -theta_over_U / v[sr] ** 2
+        return BlockCurvature(structure, diag)
 
     r_hi = one_m_rho * _persp_rate(np.ones(U), A * cfg.p_max_user) + 1.0
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
                           constraints=constraints, constraint_jac=constraint_jac,
                           lower=np.zeros(n),
                           upper=np.concatenate([np.ones(U), r_hi]),
-                          curvature=curvature, name="no_relay_resource")
+                          curvature=curvature, name="no_relay_resource",
+                          structure=structure)
 
 
 def _no_relay_position_program(scenario, budget, x, p_obs, q_obs_i):
@@ -325,23 +331,23 @@ def _no_relay_position_program(scenario, budget, x, p_obs, q_obs_i):
         g[U] = base_d - kd * float(np.sum((qo - w_gbs) ** 2)) - v[sr].sum()
         return g
 
+    # Local rows: user u's link touches the observation UAV (the border) and
+    # r_u; the one coupling row is the direct link against sum r.
+    structure = BlockStructure(n, np.arange(2, n), border=np.arange(2))
+    local = np.full((U, 1), -1.0)
+
     def constraint_jac(v):
         qo = v[sq]
-        J = np.zeros((U + 1, n))
-        J[:U, 0:2] = -2.0 * ku[:, None] * (qo - w_users)
-        J[np.arange(U), 2 + np.arange(U)] = -1.0
-        J[U, 0:2] = -2.0 * kd * (qo - w_gbs)
-        J[U, sr] = -1.0
-        return J
+        coupling = np.empty((1, n))
+        coupling[0, sq] = -2.0 * kd * (qo - w_gbs)
+        coupling[0, sr] = -1.0
+        return BlockJacobian(structure, local, coupling, -2.0 * ku[:, None] * (qo - w_users))
 
     def curvature(v, w):
-        H = np.zeros((n, n))
-        idx = np.arange(U)
-        H[2 + idx, 2 + idx] = -theta_over_U / v[sr] ** 2
+        diag = np.zeros(n)
+        diag[sr] = -theta_over_U / v[sr] ** 2
         couple = float(np.sum(w[:U] * ku)) + w[U] * kd
-        H[0, 0] += -2.0 * couple
-        H[1, 1] += -2.0 * couple
-        return H
+        return BlockCurvature(structure, diag, border=-2.0 * couple * np.eye(2))
 
     extent = 4.0 * max(cfg.network_size_D, cfg.area_side) / _POS_SCALE
     r_hi = base_u + 1.0
@@ -350,7 +356,7 @@ def _no_relay_position_program(scenario, budget, x, p_obs, q_obs_i):
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
                           constraints=constraints, constraint_jac=constraint_jac,
                           lower=lower, upper=upper, curvature=curvature,
-                          name="no_relay_position")
+                          name="no_relay_position", structure=structure)
 
 
 def _run_no_relay(scenario, budget, state):

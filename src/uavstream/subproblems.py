@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import LinkBudget, rician_cdf_inverse, rate_relay, rate_gbs
-from .convex_core import ConcaveProgram, solve_concave
+from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
+                          solve_concave)
 from .scenario import Scenario, SystemConfig, UavPlacement
 from .utility import UtilityParams, average_utility
 
@@ -228,35 +229,37 @@ def _p5_program(scenario, budget, placement):
         g[U + 2] = math.log1p(b_rb * v[i_pr]) / LN2 - total
         return g
 
+    # Local rows: user u's cap touches (x_u, p_u, r_u).  Coupling rows: the
+    # bandwidth sum and the two backhaul links (p_obs, p_relay against sum r).
+    idx = np.arange(U)
+    structure = BlockStructure(n, np.column_stack([idx, U + idx, 2 * U + 2 + idx]))
+    coupling0 = np.zeros((3, n))
+    coupling0[0, sx] = -1.0
+    coupling0[1:, sr] = -1.0
+
     def constraint_jac(v):
-        x, p = v[sx], v[sp]
-        J = np.zeros((U + 3, n))
-        dx, dp = _persp_grads(x, A, p)
-        rows = np.arange(U)
-        J[rows, rows] = one_m_rho * dx
-        J[rows, U + rows] = one_m_rho * dp
-        J[rows, 2 * U + 2 + rows] = -1.0
-        J[U, sx] = -1.0
-        J[U + 1, i_po] = b_or / ((1.0 + b_or * v[i_po]) * LN2)
-        J[U + 1, sr] = -1.0
-        J[U + 2, i_pr] = b_rb / ((1.0 + b_rb * v[i_pr]) * LN2)
-        J[U + 2, sr] = -1.0
-        return J
+        dx, dp = _persp_grads(v[sx], A, v[sp])
+        local = np.empty((U, 3))
+        local[:, 0] = one_m_rho * dx
+        local[:, 1] = one_m_rho * dp
+        local[:, 2] = -1.0
+        coupling = coupling0.copy()
+        coupling[1, i_po] = b_or / ((1.0 + b_or * v[i_po]) * LN2)
+        coupling[2, i_pr] = b_rb / ((1.0 + b_rb * v[i_pr]) * LN2)
+        return BlockJacobian(structure, local, coupling)
 
     def curvature(v, w):
-        x, p, rt = v[sx], v[sp], v[sr]
-        H = np.zeros((n, n))
-        idx = np.arange(U)
-        H[2 * U + 2 + idx, 2 * U + 2 + idx] = -theta_over_U / rt**2
-        rxx, rpp, rxp = _persp_curvs(x, A, p)
+        rxx, rpp, rxp = _persp_curvs(v[sx], A, v[sp])
         wu = w[:U] * one_m_rho
-        H[idx, idx] += wu * rxx
-        H[U + idx, U + idx] += wu * rpp
-        H[idx, U + idx] += wu * rxp
-        H[U + idx, idx] += wu * rxp
-        H[i_po, i_po] += w[U + 1] * (-(b_or**2) / ((1.0 + b_or * v[i_po]) ** 2 * LN2))
-        H[i_pr, i_pr] += w[U + 2] * (-(b_rb**2) / ((1.0 + b_rb * v[i_pr]) ** 2 * LN2))
-        return H
+        diag = np.empty(n)
+        diag[sx] = wu * rxx
+        diag[sp] = wu * rpp
+        diag[i_po] = w[U + 1] * (-(b_or**2) / ((1.0 + b_or * v[i_po]) ** 2 * LN2))
+        diag[i_pr] = w[U + 2] * (-(b_rb**2) / ((1.0 + b_rb * v[i_pr]) ** 2 * LN2))
+        diag[sr] = -theta_over_U / v[sr] ** 2
+        blocks = np.zeros((U, 3, 3))
+        blocks[:, 0, 1] = blocks[:, 1, 0] = wu * rxp
+        return BlockCurvature(structure, diag, blocks)
 
     r_hi = one_m_rho * _persp_rate(np.ones(U), A * cfg.p_max_user) + 1.0
     lower = np.zeros(n)
@@ -264,7 +267,8 @@ def _p5_program(scenario, budget, placement):
                             [cfg.p_max_obs, cfg.p_max_relay], r_hi])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
                           constraints=constraints, constraint_jac=constraint_jac,
-                          lower=lower, upper=upper, curvature=curvature, name="p5")
+                          lower=lower, upper=upper, curvature=curvature, name="p5",
+                          structure=structure)
 
 
 def _p5_start_vector(scenario, budget, placement, start: DecisionState):
@@ -442,37 +446,33 @@ def _p7_program(scenario, coeffs, x):
         g[U + 1] = base_g - kg * float(np.sum((qr - w_gbs) ** 2)) - total
         return g
 
+    # Local rows: user u's link touches the observation UAV (the border) and
+    # r_u.  Coupling rows: the two backhaul links against sum r.
+    structure = BlockStructure(n, np.arange(4, n), border=np.arange(4))
+    local = np.full((U, 1), -1.0)
+
     def constraint_jac(v):
         qo, qr = v[so], v[sr_pos]
-        J = np.zeros((U + 2, n))
-        diff_u = qo - w_users                             # (U, 2)
-        J[:U, 0:2] = -2.0 * ku[:, None] * diff_u
-        J[np.arange(U), 4 + np.arange(U)] = -1.0
-        diff_o = qr - qo
-        J[U, 0:2] = 2.0 * ko * diff_o
-        J[U, 2:4] = -2.0 * ko * diff_o
-        J[U, srt] = -1.0
-        J[U + 1, 2:4] = -2.0 * kg * (qr - w_gbs)
-        J[U + 1, srt] = -1.0
-        return J
+        border = np.zeros((U, 4))
+        border[:, 0:2] = -2.0 * ku[:, None] * (qo - w_users)
+        coupling = np.empty((2, n))
+        diff_o = 2.0 * ko * (qr - qo)
+        coupling[0, 0:2] = diff_o
+        coupling[0, 2:4] = -diff_o
+        coupling[1, 0:2] = 0.0
+        coupling[1, 2:4] = -2.0 * kg * (qr - w_gbs)
+        coupling[:, srt] = -1.0
+        return BlockJacobian(structure, local, coupling, border)
 
     def curvature(v, w):
-        H = np.zeros((n, n))
-        idx = np.arange(U)
-        H[4 + idx, 4 + idx] = -theta_over_U / v[srt] ** 2
-        couple = float(np.sum(w[:U] * ku))
-        H[0, 0] += -2.0 * couple
-        H[1, 1] += -2.0 * couple
+        diag = np.zeros(n)
+        diag[srt] = -theta_over_U / v[srt] ** 2
+        wu = 2.0 * float(np.sum(w[:U] * ku))
         wo = 2.0 * w[U] * ko
-        for i in range(2):
-            H[i, i] += -wo
-            H[2 + i, 2 + i] += -wo
-            H[i, 2 + i] += wo
-            H[2 + i, i] += wo
         wg = 2.0 * w[U + 1] * kg
-        H[2, 2] += -wg
-        H[3, 3] += -wg
-        return H
+        H = np.diag([-wu - wo, -wu - wo, -wo - wg, -wo - wg])
+        H[[0, 1, 2, 3], [2, 3, 0, 1]] = wo
+        return BlockCurvature(structure, diag, border=H)
 
     extent = 4.0 * max(cfg.network_size_D, cfg.area_side) / _POS_SCALE
     r_hi = base_u + 1.0
@@ -480,7 +480,8 @@ def _p7_program(scenario, coeffs, x):
     upper = np.concatenate([np.full(4, extent), r_hi])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
                           constraints=constraints, constraint_jac=constraint_jac,
-                          lower=lower, upper=upper, curvature=curvature, name="p7")
+                          lower=lower, upper=upper, curvature=curvature, name="p7",
+                          structure=structure)
 
 
 def _sanitize_expansion(scenario: Scenario, q_i: UavPlacement) -> UavPlacement:

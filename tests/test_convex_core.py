@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from uavstream.convex_core import (ConcaveProgram, check_gradients, solve_concave)
+from uavstream.convex_core import (BlockCurvature, BlockJacobian, BlockStructure,
+                                   ConcaveProgram, _Barrier, check_gradients,
+                                   solve_concave, without_structure)
 
 
 def quadratic_program(curvature=True):
@@ -53,6 +55,51 @@ def random_concave_program(seed):
         lower=np.zeros(3), upper=np.ones(3),
         curvature=lambda v, w: -2.0 * M,
     ), (root, M), cap
+
+
+def block_program(coupled=True):
+    """maximize sum_j ln y_j - |z - c|^2 - (s - 0.3)^2 subject to
+    1 + a_j.z - x_j^2 - y_j >= 0 for three blocks (x_j, y_j), a border z in
+    R^2, a free variable s and, when coupled, 1.5 - sum_j y_j - s >= 0."""
+    a = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
+    c = np.array([0.2, -0.1])
+    n = 9
+    xs, ys = np.arange(2, 8, 2), np.arange(3, 9, 2)
+    structure = BlockStructure(n, np.column_stack([xs, ys]), border=[0, 1])
+    coupling = np.zeros((1 if coupled else 0, n))
+    coupling[:, ys] = -1.0
+    coupling[:, 8] = -1.0
+
+    def objective(v):
+        return float(np.sum(np.log(v[ys])) - np.sum((v[:2] - c) ** 2) - (v[8] - 0.3) ** 2)
+
+    def gradient(v):
+        out = np.zeros(n)
+        out[ys] = 1.0 / v[ys]
+        out[:2] = -2.0 * (v[:2] - c)
+        out[8] = -2.0 * (v[8] - 0.3)
+        return out
+
+    def constraints(v):
+        local = 1.0 + a @ v[:2] - v[xs] ** 2 - v[ys]
+        return np.append(local, 1.5 - v[ys].sum() - v[8]) if coupled else local
+
+    def constraint_jac(v):
+        local = np.column_stack([-2.0 * v[xs], -np.ones(3)])
+        return BlockJacobian(structure, local, coupling, a)
+
+    def curvature(v, w):
+        diag = np.zeros(n)
+        diag[xs] = -2.0 * w[:3]
+        diag[ys] = -1.0 / v[ys] ** 2
+        diag[8] = -2.0
+        return BlockCurvature(structure, diag, border=-2.0 * np.eye(2))
+
+    lower = np.array([-2.0, -2.0, -2.0, 0.0, -2.0, 0.0, -2.0, 0.0, -2.0])
+    return ConcaveProgram(n=n, objective=objective, gradient=gradient,
+                          constraints=constraints, constraint_jac=constraint_jac,
+                          lower=lower, upper=np.full(n, 2.0), curvature=curvature,
+                          structure=structure)
 
 
 def grid_search_3d(quad, cap, coarse=0.04, fine=0.001):
@@ -155,3 +202,43 @@ class TestGradientChecker:
         err = check_gradients(program, np.array([0.2, 0.3]),
                               np.random.default_rng(0), n_points=20)
         assert err > 1e-2
+
+
+class TestStructuredPrograms:
+    START = np.array([0.1, 0.1, 0.2, 0.2, -0.1, 0.2, 0.0, 0.2, 0.1])
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_block_solve_matches_dense_solve(self, coupled):
+        program = block_program(coupled)
+        block = solve_concave(program, start=self.START, tol=1e-10)
+        dense = solve_concave(without_structure(program), start=self.START, tol=1e-10)
+        assert block.status == dense.status == "converged"
+        assert block.objective == pytest.approx(dense.objective, rel=1e-10)
+        assert np.allclose(block.solution, dense.solution, atol=1e-6)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_block_step_solves_the_newton_system(self, coupled):
+        program = block_program(coupled)
+        barrier = _Barrier(program, 10.0)
+        grad, g, J = barrier.grad_and_pieces(self.START)
+        d = barrier.newton_direction(self.START, g, J, grad)
+        H = _Barrier(without_structure(program), 10.0).hessian(self.START, g, J.dense())
+        assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
+
+    def test_gradient_checker_reads_block_jacobians(self):
+        err = check_gradients(block_program(), self.START, np.random.default_rng(0), n_points=20)
+        assert err <= 1e-6
+
+    def test_rejects_overlapping_blocks(self):
+        with pytest.raises(ValueError):
+            BlockStructure(4, [[0, 1], [1, 2]])
+        with pytest.raises(ValueError):
+            BlockStructure(4, [[0, 1]], border=[1])
+
+    def test_barrier_value_checks_box_before_constraints(self):
+        calls = []
+        program = waterfill_program()
+        constraints = program.constraints
+        program.constraints = lambda v: calls.append(v) or constraints(v)
+        assert _Barrier(program, 1.0).value(np.array([-0.1, 0.5])) == np.inf
+        assert calls == []

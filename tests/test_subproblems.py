@@ -1,13 +1,17 @@
 """Resource and placement subproblems: exactness, bounds, and solver quality."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
-from uavstream.convex_core import check_gradients
+from uavstream.convex_core import (_Barrier, _interior, _solve_spd, check_gradients,
+                                   solve_concave, without_structure)
+from uavstream.orchestrator import (_no_relay_fill, _no_relay_position_program,
+                                    _no_relay_resource_program, initialize_state)
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, capped_fill,
                                    exact_fill_objective, lower_bound_rates,
@@ -332,3 +336,137 @@ class TestEmittedProgramGradients:
                              state.placement.q_relay / _POS_SCALE, r0])
         err = check_gradients(program, v0, np.random.default_rng(1), n_points=40)
         assert err <= 1e-5
+
+
+# --- the four builders' programs, and their Newton systems ------------------
+
+def builder_programs(num_users, seed):
+    """(program, start) for P5, P7 and the two no-relay programs, built at the
+    heuristic start the way the schemes build them."""
+    sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed))
+    cfg = sc.config
+    budget = make_link_budget(cfg)
+    state = initialize_state(sc, budget)
+    q_obs = state.placement.q_obs
+    p5 = _p5_program(sc, budget, state.placement)
+    p5_start = _p5_start_vector(sc, budget, state.placement, state)
+
+    coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
+                              cfg.p_max_relay, state.placement, budget)
+    p7 = _p7_program(sc, coeffs, state.x)
+    lb_u, lb_o, lb_g = lower_bound_rates(coeffs, state.placement, sc, state.x)
+    caps = (1 - cfg.outage_target_rho) * lb_u
+    p7_start = np.concatenate([q_obs / _POS_SCALE, state.placement.q_relay / _POS_SCALE,
+                               0.9 * capped_fill(caps, min(lb_o, lb_g))])
+
+    _, _, r_direct = _no_relay_fill(sc, budget, state.x, state.p_user, cfg.p_max_obs, q_obs)
+    r0 = 0.9 * capped_fill(caps, r_direct)
+    resource = _no_relay_resource_program(sc, budget, q_obs, r_direct)
+    position = _no_relay_position_program(sc, budget, state.x, cfg.p_max_obs, q_obs)
+    return [(p5, p5_start), (p7, p7_start),
+            (resource, np.concatenate([state.x * 0.999, r0])),
+            (position, np.concatenate([q_obs / _POS_SCALE, r0]))]
+
+
+BUILDERS = ("p5", "p7", "no_relay_resource", "no_relay_position")
+
+
+def builder_program(name, num_users, seed):
+    return builder_programs(num_users, seed)[BUILDERS.index(name)]
+
+
+def random_interior_points(program, v0, rng, count):
+    """Points on segments from v0 toward random box points, shrunk until interior."""
+    points = []
+    while len(points) < count:
+        target = rng.uniform(program.lower, program.upper)
+        lam = 1.0
+        v = target
+        while lam > 1e-6 and not _interior(program, v, margin=1e-12):
+            lam *= 0.5
+            v = v0 + lam * (target - v0)
+        if _interior(program, v, margin=1e-12):
+            points.append(v)
+    return points
+
+
+@pytest.mark.parametrize("name", ["p5", "no_relay_resource"])
+def test_barrier_rejects_out_of_box_point_before_callbacks(name):
+    # A negative bandwidth share makes the user-rate callbacks take log1p of
+    # a value below -1; the box check must answer before they run.
+    program, _ = builder_program(name, num_users=10, seed=3)
+    v = program.midpoint()
+    v[0] = -0.01
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _Barrier(program, 1.0).value(v) == np.inf
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_curvature_matches_central_differences(name):
+    """curvature(v, w) against central differences of grad f + sum_j w_j grad g_j
+    (criterion-8 scenario, random interior points and weights)."""
+    program, v0 = builder_program(name, num_users=4, seed=17)
+    dense = without_structure(program)
+    rng = np.random.default_rng(BUILDERS.index(name))
+    worst = 0.0
+    for v in random_interior_points(program, v0, rng, count=10):
+        w = rng.uniform(0.0, 1.0, dense.constraints(v).size)
+
+        def lagrangian_grad(u):
+            return dense.gradient(u) + dense.constraint_jac(u).T @ w
+
+        C = dense.curvature(v, w)
+        for i in range(program.n):
+            h = 1e-6 * max(abs(v[i]), 1e-3)
+            step = np.zeros(program.n)
+            step[i] = h
+            fd = (lagrangian_grad(v + step) - lagrangian_grad(v - step)) / (2 * h)
+            scale = max(np.max(np.abs(fd)), np.max(np.abs(C[:, i])))
+            worst = max(worst, np.max(np.abs(fd - C[:, i])) / scale)
+    assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("num_users", [4, 30, 200])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_structured_step_solves_the_dense_newton_system(name, num_users, t):
+    """The block-form Newton step against the dense Hessian of the same barrier.
+
+    Directions are not compared entrywise: the P5 Hessian reaches cond 1e12,
+    where two sound solves differ widely.  Residuals are.  Both paths solve
+    (H + rho I) d = -grad with the same ridge rho, and the dense Cholesky
+    step is backward stable for it, so against H + rho I the structured
+    residual must be below 1e-5 or the dense one.  Against H itself both
+    residuals carry the ridge term rho*|d|, which dominates at U=4 for P5
+    (about 5e-5); there the structured one may exceed the dense one by the
+    rounding of its Woodbury correction, at most 1%.
+    """
+    program, v = builder_program(name, num_users, seed=17)
+    structured = _Barrier(program, t)
+    grad, g, J = structured.grad_and_pieces(v)
+    d_block = structured.newton_direction(v, g, J, grad)
+
+    dense = _Barrier(without_structure(program), t)
+    dense_grad, dense_g, dense_J = dense.grad_and_pieces(v)
+    assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
+    H = dense.hessian(v, dense_g, dense_J)
+    d_dense = _solve_spd(H, -grad)
+    ridged = H + 1e-10 * max(1.0, np.max(np.abs(np.diag(H)))) * np.eye(program.n)
+
+    def residual(M, d):
+        return np.linalg.norm(M @ d + grad) / np.linalg.norm(grad)
+
+    assert residual(ridged, d_block) <= max(1e-5, residual(ridged, d_dense))
+    assert residual(H, d_block) <= max(1e-5, 1.01 * residual(H, d_dense))
+
+
+@pytest.mark.parametrize("num_users", [4, 30, 200])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_structured_and_dense_solves_agree(name, num_users):
+    program, v0 = builder_program(name, num_users, seed=17)
+    tol = 1e-9
+    block = solve_concave(program, start=v0, tol=tol)
+    dense = solve_concave(without_structure(program), start=v0, tol=tol)
+    assert block.status == dense.status == "converged"
+    assert abs(block.objective - dense.objective) <= 1e-8 * abs(dense.objective)
