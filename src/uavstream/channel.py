@@ -158,19 +158,21 @@ def large_scale_gain(d_uo: float, alpha0: float) -> float:
     return alpha0 / (d_uo * d_uo)
 
 
-def _xlog2_1p_ratio(x: float, c: float) -> float:
-    """x * log2(1 + c/x), continuously extended to 0 at x = 0 (c >= 0).
-
-    Guards the c/x overflow region so line searches probing tiny x stay
-    finite.
-    """
-    if c == 0.0 or x == 0.0:
-        return 0.0
-    s = c / x
-    if math.isinf(s):
-        # x below ~c*5e-324: value is x*(log2(c) - log2(x)), numerically 0.
-        return x * (math.log2(c) - math.log2(x))
-    return x * math.log1p(s) / LN2
+def _persp_rate(x, c):
+    """Vectorized x * log2(1 + c/x) for x > 0, c >= 0, safe for huge c/x."""
+    x = np.asarray(x, dtype=float)
+    c = np.asarray(c, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.where(c > 0, c / x, 0.0)
+    out = np.empty(np.broadcast(x, c).shape)
+    big = ~np.isfinite(s) | (s > 1e280)
+    ok = ~big
+    out[ok] = (x * np.log1p(np.where(big, 0.0, s)))[ok] / LN2
+    if np.any(big):
+        xb = np.broadcast_to(x, out.shape)[big]
+        cb = np.broadcast_to(c, out.shape)[big]
+        out[big] = xb * (np.log(cb) - np.log(xb)) / LN2
+    return out
 
 
 def rate_agu(x_u, P_u, q_obs, w_u, budget: LinkBudget, Ho) -> float:
@@ -188,40 +190,34 @@ def rate_agu(x_u, P_u, q_obs, w_u, budget: LinkBudget, Ho) -> float:
     q_obs = np.asarray(q_obs, dtype=float)
     w_u = np.asarray(w_u, dtype=float)
     d2 = Ho * Ho + float(np.sum((q_obs - w_u) ** 2))
-    mu_u = budget.inv_cdf_at_rho * P_u * budget.mu0 / x_u
-    return _xlog2_1p_ratio(1.0, mu_u / d2) * x_u
+    return float(_persp_rate(x_u, budget.inv_cdf_at_rho * budget.mu0 / d2 * P_u))
+
+
+def fspl_rate(P, q_tx, q_rx, mu0, H_tx, H_rx) -> float:
+    """FSPL spectral efficiency log2(1 + P*mu0/d^2) of a link between two
+    nodes at ground positions q_tx, q_rx and heights H_tx, H_rx."""
+    if P < 0:
+        raise ValueError(f"transmit power must be >= 0, got {P}")
+    if P == 0.0:
+        return 0.0
+    q_tx = np.asarray(q_tx, dtype=float)
+    q_rx = np.asarray(q_rx, dtype=float)
+    denom = (H_rx - H_tx) ** 2 + float(np.sum((q_rx - q_tx) ** 2))
+    if denom == 0.0:
+        warnings.warn("zero-distance FSPL link: infinite rate",
+                      DegenerateLinkWarning, stacklevel=2)
+        return math.inf
+    return math.log1p(P * mu0 / denom) / LN2
 
 
 def rate_relay(P_o, q_obs, q_relay, mu0, Ho, Hr) -> float:
     """FSPL spectral efficiency of the observation -> relay UAV link."""
-    if P_o < 0:
-        raise ValueError(f"P_o must be >= 0, got {P_o}")
-    if P_o == 0.0:
-        return 0.0
-    q_obs = np.asarray(q_obs, dtype=float)
-    q_relay = np.asarray(q_relay, dtype=float)
-    denom = (Hr - Ho) ** 2 + float(np.sum((q_relay - q_obs) ** 2))
-    if denom == 0.0:
-        warnings.warn("coincident observation and relay UAVs: infinite relay rate",
-                      DegenerateLinkWarning, stacklevel=2)
-        return math.inf
-    return math.log1p(P_o * mu0 / denom) / LN2
+    return fspl_rate(P_o, q_obs, q_relay, mu0, Ho, Hr)
 
 
 def rate_gbs(P_r, q_relay, w_b, mu0, Hr, Hb) -> float:
     """FSPL spectral efficiency of the relay UAV -> ground BS link."""
-    if P_r < 0:
-        raise ValueError(f"P_r must be >= 0, got {P_r}")
-    if P_r == 0.0:
-        return 0.0
-    q_relay = np.asarray(q_relay, dtype=float)
-    w_b = np.asarray(w_b, dtype=float)
-    denom = (Hb - Hr) ** 2 + float(np.sum((w_b - q_relay) ** 2))
-    if denom == 0.0:
-        warnings.warn("relay UAV at the ground BS location and height: infinite rate",
-                      DegenerateLinkWarning, stacklevel=2)
-        return math.inf
-    return math.log1p(P_r * mu0 / denom) / LN2
+    return fspl_rate(P_r, q_relay, w_b, mu0, Hr, Hb)
 
 
 def outage_probability(R_u, x_u, P_u, q_obs, w_u, mu0, Ho, K) -> float:

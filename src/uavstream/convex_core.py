@@ -5,9 +5,8 @@ Log-barrier interior-point method: maximize f(v) + (1/t) * sum ln g_j(v)
 iterations and Armijo backtracking, multiplying t by 10 per outer stage until
 the barrier gap m/t drops below tolerance.
 
-Builders may supply an exact combined-curvature callback; without one the
-inner iterations fall back to damped BFGS seeded with the Gauss-Newton part
-of the barrier Hessian.
+Every program supplies an exact combined-curvature callback, so each inner
+step is a Newton step on the barrier Hessian.
 
 A program may also declare the shape of its Hessian (BlockStructure): small
 independent variable blocks, an optional dense border coupled to every block,
@@ -131,11 +130,11 @@ class ConcaveProgram:
     constraints/constraint_jac: vector g(v) >= 0 of smooth concave functions
     and its (m, n) Jacobian; m may be zero.
     lower/upper: box bounds, +-inf entries allowed.
-    curvature: optional callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v),
-    enabling exact Newton steps.
+    curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), for the
+    Newton steps.
     structure: optional BlockStructure; when given, constraint_jac returns a
-    BlockJacobian, curvature (then required) a BlockCurvature, and Newton
-    steps are solved in block form.
+    BlockJacobian, curvature a BlockCurvature, and Newton steps are solved in
+    block form.
     """
 
     n: int
@@ -145,7 +144,7 @@ class ConcaveProgram:
     constraint_jac: Callable[[np.ndarray], np.ndarray]
     lower: np.ndarray
     upper: np.ndarray
-    curvature: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    curvature: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = ""
     structure: Optional[BlockStructure] = None
 
@@ -156,8 +155,8 @@ class ConcaveProgram:
             raise ValueError("box bounds must have shape (n,)")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper on every coordinate")
-        if self.structure is not None and (self.structure.n != self.n or self.curvature is None):
-            raise ValueError("a structured program needs n to match and a curvature callback")
+        if self.structure is not None and self.structure.n != self.n:
+            raise ValueError("a structured program's BlockStructure must have the same n")
 
     def midpoint(self) -> np.ndarray:
         lo = np.where(np.isfinite(self.lower), self.lower, -1.0)
@@ -244,19 +243,16 @@ class _Barrier:
         """Diagonal of the box terms' Hessian."""
         return (1.0 / (v - self.p.lower) ** 2 + 1.0 / (self.p.upper - v) ** 2) / self.t
 
-    def gauss_newton_hessian(self, v, g, J):
-        """PSD part of the barrier Hessian (exact for the box, GN for g)."""
+    def hessian(self, v, g, J):
+        """The dense barrier Hessian: the Gauss-Newton part of the constraint
+        terms, the box terms, and minus the program's curvature."""
         H = np.zeros((self.p.n, self.p.n))
+        w = np.zeros(0)
         if g.size:
             H += (J.T * (1.0 / g**2)) @ J / self.t
+            w = 1.0 / (self.t * g)
         H[np.diag_indices_from(H)] += self.box_hessian(v)
-        return H
-
-    def hessian(self, v, g, J):
-        H = self.gauss_newton_hessian(v, g, J)
-        if self.p.curvature is not None:
-            w = (1.0 / (self.t * g)) if g.size else np.zeros(0)
-            H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
+        H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
         return H
 
     def newton_direction(self, v, g, J, grad):
@@ -394,14 +390,13 @@ def _solve_structured(H: _BlockHessian, rhs):
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
-def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol, use_bfgs):
+def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol):
     """Minimize one barrier subproblem; returns (v, last_decrement, steps)."""
     grad, g, J = barrier.grad_and_pieces(v)
-    B = barrier.gauss_newton_hessian(v, g, J) + 1e-8 * np.eye(barrier.p.n) if use_bfgs else None
     phi = barrier.value(v)
     decrement = np.inf
     for step in range(max_steps):
-        d = _solve_spd(B, -grad) if use_bfgs else barrier.newton_direction(v, g, J, grad)
+        d = barrier.newton_direction(v, g, J, grad)
         decrement = float(-grad @ d)
         if decrement < 0:        # model not PD enough; fall back to steepest descent
             d = -grad
@@ -419,22 +414,8 @@ def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol, use_bfgs):
             alpha *= _BACKTRACK
         if not accepted:
             return v, 0.5 * decrement, step
-        v_new = trial
-        grad_new, g, J = barrier.grad_and_pieces(v_new)
-        if use_bfgs:
-            s = v_new - v
-            y = grad_new - grad
-            Bs = B @ s
-            sBs = float(s @ Bs)
-            sy = float(s @ y)
-            if sBs > 0:
-                if sy < 0.2 * sBs:   # Powell damping keeps B positive definite
-                    theta = 0.8 * sBs / (sBs - sy)
-                    y = theta * y + (1.0 - theta) * Bs
-                    sy = float(s @ y)
-                if sy > 1e-12 * sBs:
-                    B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
-        v, grad, phi = v_new, grad_new, phi_trial
+        v, phi = trial, phi_trial
+        grad, g, J = barrier.grad_and_pieces(v)
     return v, 0.5 * decrement, max_steps
 
 
@@ -457,7 +438,6 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
     m_total = np.atleast_1d(program.constraints(v)).size \
         + int(np.sum(np.isfinite(program.lower))) \
         + int(np.sum(np.isfinite(program.upper)))
-    use_bfgs = program.curvature is None
     decrement_tol = 0.5 * tol
 
     t = 1.0
@@ -466,8 +446,7 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
     last_decrement = np.inf
     for _ in range(_MAX_STAGES):
         barrier = _Barrier(program, t)
-        v, last_decrement, steps = _newton_stage(
-            barrier, v, max_newton, decrement_tol, use_bfgs)
+        v, last_decrement, steps = _newton_stage(barrier, v, max_newton, decrement_tol)
         total_steps += steps
         stage_objectives.append(float(program.objective(v)))
         if m_total == 0 or m_total / t < tol:
@@ -513,12 +492,10 @@ def _phase_one(program: ConcaveProgram, candidate, tol, max_newton):
         J = np.atleast_2d(program.constraint_jac(vs[:n]))
         return np.hstack([J, np.ones((J.shape[0], 1))])
 
-    curvature = None
-    if program.curvature is not None:
-        def curvature(vs, w):
-            H = np.zeros((n + 1, n + 1))
-            H[:n, :n] = program.curvature(vs[:n], w)
-            return H
+    def curvature(vs, w):
+        H = np.zeros((n + 1, n + 1))
+        H[:n, :n] = program.curvature(vs[:n], w)
+        return H
 
     aux = ConcaveProgram(
         n=n + 1,

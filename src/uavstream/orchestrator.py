@@ -1,32 +1,39 @@
 """Block-coordinate-descent driver and the benchmark schemes.
 
-The joint scheme alternates the exact resource subproblem and the SCA
-placement subproblem until the exact-rate objective stops improving.  The
-benchmarks fix one block (or remove the relay) and reuse the same machinery,
-so every scheme reports the same exact-rate objective.
+Every scheme runs the same loop over the two blocks: the exact resource
+subproblem (P5) and SCA placement steps (P7), until the exact-rate objective
+stops improving.  A scheme fixes which blocks run and on which backhaul
+chain, so every scheme reports the same exact-rate objective.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import LinkBudget
-from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
-                          solve_concave)
 from .scenario import Scenario, UavPlacement
-from .subproblems import (
-    DecisionState, capped_fill, exact_fill_objective, make_link_budget,
-    solve_p5, solve_p7, user_rate_coeffs, utility_params,
-    _persp_rate, _persp_grads, _persp_curvs, _POS_SCALE,
-)
-from .utility import average_utility
+from .subproblems import (DecisionState, exact_fill_objective, make_link_budget,
+                          solve_p5, solve_p7)
 
-LN2 = math.log(2.0)
 
-SCHEMES = ("joint", "resource_only", "position_only", "relay_baseline", "no_relay")
+@dataclass(frozen=True)
+class _Scheme:
+    p5: bool                 # run the resource block each iteration
+    sca_steps: int | None    # SCA steps per iteration; None: until they stall
+    relay: bool = True       # False: the observation UAV reaches the GBS directly
+
+
+_SCHEMES = {
+    "joint": _Scheme(p5=True, sca_steps=None),
+    "resource_only": _Scheme(p5=True, sca_steps=0),
+    "position_only": _Scheme(p5=False, sca_steps=1),
+    "relay_baseline": _Scheme(p5=False, sca_steps=0),
+    "no_relay": _Scheme(p5=True, sca_steps=1, relay=False),
+}
+SCHEMES = tuple(_SCHEMES)
 
 
 @dataclass
@@ -82,56 +89,46 @@ def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> De
                          r_tilde=0.99 * r_fill)
 
 
-def _exact_objective(scenario, budget, state: DecisionState) -> float:
-    obj, _ = exact_fill_objective(scenario, budget, state.x, state.p_user,
-                                  state.p_obs, state.p_relay, state.placement)
-    return obj
-
-
-def _sca_placement_descent(scenario, budget, state: DecisionState, tol, max_steps):
-    """Drive the placement block: iterate the linearized step until it stalls
-    or stops improving the exact objective.  Returns the updated state, the
-    last linearized objective, and the number of steps taken."""
-    prev = _exact_objective(scenario, budget, state)
-    lb_last = prev
-    steps = 0
+def _sca_descent(scenario, budget, state: DecisionState, max_steps):
+    """Drive the placement block: up to max_steps linearized steps, stopping
+    when one stalls or gains less than bcd_tol.  Returns the updated state,
+    the last linearized objective and the exact objective of the state."""
+    obj = lb = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
+                                    state.p_relay, state.placement)[0]
     for _ in range(max_steps):
         p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs,
                       state.p_relay, state.placement, budget)
-        steps += 1
-        lb_last = p7.lb_objective
-        state = DecisionState(x=state.x, p_user=state.p_user, p_obs=state.p_obs,
-                              p_relay=state.p_relay, placement=p7.placement,
-                              r_tilde=p7.r_tilde)
-        if p7.stalled or p7.exact_objective - prev < tol:
-            prev = max(prev, p7.exact_objective)
+        state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
+        lb, gain, obj = p7.lb_objective, p7.exact_objective - obj, p7.exact_objective
+        if p7.stalled or gain < scenario.config.bcd_tol:
             break
-        prev = p7.exact_objective
-    return state, lb_last, steps
+    return state, lb, obj
 
 
-def _bcd_descent(scenario, budget, state: DecisionState) -> SchemeResult:
+def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
+    """Alternate the scheme's blocks from state until the exact objective
+    gains less than bcd_tol.  A scheme with no block returns its start."""
     cfg = scenario.config
+    spec = _SCHEMES[scheme]
+    sca_steps = cfg.max_bcd_iters if spec.sca_steps is None else spec.sca_steps
+    prev, r_fill = exact_fill_objective(scenario, budget, state.x, state.p_user,
+                                        state.p_obs, state.p_relay, state.placement)
+    state = dataclasses.replace(state, r_tilde=r_fill)
     trace = IterationTrace()
-    prev_obj = _exact_objective(scenario, budget, state)
-    trace.add(0, prev_obj, prev_obj, state)
+    trace.add(0, prev, prev, state)
 
-    converged = False
     iterations = 0
-    for it in range(1, cfg.max_bcd_iters + 1):
-        state = solve_p5(scenario, state.placement, state, budget)
-        state, lb_last, _ = _sca_placement_descent(
-            scenario, budget, state, cfg.bcd_tol, cfg.max_bcd_iters)
-        obj = _exact_objective(scenario, budget, state)
-        trace.add(it, obj, lb_last, state)
-        iterations = it
-        if obj - prev_obj < cfg.bcd_tol:
-            converged = True
-            break
-        prev_obj = obj
-
-    return SchemeResult(scheme="joint", state=state, avg_utility=trace.exact_objectives[-1],
-                        trace=trace, iterations=iterations, converged=converged)
+    converged = not (spec.p5 or sca_steps)
+    while not converged and iterations < cfg.max_bcd_iters:
+        iterations += 1
+        if spec.p5:
+            state = solve_p5(scenario, state.placement, state, budget)
+        state, lb, obj = _sca_descent(scenario, budget, state, sca_steps)
+        trace.add(iterations, obj, lb, state)
+        converged = obj - prev < cfg.bcd_tol
+        prev = obj
+    return SchemeResult(scheme, state, trace.exact_objectives[-1], trace,
+                        iterations, converged)
 
 
 def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = None) -> SchemeResult:
@@ -146,281 +143,13 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
     cfg = scenario.config
     budget = make_link_budget(cfg)
     if initial_state is not None:
-        return _bcd_descent(scenario, budget, initial_state.copy())
+        return _bcd(scenario, budget, initial_state.copy(), "joint")
 
     base = initialize_state(scenario, budget)
-    first = _bcd_descent(scenario, budget, base)
-    warmed, _, _ = _sca_placement_descent(scenario, budget, base.copy(),
-                                          cfg.bcd_tol, cfg.max_bcd_iters)
-    second = _bcd_descent(scenario, budget, warmed)
+    first = _bcd(scenario, budget, base, "joint")
+    warmed, _, _ = _sca_descent(scenario, budget, base.copy(), cfg.max_bcd_iters)
+    second = _bcd(scenario, budget, warmed, "joint")
     return second if second.avg_utility > first.avg_utility else first
-
-
-def _run_resource_only(scenario, budget, state):
-    cfg = scenario.config
-    trace = IterationTrace()
-    prev = _exact_objective(scenario, budget, state)
-    trace.add(0, prev, prev, state)
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_bcd_iters + 1):
-        state = solve_p5(scenario, state.placement, state, budget)
-        obj = _exact_objective(scenario, budget, state)
-        trace.add(it, obj, obj, state)
-        iterations = it
-        if obj - prev < cfg.bcd_tol:
-            converged = True
-            break
-        prev = obj
-    return SchemeResult("resource_only", state, trace.exact_objectives[-1],
-                        trace, iterations, converged)
-
-
-def _run_position_only(scenario, budget, state):
-    cfg = scenario.config
-    trace = IterationTrace()
-    prev = _exact_objective(scenario, budget, state)
-    trace.add(0, prev, prev, state)
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_bcd_iters + 1):
-        p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs,
-                      state.p_relay, state.placement, budget)
-        state = DecisionState(x=state.x, p_user=state.p_user, p_obs=state.p_obs,
-                              p_relay=state.p_relay, placement=p7.placement,
-                              r_tilde=p7.r_tilde)
-        obj = p7.exact_objective
-        trace.add(it, obj, p7.lb_objective, state)
-        iterations = it
-        if p7.stalled or obj - prev < cfg.bcd_tol:
-            converged = True
-            break
-        prev = obj
-    return SchemeResult("position_only", state, trace.exact_objectives[-1],
-                        trace, iterations, converged)
-
-
-def _run_relay_baseline(scenario, budget, state):
-    obj = _exact_objective(scenario, budget, state)
-    _, r_fill = exact_fill_objective(scenario, budget, state.x, state.p_user,
-                                     state.p_obs, state.p_relay, state.placement)
-    state = DecisionState(x=state.x, p_user=state.p_user, p_obs=state.p_obs,
-                          p_relay=state.p_relay, placement=state.placement,
-                          r_tilde=r_fill)
-    trace = IterationTrace()
-    trace.add(0, obj, obj, state)
-    return SchemeResult("relay_baseline", state, obj, trace, 0, True)
-
-
-# --- no-relay baseline: observation UAV talks straight to the GBS ---------
-
-def _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs):
-    """Best utility with the observation UAV transmitting straight to the GBS."""
-    cfg = scenario.config
-    A = user_rate_coeffs(scenario, budget, q_obs)
-    caps = (1.0 - cfg.outage_target_rho) * _persp_rate(x, A * p_user)
-    d2 = (cfg.height_gbs_Hb - cfg.height_obs_Ho) ** 2 \
-        + float(np.sum((scenario.gbs_pos_wb - q_obs) ** 2))
-    r_direct = math.log1p(p_obs * budget.mu0 / d2) / LN2
-    r = capped_fill(caps, r_direct)
-    return average_utility(r, utility_params(cfg)), r, r_direct
-
-
-def _no_relay_resource_program(scenario, budget, q_obs, r_direct):
-    cfg = scenario.config
-    U = cfg.num_users_U
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    A = user_rate_coeffs(scenario, budget, q_obs)
-    p_user = np.full(U, cfg.p_max_user)
-    theta_over_U = cfg.utility_theta / U
-    n = 2 * U
-    sx, sr = slice(0, U), slice(U, 2 * U)
-
-    def objective(v):
-        return theta_over_U * float(np.sum(np.log(cfg.utility_beta * v[sr]
-                                                  / cfg.playback_rate_rbar)))
-
-    def gradient(v):
-        g = np.zeros(n)
-        g[sr] = theta_over_U / v[sr]
-        return g
-
-    def constraints(v):
-        g = np.empty(U + 2)
-        g[:U] = one_m_rho * _persp_rate(v[sx], A * p_user) - v[sr]
-        g[U] = 1.0 - v[sx].sum()
-        g[U + 1] = r_direct - v[sr].sum()
-        return g
-
-    # Local rows: user u's cap touches (x_u, r_u); coupling rows: the
-    # bandwidth sum and the direct link against sum r.
-    idx = np.arange(U)
-    structure = BlockStructure(n, np.column_stack([idx, U + idx]))
-    coupling = np.zeros((2, n))
-    coupling[0, sx] = -1.0
-    coupling[1, sr] = -1.0
-
-    def constraint_jac(v):
-        dx, _ = _persp_grads(v[sx], A, p_user)
-        local = np.empty((U, 2))
-        local[:, 0] = one_m_rho * dx
-        local[:, 1] = -1.0
-        return BlockJacobian(structure, local, coupling)
-
-    def curvature(v, w):
-        rxx, _, _ = _persp_curvs(v[sx], A, p_user)
-        diag = np.empty(n)
-        diag[sx] = w[:U] * one_m_rho * rxx
-        diag[sr] = -theta_over_U / v[sr] ** 2
-        return BlockCurvature(structure, diag)
-
-    r_hi = one_m_rho * _persp_rate(np.ones(U), A * cfg.p_max_user) + 1.0
-    return ConcaveProgram(n=n, objective=objective, gradient=gradient,
-                          constraints=constraints, constraint_jac=constraint_jac,
-                          lower=np.zeros(n),
-                          upper=np.concatenate([np.ones(U), r_hi]),
-                          curvature=curvature, name="no_relay_resource",
-                          structure=structure)
-
-
-def _no_relay_position_program(scenario, budget, x, p_obs, q_obs_i):
-    """SCA step for the direct-link scheme: variables (q_obs, r_tilde)."""
-    cfg = scenario.config
-    U = cfg.num_users_U
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    S2 = _POS_SCALE * _POS_SCALE
-    w_users = scenario.agu_pos_wu / _POS_SCALE
-    w_gbs = scenario.gbs_pos_wb / _POS_SCALE
-    theta_over_U = cfg.utility_theta / U
-
-    # User-link Taylor constants at q_obs_i (same shape as the relay scheme).
-    dist2_user = np.sum((scenario.agu_pos_wu - q_obs_i) ** 2, axis=1)
-    den_u = cfg.height_obs_Ho ** 2 + dist2_user
-    p_user = np.full(U, cfg.p_max_user)
-    mu_u = budget.inv_cdf_at_rho * p_user * budget.mu0 / x
-    c_user = np.log1p(mu_u / den_u) / LN2
-    d_user = mu_u / (den_u * (den_u + mu_u) * LN2)
-
-    dist2_dir = float(np.sum((q_obs_i - scenario.gbs_pos_wb) ** 2))
-    den_d = (cfg.height_gbs_Hb - cfg.height_obs_Ho) ** 2 + dist2_dir
-    mu_d = p_obs * budget.mu0
-    c_dir = math.log1p(mu_d / den_d) / LN2
-    d_dir = mu_d / (den_d * (den_d + mu_d) * LN2)
-
-    ku = one_m_rho * x * d_user * S2
-    base_u = one_m_rho * x * (c_user + d_user * dist2_user)
-    kd = d_dir * S2
-    base_d = c_dir + d_dir * dist2_dir
-
-    n = 2 + U
-    sq, sr = slice(0, 2), slice(2, 2 + U)
-
-    def objective(v):
-        return theta_over_U * float(np.sum(np.log(cfg.utility_beta * v[sr]
-                                                  / cfg.playback_rate_rbar)))
-
-    def gradient(v):
-        g = np.zeros(n)
-        g[sr] = theta_over_U / v[sr]
-        return g
-
-    def constraints(v):
-        qo = v[sq]
-        g = np.empty(U + 1)
-        g[:U] = base_u - ku * np.sum((qo - w_users) ** 2, axis=1) - v[sr]
-        g[U] = base_d - kd * float(np.sum((qo - w_gbs) ** 2)) - v[sr].sum()
-        return g
-
-    # Local rows: user u's link touches the observation UAV (the border) and
-    # r_u; the one coupling row is the direct link against sum r.
-    structure = BlockStructure(n, np.arange(2, n), border=np.arange(2))
-    local = np.full((U, 1), -1.0)
-
-    def constraint_jac(v):
-        qo = v[sq]
-        coupling = np.empty((1, n))
-        coupling[0, sq] = -2.0 * kd * (qo - w_gbs)
-        coupling[0, sr] = -1.0
-        return BlockJacobian(structure, local, coupling, -2.0 * ku[:, None] * (qo - w_users))
-
-    def curvature(v, w):
-        diag = np.zeros(n)
-        diag[sr] = -theta_over_U / v[sr] ** 2
-        couple = float(np.sum(w[:U] * ku)) + w[U] * kd
-        return BlockCurvature(structure, diag, border=-2.0 * couple * np.eye(2))
-
-    extent = 4.0 * max(cfg.network_size_D, cfg.area_side) / _POS_SCALE
-    r_hi = base_u + 1.0
-    lower = np.concatenate([np.full(2, -extent), np.zeros(U)])
-    upper = np.concatenate([np.full(2, extent), r_hi])
-    return ConcaveProgram(n=n, objective=objective, gradient=gradient,
-                          constraints=constraints, constraint_jac=constraint_jac,
-                          lower=lower, upper=upper, curvature=curvature,
-                          name="no_relay_position", structure=structure)
-
-
-def _run_no_relay(scenario, budget, state):
-    cfg = scenario.config
-    U = cfg.num_users_U
-    x = state.x.copy()
-    p_user = np.full(U, cfg.p_max_user)
-    p_obs = cfg.p_max_obs
-    q_obs = state.placement.q_obs.copy()
-
-    trace = IterationTrace()
-    prev, r_fill, _ = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs)
-    state = DecisionState(x=x, p_user=p_user, p_obs=p_obs, p_relay=state.p_relay,
-                          placement=UavPlacement(q_obs, state.placement.q_relay),
-                          r_tilde=r_fill)
-    trace.add(0, prev, prev, state)
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_bcd_iters + 1):
-        # resource block: bandwidth + rates at fixed q_obs
-        _, _, r_direct = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs)
-        prog = _no_relay_resource_program(scenario, budget, q_obs, r_direct)
-        A = user_rate_coeffs(scenario, budget, q_obs)
-        one_m_rho = 1.0 - cfg.outage_target_rho
-        x0 = np.maximum(x, 1e-6 / U)
-        x0 = x0 * (1.0 - 1e-6) / max(x0.sum(), 1.0 - 1e-6)
-        caps0 = one_m_rho * _persp_rate(x0, A * p_user)
-        r0 = 0.9 * capped_fill(caps0, r_direct)
-        rep = solve_concave(prog, start=np.concatenate([x0, r0]), tol=cfg.sca_tol)
-        if rep.status != "infeasible":
-            x_new = np.clip(rep.solution[:U], 1e-12, 1.0)
-            x_new = x_new / x_new.sum()
-            obj_new, _, _ = _no_relay_fill(scenario, budget, x_new, p_user, p_obs, q_obs)
-            obj_old, _, _ = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs)
-            if obj_new >= obj_old:
-                x = x_new
-
-        # position block: SCA move of q_obs
-        prog = _no_relay_position_program(scenario, budget, x, p_obs, q_obs)
-        obj_here, r_here, r_direct = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs)
-        caps_i = one_m_rho * _persp_rate(x, A * p_user)
-        r0 = 0.9 * capped_fill(caps_i, r_direct)
-        v0 = np.concatenate([q_obs / _POS_SCALE, r0])
-        rep = solve_concave(prog, start=v0, tol=cfg.sca_tol)
-        lb_obj = obj_here
-        if rep.status != "infeasible":
-            q_new = rep.solution[0:2] * _POS_SCALE
-            obj_new, _, _ = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_new)
-            if obj_new >= obj_here:
-                q_obs = q_new
-                lb_obj = rep.objective
-
-        obj, r_fill, _ = _no_relay_fill(scenario, budget, x, p_user, p_obs, q_obs)
-        state = DecisionState(x=x, p_user=p_user, p_obs=p_obs, p_relay=state.p_relay,
-                              placement=UavPlacement(q_obs, state.placement.q_relay),
-                              r_tilde=r_fill)
-        trace.add(it, obj, lb_obj, state)
-        iterations = it
-        if obj - prev < cfg.bcd_tol:
-            converged = True
-            break
-        prev = obj
-    return SchemeResult("no_relay", state, trace.exact_objectives[-1],
-                        trace, iterations, converged)
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,
@@ -432,10 +161,6 @@ def run_benchmark(scenario: Scenario, scheme_id: str,
         return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
     state = initial_state.copy() if initial_state is not None else initialize_state(scenario, budget)
-    if scheme_id == "resource_only":
-        return _run_resource_only(scenario, budget, state)
-    if scheme_id == "position_only":
-        return _run_position_only(scenario, budget, state)
-    if scheme_id == "relay_baseline":
-        return _run_relay_baseline(scenario, budget, state)
-    return _run_no_relay(scenario, budget, state)
+    if not _SCHEMES[scheme_id].relay:
+        state.placement = UavPlacement(state.placement.q_obs)
+    return _bcd(scenario, budget, state, scheme_id)

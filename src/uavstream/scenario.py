@@ -87,18 +87,29 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class UavPlacement:
-    """Ground-plane coordinates of the observation and relay UAVs."""
+    """Ground-plane coordinates of the observation and relay UAVs.
+
+    q_relay = None means there is no relay: the observation UAV transmits
+    straight to the ground BS.
+    """
 
     q_obs: np.ndarray
-    q_relay: np.ndarray
+    q_relay: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q_obs", np.asarray(self.q_obs, dtype=float))
-        object.__setattr__(self, "q_relay", np.asarray(self.q_relay, dtype=float))
-        if self.q_obs.shape != (2,) or self.q_relay.shape != (2,):
-            raise ValueError("UAV positions must be 2-D ground coordinates")
-        if not (np.all(np.isfinite(self.q_obs)) and np.all(np.isfinite(self.q_relay))):
-            raise ValueError("UAV positions must be finite")
+        names = ("q_obs",) if self.q_relay is None else ("q_obs", "q_relay")
+        for name in names:
+            q = np.asarray(getattr(self, name), dtype=float)
+            if q.shape != (2,):
+                raise ValueError("UAV positions must be 2-D ground coordinates")
+            if not np.all(np.isfinite(q)):
+                raise ValueError("UAV positions must be finite")
+            object.__setattr__(self, name, q)
+
+    @property
+    def uavs(self) -> tuple:
+        """Positions of the UAVs in the backhaul chain, observation UAV first."""
+        return (self.q_obs,) if self.q_relay is None else (self.q_obs, self.q_relay)
 
 
 @dataclass(frozen=True)
@@ -134,18 +145,37 @@ def generate_scenario(config: SystemConfig) -> Scenario:
     return Scenario(config=config, gbs_pos_wb=gbs, agu_pos_wu=agu)
 
 
+def backhaul_chain(scenario: Scenario, placement: UavPlacement):
+    """The backhaul as (ground position, height) nodes, from the observation
+    UAV through the relay UAV (if placed) to the ground BS.  Hop k runs from
+    node k to node k+1 and is transmitted by the UAV at node k."""
+    cfg = scenario.config
+    heights = (cfg.height_obs_Ho, cfg.height_relay_Hr)
+    return list(zip(placement.uavs, heights)) + [(scenario.gbs_pos_wb, cfg.height_gbs_Hb)]
+
+
+def hop_offsets(scenario: Scenario, placement: UavPlacement):
+    """Horizontal offsets (receiver minus transmitter, shape (H, 2)) and
+    height gaps (shape (H,)) of the H backhaul hops."""
+    positions, heights = zip(*backhaul_chain(scenario, placement))
+    return np.diff(np.array(positions), axis=0), np.diff(heights)
+
+
+def hop_dist2(scenario: Scenario, placement: UavPlacement) -> np.ndarray:
+    """Squared 3-D length of each backhaul hop."""
+    offsets, gaps = hop_offsets(scenario, placement)
+    return gaps ** 2 + np.sum(offsets ** 2, axis=1)
+
+
 def distances(scenario: Scenario, placement: UavPlacement, user_index: int):
-    """3-D link distances (d_uo, d_or, d_rb) for one user under a placement."""
+    """3-D link distances for one user under a placement: the user link, then
+    each backhaul hop ((d_uo, d_or, d_rb) with a relay, (d_uo, d_ob) without)."""
     cfg = scenario.config
     if not 0 <= user_index < cfg.num_users_U:
         raise IndexError(f"user_index {user_index} out of range for U={cfg.num_users_U}")
     w_u = scenario.agu_pos_wu[user_index]
     d_uo = math.sqrt(cfg.height_obs_Ho ** 2 + float(np.sum((placement.q_obs - w_u) ** 2)))
-    d_or = math.sqrt((cfg.height_relay_Hr - cfg.height_obs_Ho) ** 2
-                     + float(np.sum((placement.q_relay - placement.q_obs) ** 2)))
-    d_rb = math.sqrt((cfg.height_gbs_Hb - cfg.height_relay_Hr) ** 2
-                     + float(np.sum((scenario.gbs_pos_wb - placement.q_relay) ** 2)))
-    return d_uo, d_or, d_rb
+    return (d_uo, *(math.sqrt(d2) for d2 in hop_dist2(scenario, placement)))
 
 
 # --- configuration files -------------------------------------------------

@@ -14,12 +14,11 @@ import pytest
 from uavstream.channel import (LinkBudget, outage_probability, rate_agu, rate_gbs,
                                rate_relay, rician_cdf, rician_cdf_inverse)
 from uavstream.convex_core import check_gradients
-from uavstream.orchestrator import (initialize_state, run_algorithm1, run_benchmark,
-                                    _no_relay_position_program, _no_relay_resource_program)
+from uavstream.orchestrator import initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import (capped_fill, exact_fill_objective, lower_bound_rates,
+from uavstream.subproblems import (exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5, solve_p7,
-                                   _p5_program, _p5_start_vector, _p7_program, _POS_SCALE)
+                                   _p5_program, _p7_program)
 
 LN2 = math.log(2.0)
 BENCHMARKS = ("resource_only", "position_only", "no_relay")
@@ -111,7 +110,7 @@ def test_criterion_3_sca_bounds():
                           budget.mu0, cfg.height_relay_Hr, cfg.height_gbs_Hb)
             return ru, ro, rb
 
-        lb_u, lb_o, lb_g = lower_bound_rates(coeffs, expansion, sc, x)
+        lb_u, (lb_o, lb_g) = lower_bound_rates(coeffs, expansion, sc, x)
         ru, ro, rb = exact(expansion)
         assert np.max(np.abs(lb_u - ru) / ru) <= 1e-12
         assert abs(lb_o - ro) / ro <= 1e-12
@@ -121,7 +120,7 @@ def test_criterion_3_sca_bounds():
             placement = UavPlacement(
                 q_obs=expansion.q_obs + rng.uniform(-1500.0, 1500.0, 2),
                 q_relay=expansion.q_relay + rng.uniform(-1500.0, 1500.0, 2))
-            lb_u, lb_o, lb_g = lower_bound_rates(coeffs, placement, sc, x)
+            lb_u, (lb_o, lb_g) = lower_bound_rates(coeffs, placement, sc, x)
             ru, ro, rb = exact(placement)
             assert np.all(lb_u <= ru + 1e-12)
             assert lb_o <= ro + 1e-12
@@ -340,29 +339,12 @@ def test_criterion_8_gradient_checks():
         state = initialize_state(sc, budget)
         rng = np.random.default_rng(0)
 
-        program = _p5_program(sc, budget, state.placement)
-        v0 = _p5_start_vector(sc, budget, state.placement, state)
-        assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
+        # P5 and P7 on the relay chain, then on the one-hop (no-relay) chain
+        for placement in (state.placement, UavPlacement(state.placement.q_obs)):
+            program, v0 = _p5_program(sc, budget, placement, state.x)
+            assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
 
-        coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
-                                  cfg.p_max_relay, state.placement, budget)
-        program = _p7_program(sc, coeffs, state.x)
-        lb_u, lb_o, lb_g = lower_bound_rates(coeffs, state.placement, sc, state.x)
-        r0 = 0.9 * capped_fill((1 - cfg.outage_target_rho) * lb_u, min(lb_o, lb_g))
-        v0 = np.concatenate([state.placement.q_obs / _POS_SCALE,
-                             state.placement.q_relay / _POS_SCALE, r0])
-        assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
-
-        from uavstream.orchestrator import _no_relay_fill
-        _, _, r_direct = _no_relay_fill(sc, budget, state.x, state.p_user,
-                                        cfg.p_max_obs, state.placement.q_obs)
-        program = _no_relay_resource_program(sc, budget, state.placement.q_obs, r_direct)
-        caps = (1 - cfg.outage_target_rho) * lb_u
-        v0 = np.concatenate([state.x * 0.999, 0.9 * capped_fill(caps, r_direct)])
-        assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
-
-        program = _no_relay_position_program(sc, budget, state.x, cfg.p_max_obs,
-                                             state.placement.q_obs)
-        v0 = np.concatenate([state.placement.q_obs / _POS_SCALE,
-                             0.9 * capped_fill(caps, r_direct)])
-        assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
+            coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
+                                      cfg.p_max_relay, placement, budget)
+            program, v0 = _p7_program(sc, coeffs, state.x)
+            assert check_gradients(program, v0, rng, n_points=100) <= 1e-5

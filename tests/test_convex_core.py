@@ -8,7 +8,7 @@ from uavstream.convex_core import (BlockCurvature, BlockJacobian, BlockStructure
                                    solve_concave, without_structure)
 
 
-def quadratic_program(curvature=True):
+def quadratic_program():
     """maximize -||v||^2 on [-1, 1]^2."""
     return ConcaveProgram(
         n=2,
@@ -17,11 +17,11 @@ def quadratic_program(curvature=True):
         constraints=lambda v: np.zeros(0),
         constraint_jac=lambda v: np.zeros((0, 2)),
         lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]),
-        curvature=(lambda v, w: -2.0 * np.eye(2)) if curvature else None,
+        curvature=lambda v, w: -2.0 * np.eye(2),
     )
 
 
-def waterfill_program(curvature=True):
+def waterfill_program():
     """maximize ln v1 + ln v2 subject to v1 + v2 <= 1."""
     return ConcaveProgram(
         n=2,
@@ -30,7 +30,7 @@ def waterfill_program(curvature=True):
         constraints=lambda v: np.array([1.0 - v[0] - v[1]]),
         constraint_jac=lambda v: np.array([[-1.0, -1.0]]),
         lower=np.zeros(2), upper=np.ones(2),
-        curvature=(lambda v, w: np.diag(-1.0 / v**2)) if curvature else None,
+        curvature=lambda v, w: np.diag(-1.0 / v**2),
     )
 
 
@@ -126,17 +126,15 @@ def grid_search_3d(quad, cap, coarse=0.04, fine=0.001):
 
 
 class TestClosedFormPrograms:
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_box_quadratic(self, exact):
-        report = solve_concave(quadratic_program(exact), start=np.array([0.7, -0.4]),
+    def test_box_quadratic(self):
+        report = solve_concave(quadratic_program(), start=np.array([0.7, -0.4]),
                                tol=1e-9)
         assert report.status == "converged"
         assert np.allclose(report.solution, 0.0, atol=1e-6)
         assert report.objective == pytest.approx(0.0, abs=1e-10)
 
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_symmetric_waterfill(self, exact):
-        report = solve_concave(waterfill_program(exact), start=np.array([0.1, 0.3]),
+    def test_symmetric_waterfill(self):
+        report = solve_concave(waterfill_program(), start=np.array([0.1, 0.3]),
                                tol=1e-9, max_newton=400)
         assert report.status == "converged"
         assert np.allclose(report.solution, 0.5, atol=1e-6)
@@ -186,6 +184,7 @@ class TestPhaseOne:
             constraints=lambda v: np.array([-1.0 - v.sum()]),
             constraint_jac=lambda v: np.array([[-1.0, -1.0]]),
             lower=np.zeros(2), upper=np.ones(2),
+            curvature=lambda v, w: np.zeros((2, 2)),
         )
         assert solve_concave(program, tol=1e-8).status == "infeasible"
 

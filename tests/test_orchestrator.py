@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from uavstream.channel import rate_agu, rate_gbs
 from uavstream.orchestrator import (SCHEMES, initialize_state, run_algorithm1,
                                     run_benchmark)
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import make_link_budget
+from uavstream.subproblems import exact_fill_objective, make_link_budget
 
 
 def small_scenario(seed=0, users=4):
@@ -113,3 +114,37 @@ class TestBenchmarks:
     def test_no_relay_monotone_trace(self):
         res = run_benchmark(small_scenario(seed=7), "no_relay")
         assert np.all(np.diff(res.trace.exact_objectives) >= -1e-9)
+
+    @pytest.mark.parametrize("users", [10, 20, 30])
+    def test_no_relay_states_validate_on_their_one_hop_chain(self, users):
+        for seed in range(5):
+            sc = small_scenario(seed=seed, users=users)
+            budget = make_link_budget(sc.config)
+            state = run_benchmark(sc, "no_relay").state
+            assert state.placement.q_relay is None
+            state.validate(sc, budget)
+
+    def test_validate_rejects_rates_above_the_direct_link(self):
+        # At the heuristic start the direct link, not the user caps, limits
+        # the one-hop fill, so sum r can rise past it with every r_u capped.
+        sc = small_scenario(seed=0, users=10)
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        state = initialize_state(sc, budget)
+        state.placement = UavPlacement(state.placement.q_obs)
+        _, state.r_tilde = exact_fill_objective(sc, budget, state.x, state.p_user, state.p_obs,
+                                                state.p_relay, state.placement)
+        state.validate(sc, budget)
+        q_obs = state.placement.q_obs
+        direct = rate_gbs(state.p_obs, q_obs, sc.gbs_pos_wb, budget.mu0,
+                          cfg.height_obs_Ho, cfg.height_gbs_Hb)
+        # Lift the uncapped users until sum r is 1e-6 above the direct link.
+        caps = (1.0 - cfg.outage_target_rho) * np.array(
+            [rate_agu(x, p, q_obs, w, budget, cfg.height_obs_Ho)
+             for x, p, w in zip(state.x, state.p_user, sc.agu_pos_wu)])
+        room = caps - state.r_tilde
+        excess = direct + 1e-6 - state.r_tilde.sum()
+        assert 0.0 < excess < room.sum()
+        state.r_tilde = state.r_tilde + excess * room / room.sum()
+        with pytest.raises(ValueError, match="backhaul"):
+            state.validate(sc, budget)

@@ -113,6 +113,15 @@ class TestDistances:
         _, _, d_rb = distances(sc, placement, 0)
         assert d_rb == pytest.approx(100.0, rel=1e-15)
 
+    def test_one_hop_chain_without_relay(self):
+        # Ho=100, Hb=20 -> vertical leg 80; horizontal 60 -> hypotenuse 100
+        cfg = table2_config(num_users_U=1, area_side=0.0)
+        sc = generate_scenario(cfg)
+        placement = UavPlacement(q_obs=[-2500.0 + 60.0, 0.0])
+        assert placement.uavs == (placement.q_obs,)
+        d_uo, d_ob = distances(sc, placement, 0)
+        assert d_ob == pytest.approx(100.0, rel=1e-15)
+
     def test_height_lower_bounds(self):
         cfg = table2_config(num_users_U=4, rng_seed=3)
         sc = generate_scenario(cfg)

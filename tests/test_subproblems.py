@@ -10,14 +10,12 @@ from scipy.optimize import minimize
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
 from uavstream.convex_core import (_Barrier, _interior, _solve_spd, check_gradients,
                                    solve_concave, without_structure)
-from uavstream.orchestrator import (_no_relay_fill, _no_relay_position_program,
-                                    _no_relay_resource_program, initialize_state)
+from uavstream.orchestrator import initialize_state
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, capped_fill,
                                    exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5,
-                                   solve_p7, _p5_program, _p5_start_vector,
-                                   _p7_program, _POS_SCALE)
+                                   solve_p7, _p5_program, _p7_program)
 
 LN2 = math.log(2.0)
 
@@ -110,8 +108,7 @@ class TestScaCoefficients:
         co = sca_coefficients(self.scenario, self.x, np.zeros(4), 0.0, 0.0,
                               self.expansion, self.budget)
         assert np.allclose(co.c_user, 0.0) and np.allclose(co.d_user, 0.0)
-        assert co.c_relay == 0.0 and co.d_relay == 0.0
-        assert co.c_gbs == 0.0 and co.d_gbs == 0.0
+        assert np.all(co.c_hop == 0.0) and np.all(co.d_hop == 0.0)
 
     def test_hand_instance(self):
         # UAV directly above a single user: den = Ho^2 = 1e4, mu = 20.1
@@ -158,8 +155,8 @@ class TestLowerBounds:
         return ru, ro, rb
 
     def test_tight_at_expansion(self):
-        lb_u, lb_o, lb_g = lower_bound_rates(self.coeffs, self.expansion,
-                                             self.scenario, self.x)
+        lb_u, (lb_o, lb_g) = lower_bound_rates(self.coeffs, self.expansion,
+                                               self.scenario, self.x)
         ru, ro, rb = self.exact_rates(self.expansion)
         assert np.max(np.abs(lb_u - ru) / ru) <= 1e-12
         assert abs(lb_o - ro) / ro <= 1e-12
@@ -171,8 +168,8 @@ class TestLowerBounds:
             placement = UavPlacement(
                 q_obs=self.expansion.q_obs + rng.uniform(-800, 800, 2),
                 q_relay=self.expansion.q_relay + rng.uniform(-800, 800, 2))
-            lb_u, lb_o, lb_g = lower_bound_rates(self.coeffs, placement,
-                                                 self.scenario, self.x)
+            lb_u, (lb_o, lb_g) = lower_bound_rates(self.coeffs, placement,
+                                                   self.scenario, self.x)
             ru, ro, rb = self.exact_rates(placement)
             assert np.all(lb_u <= ru + 1e-12)
             assert lb_o <= ro + 1e-12
@@ -185,8 +182,8 @@ class TestLowerBounds:
         for _ in range(10):
             placement = UavPlacement(q_obs=rng.uniform(-500, 500, 2),
                                      q_relay=rng.uniform(-2500, 0, 2))
-            lb_u, lb_o, lb_g = lower_bound_rates(co, placement, self.scenario, self.x)
-            assert np.allclose(lb_u, 0.0) and lb_o == 0.0 and lb_g == 0.0
+            lb_u, lb_hop = lower_bound_rates(co, placement, self.scenario, self.x)
+            assert np.allclose(lb_u, 0.0) and np.all(lb_hop == 0.0)
 
 
 class TestSolveP5:
@@ -250,6 +247,17 @@ class TestSolveP5:
                                         out.p_obs, out.p_relay, out.placement)
         assert after >= before - 1e-9
         out.validate(sc, budget)
+
+    def test_zero_length_relay_hop_is_infeasible(self):
+        # table2 flies both UAVs at 100 m, so a relay on the observation UAV
+        # leaves a zero-length hop; P5 reports it before any rate warns.
+        sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0))
+        state = heuristic_state(sc)
+        placement = UavPlacement(state.placement.q_obs, state.placement.q_obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleProblem):
+                solve_p5(sc, placement, state)
 
 
 class TestSolveP7:
@@ -317,8 +325,7 @@ class TestEmittedProgramGradients:
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=6))
         budget = make_link_budget(sc.config)
         state = heuristic_state(sc)
-        program = _p5_program(sc, budget, state.placement)
-        v0 = _p5_start_vector(sc, budget, state.placement, state)
+        program, v0 = _p5_program(sc, budget, state.placement, state.x)
         err = check_gradients(program, v0, np.random.default_rng(0), n_points=40)
         assert err <= 1e-5
 
@@ -329,11 +336,7 @@ class TestEmittedProgramGradients:
         state = heuristic_state(sc)
         coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
                                   cfg.p_max_relay, state.placement, budget)
-        program = _p7_program(sc, coeffs, state.x)
-        lb_u, lb_o, lb_g = lower_bound_rates(coeffs, state.placement, sc, state.x)
-        r0 = 0.9 * capped_fill((1 - cfg.outage_target_rho) * lb_u, min(lb_o, lb_g))
-        v0 = np.concatenate([state.placement.q_obs / _POS_SCALE,
-                             state.placement.q_relay / _POS_SCALE, r0])
+        program, v0 = _p7_program(sc, coeffs, state.x)
         err = check_gradients(program, v0, np.random.default_rng(1), n_points=40)
         assert err <= 1e-5
 
@@ -341,34 +344,22 @@ class TestEmittedProgramGradients:
 # --- the four builders' programs, and their Newton systems ------------------
 
 def builder_programs(num_users, seed):
-    """(program, start) for P5, P7 and the two no-relay programs, built at the
-    heuristic start the way the schemes build them."""
+    """(program, start) for P5 and P7 on the relay chain, then on the one-hop
+    chain, built at the heuristic start the way the schemes build them."""
     sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed))
     cfg = sc.config
     budget = make_link_budget(cfg)
     state = initialize_state(sc, budget)
-    q_obs = state.placement.q_obs
-    p5 = _p5_program(sc, budget, state.placement)
-    p5_start = _p5_start_vector(sc, budget, state.placement, state)
-
-    coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
-                              cfg.p_max_relay, state.placement, budget)
-    p7 = _p7_program(sc, coeffs, state.x)
-    lb_u, lb_o, lb_g = lower_bound_rates(coeffs, state.placement, sc, state.x)
-    caps = (1 - cfg.outage_target_rho) * lb_u
-    p7_start = np.concatenate([q_obs / _POS_SCALE, state.placement.q_relay / _POS_SCALE,
-                               0.9 * capped_fill(caps, min(lb_o, lb_g))])
-
-    _, _, r_direct = _no_relay_fill(sc, budget, state.x, state.p_user, cfg.p_max_obs, q_obs)
-    r0 = 0.9 * capped_fill(caps, r_direct)
-    resource = _no_relay_resource_program(sc, budget, q_obs, r_direct)
-    position = _no_relay_position_program(sc, budget, state.x, cfg.p_max_obs, q_obs)
-    return [(p5, p5_start), (p7, p7_start),
-            (resource, np.concatenate([state.x * 0.999, r0])),
-            (position, np.concatenate([q_obs / _POS_SCALE, r0]))]
+    pairs = []
+    for placement in (state.placement, UavPlacement(state.placement.q_obs)):
+        pairs.append(_p5_program(sc, budget, placement, state.x))
+        coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
+                                  cfg.p_max_relay, placement, budget)
+        pairs.append(_p7_program(sc, coeffs, state.x))
+    return pairs
 
 
-BUILDERS = ("p5", "p7", "no_relay_resource", "no_relay_position")
+BUILDERS = ("p5", "p7", "p5_no_relay", "p7_no_relay")
 
 
 def builder_program(name, num_users, seed):
@@ -390,7 +381,7 @@ def random_interior_points(program, v0, rng, count):
     return points
 
 
-@pytest.mark.parametrize("name", ["p5", "no_relay_resource"])
+@pytest.mark.parametrize("name", ["p5", "p5_no_relay"])
 def test_barrier_rejects_out_of_box_point_before_callbacks(name):
     # A negative bandwidth share makes the user-rate callbacks take log1p of
     # a value below -1; the box check must answer before they run.
@@ -400,6 +391,18 @@ def test_barrier_rejects_out_of_box_point_before_callbacks(name):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _Barrier(program, 1.0).value(v) == np.inf
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_one_builder_per_block_sizes_its_program_by_the_chain(name):
+    # P5 has (x_u, r_u) per user on either chain.  P7 has r_u per user and a
+    # border of two coordinates per UAV in the chain: two UAVs with the relay,
+    # one without.
+    U = 7
+    program, v0 = builder_program(name, num_users=U, seed=2)
+    border = {"p5": 0, "p7": 4, "p5_no_relay": 0, "p7_no_relay": 2}[name]
+    assert program.n == v0.size == (2 * U if name.startswith("p5") else U + border)
+    assert len(program.structure.border) == border
 
 
 @pytest.mark.parametrize("name", BUILDERS)
