@@ -1,12 +1,21 @@
 """Generic smooth concave maximization under concave inequality and box constraints.
 
-Log-barrier interior-point method: maximize f(v) + (1/t) * sum ln g_j(v)
-(finite box sides contribute their own barrier terms), with Newton inner
-iterations and Armijo backtracking, multiplying t by 10 per outer stage until
-the barrier gap m/t drops below tolerance.
+Primal-dual interior-point method (Boyd & Vandenberghe, Convex Optimization,
+section 11.7).  The barrier subproblem at t is: maximize
+f(v) + (1/t) * sum ln g_j(v), finite box sides contributing their own log
+terms.  The method carries multipliers for the constraint rows and the finite
+box sides.  t starts at 1 and, after every step the line search did not
+shorten, becomes 10 m / eta for the surrogate gap eta (multipliers times
+slacks), never falling and capped at m/tol.  Each iteration takes one Newton
+step on the barrier at t whose constraint weights are the multipliers,
+updates the multipliers along their own Newton direction (kept positive by a
+fraction-to-boundary rule), and backtracks both by Armijo on the barrier
+value at t.  With the multipliers on the central path this step is the
+log-barrier Newton step; a failed line search returns them there.  The solve
+stops once t is at its cap and the Newton decrement is below tolerance.
 
-Every program supplies an exact combined-curvature callback, so each inner
-step is a Newton step on the barrier Hessian.
+Every program supplies an exact combined-curvature callback, so each step is
+a Newton step.
 
 A program may also declare the shape of its Hessian (BlockStructure): small
 independent variable blocks, an optional dense border coupled to every block,
@@ -27,8 +36,8 @@ import numpy as np
 
 _ARMIJO_SLOPE = 0.25
 _BACKTRACK = 0.5
-_T_GROWTH = 10.0
-_MAX_STAGES = 40
+_GAP_SHRINK = 10.0      # t = 10 m / eta
+_TO_BOUNDARY = 0.99     # fraction of the step to the multipliers' boundary
 _RIDGE0 = 1e-10
 
 
@@ -76,6 +85,14 @@ class BlockJacobian:
     local: np.ndarray                           # (nb, s)
     coupling: np.ndarray                        # (k, n)
     border_part: Optional[np.ndarray] = None    # (nb, b)
+
+    def matvec(self, d):
+        """J d."""
+        st = self.structure
+        local = np.einsum("ij,ij->i", self.local, d[st.blocks])
+        if self.border_part is not None:
+            local += self.border_part @ d[st.border]
+        return np.concatenate([local, self.coupling @ d])
 
     def rmatvec(self, y):
         """J^T y."""
@@ -192,7 +209,13 @@ def without_structure(program: ConcaveProgram) -> ConcaveProgram:
 
 
 class _Barrier:
-    """Barrier subproblem phi_t(v) = -f(v) - (1/t)(sum ln g + box terms), minimized."""
+    """Barrier subproblem phi_t(v) = -f(v) - (1/t)(sum ln g + box terms), minimized.
+
+    Its Newton system weights the constraint rows by multipliers w (the
+    constraints' curvature by w, their Gauss-Newton part by w/g) and the box
+    sides by a diagonal.  The defaults are the central-path values w = 1/(t g)
+    and 1/(t s^2), which give the barrier's own Hessian.
+    """
 
     def __init__(self, program: ConcaveProgram, t: float):
         self.p = program
@@ -202,24 +225,31 @@ class _Barrier:
         self.fin_lo = slice(None) if fin_lo.all() else fin_lo
         self.fin_hi = slice(None) if fin_hi.all() else fin_hi
 
-    def value(self, v):
-        dlo = v[self.fin_lo] - self.p.lower[self.fin_lo]
-        dhi = self.p.upper[self.fin_hi] - v[self.fin_hi]
+    def box_slacks(self, v):
+        """Slacks of the finite lower and upper box sides."""
+        lo, hi = self.fin_lo, self.fin_hi
+        return v[lo] - self.p.lower[lo], self.p.upper[hi] - v[hi]
+
+    def terms(self, v):
+        """(f, sum of the log slacks) at v, or None outside the domain."""
+        dlo, dhi = self.box_slacks(v)
         if (dlo <= 0).any() or (dhi <= 0).any():
-            return np.inf
+            return None
         g = np.atleast_1d(self.p.constraints(v))
         if g.size and (g <= 0).any():
-            return np.inf
+            return None
         f = self.p.objective(v)
         if not np.isfinite(f):
-            return np.inf
-        barrier = 0.0
-        if g.size:
-            barrier += float(np.log(g).sum())
-        barrier += float(np.log(dlo).sum()) + float(np.log(dhi).sum())
-        return -f - barrier / self.t
+            return None
+        return f, float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
 
-    def grad_and_pieces(self, v):
+    def value(self, v):
+        terms = self.terms(v)
+        return np.inf if terms is None else -terms[0] - terms[1] / self.t
+
+    def pieces(self, v):
+        """(grad f, grad of minus the log terms, g, J); the barrier's gradient
+        at t is the second over t minus the first."""
         g = np.atleast_1d(self.p.constraints(v))
         J = self.p.constraint_jac(v)
         if self.p.structure is not None:
@@ -230,47 +260,45 @@ class _Barrier:
         grad_f = np.asarray(self.p.gradient(v), dtype=float)
         if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and finite):
             raise NumericError("non-finite objective/constraint derivatives", v)
-        grad = -grad_f
-        if g.size:
-            jtg = J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
-            grad -= jtg / self.t
         # Infinite box sides contribute 1/inf = 0.
-        box_grad = 1.0 / (self.p.upper - v) - 1.0 / (v - self.p.lower)
-        grad += box_grad / self.t
-        return grad, g, J
+        log_grad = 1.0 / (self.p.upper - v) - 1.0 / (v - self.p.lower)
+        if g.size:
+            log_grad -= J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
+        return grad_f, log_grad, g, J
+
+    def grad_and_pieces(self, v):
+        grad_f, log_grad, g, J = self.pieces(v)
+        return log_grad / self.t - grad_f, g, J
 
     def box_hessian(self, v):
         """Diagonal of the box terms' Hessian."""
         return (1.0 / (v - self.p.lower) ** 2 + 1.0 / (self.p.upper - v) ** 2) / self.t
 
-    def hessian(self, v, g, J):
-        """The dense barrier Hessian: the Gauss-Newton part of the constraint
-        terms, the box terms, and minus the program's curvature."""
-        H = np.zeros((self.p.n, self.p.n))
-        w = np.zeros(0)
-        if g.size:
-            H += (J.T * (1.0 / g**2)) @ J / self.t
-            w = 1.0 / (self.t * g)
-        H[np.diag_indices_from(H)] += self.box_hessian(v)
+    def hessian(self, v, g, J, w=None, box=None):
+        """The dense Newton matrix: the Gauss-Newton part of the constraint
+        terms, the box diagonal, and minus the program's curvature."""
+        w = 1.0 / (self.t * g) if w is None else w
+        H = (J.T * (w / g)) @ J
+        H[np.diag_indices_from(H)] += self.box_hessian(v) if box is None else box
         H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
         return H
 
-    def newton_direction(self, v, g, J, grad):
-        """Solve (barrier Hessian) d = -grad, in block form when declared."""
+    def newton_direction(self, v, g, J, grad, w=None, box=None):
+        """Solve (Newton matrix) d = -grad, in block form when declared."""
         if self.p.structure is None:
-            return _solve_spd(self.hessian(v, g, J), -grad)
-        return _solve_structured(self._block_hessian(v, g, J), -grad)
+            return _solve_spd(self.hessian(v, g, J, w, box), -grad)
+        return _solve_structured(self._block_hessian(v, g, J, w, box), -grad)
 
-    def _block_hessian(self, v, g, J):
-        """The barrier Hessian in block form: the blocks, the border, the
+    def _block_hessian(self, v, g, J, w=None, box=None):
+        """The Newton matrix in block form: the blocks, the border, the
         block-border entries, the free diagonal and the coupling rows scaled
-        by the square roots of their Gauss-Newton weights 1/(t g^2)."""
+        by the square roots of their Gauss-Newton weights w/g."""
         st = self.p.structure
         nb, size = st.blocks.shape
-        w = 1.0 / (self.t * g)
+        w = 1.0 / (self.t * g) if w is None else w
         curv = self.p.curvature(v, w)
         root_gn = np.sqrt(w / g)
-        diag = self.box_hessian(v) - curv.diag
+        diag = (self.box_hessian(v) if box is None else box) - curv.diag
         a = J.local * root_gn[:nb, None]
         blocks = a[:, :, None] * a[:, None, :]
         if curv.blocks is not None:
@@ -299,7 +327,7 @@ def _solve_spd(H, rhs):
             return np.linalg.solve(L.T, y)
         except np.linalg.LinAlgError:
             ridge *= 100.0
-    return np.linalg.lstsq(H + ridge * eye, rhs, rcond=None)[0]
+    return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
 @dataclass
@@ -390,41 +418,13 @@ def _solve_structured(H: _BlockHessian, rhs):
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
-def _newton_stage(barrier: _Barrier, v, max_steps, decrement_tol):
-    """Minimize one barrier subproblem; returns (v, last_decrement, steps)."""
-    grad, g, J = barrier.grad_and_pieces(v)
-    phi = barrier.value(v)
-    decrement = np.inf
-    for step in range(max_steps):
-        d = barrier.newton_direction(v, g, J, grad)
-        decrement = float(-grad @ d)
-        if decrement < 0:        # model not PD enough; fall back to steepest descent
-            d = -grad
-            decrement = float(grad @ grad)
-        if 0.5 * decrement <= decrement_tol:
-            return v, 0.5 * decrement, step
-        alpha = 1.0
-        accepted = False
-        while alpha > 1e-14:
-            trial = v + alpha * d
-            phi_trial = barrier.value(trial)
-            if np.isfinite(phi_trial) and phi_trial <= phi - _ARMIJO_SLOPE * alpha * decrement:
-                accepted = True
-                break
-            alpha *= _BACKTRACK
-        if not accepted:
-            return v, 0.5 * decrement, step
-        v, phi = trial, phi_trial
-        grad, g, J = barrier.grad_and_pieces(v)
-    return v, 0.5 * decrement, max_steps
-
-
 def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
                   max_newton: int = 200) -> SolveReport:
     """Maximize the program; see module docstring for the method.
 
     start must be strictly interior; when omitted, a phase-I feasibility
-    subproblem locates one (status 'infeasible' if none exists).
+    subproblem locates one (status 'infeasible' if none exists).  max_newton
+    caps the Newton steps of the whole solve.
     """
     if start is None or not _interior(program, np.asarray(start, dtype=float)):
         candidate = None if start is None else np.asarray(start, dtype=float)
@@ -435,33 +435,83 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
                                status="infeasible")
     v = np.asarray(start, dtype=float).copy()
 
-    m_total = np.atleast_1d(program.constraints(v)).size \
-        + int(np.sum(np.isfinite(program.lower))) \
-        + int(np.sum(np.isfinite(program.upper)))
-    decrement_tol = 0.5 * tol
-
-    t = 1.0
-    total_steps = 0
-    stage_objectives = []
-    last_decrement = np.inf
-    for _ in range(_MAX_STAGES):
-        barrier = _Barrier(program, t)
-        v, last_decrement, steps = _newton_stage(barrier, v, max_newton, decrement_tol)
-        total_steps += steps
-        stage_objectives.append(float(program.objective(v)))
-        if m_total == 0 or m_total / t < tol:
+    barrier = _Barrier(program, 1.0)   # for its callbacks and box sides; t is set below
+    fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
+    f, logs = barrier.terms(v)
+    grad_f, log_grad, g, J = barrier.pieces(v)
+    s = np.concatenate([g, *barrier.box_slacks(v)])
+    k, m = g.size, s.size
+    lo = slice(k, k + v[fin_lo].size)
+    hi = slice(lo.stop, m)
+    # gap = m/t, floored at tol (t at its cap).  The multipliers y start on
+    # the central path at t = 1.  gap follows the surrogate gap eta / 10, but
+    # only after a step the line search did not shorten: while steps are
+    # damped, t stays and the iterates centre as in a barrier stage.
+    gap = float(m)
+    y = 1.0 / s
+    central, undamped = True, False
+    stage_objectives, recorded_gap = [], gap
+    decrement = np.inf
+    steps = 0
+    while steps < max_newton:
+        if undamped:
+            gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
+        if m and gap <= recorded_gap / _GAP_SHRINK:
+            stage_objectives.append(float(f))
+            recorded_gap = gap
+        t = m / gap if m else 1.0
+        grad = log_grad / t - grad_f
+        weight = y / s
+        box = np.zeros(program.n)
+        box[fin_lo] += weight[lo]
+        box[fin_hi] += weight[hi]
+        d = barrier.newton_direction(v, g, J, grad, y[:k], box)
+        steps += 1
+        decrement = float(-grad @ d)
+        if decrement < 0:        # model not PD enough; fall back to steepest descent
+            d = -grad
+            decrement = float(grad @ grad)
+        if gap <= tol and decrement <= tol:
             break
-        t *= _T_GROWTH
+        # The multipliers' Newton step, and the largest step keeping them
+        # a fraction _TO_BOUNDARY away from zero.
+        slack_step = np.concatenate([J.matvec(d) if program.structure is not None else J @ d,
+                                     d[fin_lo], -d[fin_hi]])
+        dy = 1.0 / (t * s) - y - weight * slack_step
+        shrinking = dy < 0
+        alpha = alpha_max = 1.0 if not shrinking.any() else \
+            min(1.0, _TO_BOUNDARY * float(np.min(-y[shrinking] / dy[shrinking])))
+        phi = -f - logs / t
+        while alpha > 1e-14:
+            trial = v + alpha * d
+            terms = barrier.terms(trial)
+            phi_trial = np.inf if terms is None else -terms[0] - terms[1] / t
+            if phi_trial <= phi - _ARMIJO_SLOPE * alpha * decrement:
+                break
+            alpha *= _BACKTRACK
+        else:
+            # Back to the central path at t, where the step is the barrier
+            # Newton step; once that fails too, t grows as a barrier stage ends.
+            if central:
+                if gap <= tol:
+                    break
+                gap = max(tol, gap / _GAP_SHRINK)
+            y = gap / (m * s)
+            central, undamped = True, False
+            continue
+        v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
+        f, logs = terms
+        grad_f, log_grad, g, J = barrier.pieces(v)
+        s = np.concatenate([g, *barrier.box_slacks(v)])
+    stage_objectives.append(float(f))
 
-    gap = m_total / t if m_total else 0.0
-    kkt = max(gap, last_decrement)
-    g_final = np.atleast_1d(program.constraints(v))
-    feasible = (not g_final.size or float(np.min(g_final)) >= -1e-9) \
+    kkt = max(gap if m else 0.0, 0.5 * decrement)
+    feasible = (not g.size or float(np.min(g)) >= -1e-9) \
         and np.all(v >= program.lower - 1e-9) and np.all(v <= program.upper + 1e-9)
     status = "converged" if (kkt <= tol and feasible) else "max_iters"
-    return SolveReport(solution=v, objective=float(program.objective(v)),
-                       kkt_residual=float(kkt), barrier_iterations=total_steps,
-                       status=status, stage_objectives=stage_objectives)
+    return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
+                       barrier_iterations=steps, status=status,
+                       stage_objectives=stage_objectives)
 
 
 def _phase_one(program: ConcaveProgram, candidate, tol, max_newton):

@@ -41,16 +41,14 @@ class IterationRecord:
     iteration: int
     exact_objective: float
     lower_bound_objective: float
-    state: DecisionState
 
 
 @dataclass
 class IterationTrace:
     records: list = field(default_factory=list)
 
-    def add(self, iteration, exact, lower_bound, state):
-        self.records.append(IterationRecord(iteration, float(exact),
-                                            float(lower_bound), state.copy()))
+    def add(self, iteration, exact, lower_bound):
+        self.records.append(IterationRecord(iteration, float(exact), float(lower_bound)))
 
     @property
     def exact_objectives(self):
@@ -115,7 +113,7 @@ def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
                                         state.p_obs, state.p_relay, state.placement)
     state = dataclasses.replace(state, r_tilde=r_fill)
     trace = IterationTrace()
-    trace.add(0, prev, prev, state)
+    trace.add(0, prev, prev)
 
     iterations = 0
     converged = not (spec.p5 or sca_steps)
@@ -124,7 +122,7 @@ def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
         if spec.p5:
             state = solve_p5(scenario, state.placement, state, budget)
         state, lb, obj = _sca_descent(scenario, budget, state, sca_steps)
-        trace.add(iterations, obj, lb, state)
+        trace.add(iterations, obj, lb)
         converged = obj - prev < cfg.bcd_tol
         prev = obj
     return SchemeResult(scheme, state, trace.exact_objectives[-1], trace,

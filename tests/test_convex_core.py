@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from uavstream.convex_core import (BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram, _Barrier, check_gradients,
-                                   solve_concave, without_structure)
+from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
+                                   ConcaveProgram, _Barrier, _BlockHessian, _solve_spd,
+                                   _solve_structured, check_gradients, solve_concave,
+                                   without_structure)
 
 
 def quadratic_program():
@@ -141,6 +142,7 @@ class TestClosedFormPrograms:
 
     def test_stage_objectives_monotone(self):
         report = solve_concave(waterfill_program(), start=np.array([0.05, 0.02]), tol=1e-10)
+        assert len(report.stage_objectives) >= 3
         diffs = np.diff(report.stage_objectives)
         assert np.all(diffs >= -1e-9)
 
@@ -241,3 +243,25 @@ class TestStructuredPrograms:
         program.constraints = lambda v: calls.append(v) or constraints(v)
         assert _Barrier(program, 1.0).value(np.array([-0.1, 0.5])) == np.inf
         assert calls == []
+
+
+class TestLastResortStep:
+    """When every ridge fails, both Newton paths return rhs / ridge: a scaled
+    steepest-descent step.  The off-diagonal entries here exceed the largest
+    ridge tried (1e12 times the largest diagonal entry, at least 1e12), so
+    H + ridge I stays indefinite throughout the escalation."""
+
+    H = np.array([[0.0, 1e13], [1e13, 0.0]])
+    RHS = np.array([1.0, -2.0])
+    LAST_RIDGE = _RIDGE0 * 100.0 ** 12
+
+    def test_dense_path(self):
+        assert np.allclose(_solve_spd(self.H, self.RHS), self.RHS / self.LAST_RIDGE,
+                           rtol=1e-12, atol=0.0)
+
+    def test_structured_path(self):
+        structure = BlockStructure(2, [[0, 1]])
+        H = _BlockHessian(structure, self.H[None], np.zeros((0, 0)), np.zeros((1, 2, 0)),
+                          np.zeros(0), np.zeros((2, 0)))
+        assert np.allclose(_solve_structured(H, self.RHS), self.RHS / self.LAST_RIDGE,
+                           rtol=1e-12, atol=0.0)

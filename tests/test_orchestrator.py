@@ -69,6 +69,24 @@ class TestRunAlgorithm1:
         res = run_algorithm1(sc)
         res.state.validate(sc, budget)
 
+    def test_newton_step_budget(self, monkeypatch):
+        # joint at table2, U=30, seed 0 makes 17 solves.  A fixed-schedule
+        # barrier method (t from 1, x10 per Newton-centred stage) takes 914
+        # Newton steps on them; the primal-dual steps must take at most half.
+        from uavstream import subproblems
+        reports = []
+        solve = subproblems.solve_concave
+
+        def counted(*args, **kwargs):
+            reports.append(solve(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(subproblems, "solve_concave", counted)
+        run_benchmark(small_scenario(seed=0, users=30), "joint")
+        assert len(reports) == 17
+        assert all(r.status == "converged" for r in reports)
+        assert sum(r.barrier_iterations for r in reports) <= 457
+
 
 class TestBenchmarks:
     def test_unknown_scheme_rejected(self):

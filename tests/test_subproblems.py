@@ -430,11 +430,23 @@ def test_curvature_matches_central_differences(name):
     assert worst <= 1e-6
 
 
+def off_path_weights(program, v, g, t, rng):
+    """Multipliers c/(t g) and c/(t s) for the box sides, c drawn from
+    [0.5, 2]: the constraint weights and the box diagonal of a primal-dual
+    Newton system off the central path."""
+    c_row, c_lo, c_hi = (rng.uniform(0.5, 2.0, size) for size in (g.size, v.size, v.size))
+    box = c_lo / (t * (v - program.lower) ** 2) + c_hi / (t * (program.upper - v) ** 2)
+    return c_row / (t * g), box
+
+
+@pytest.mark.parametrize("duals", ["central", "off_path"])
 @pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
 @pytest.mark.parametrize("num_users", [4, 30, 200])
 @pytest.mark.parametrize("name", BUILDERS)
-def test_structured_step_solves_the_dense_newton_system(name, num_users, t):
-    """The block-form Newton step against the dense Hessian of the same barrier.
+def test_structured_step_solves_the_dense_newton_system(name, num_users, t, duals):
+    """The block-form Newton step against the dense Newton matrix with the
+    same weights: on the central path (the barrier Hessian) and off it (the
+    primal-dual weights).
 
     Directions are not compared entrywise: the P5 Hessian reaches cond 1e12,
     where two sound solves differ widely.  Residuals are.  Both paths solve
@@ -448,12 +460,15 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t):
     program, v = builder_program(name, num_users, seed=17)
     structured = _Barrier(program, t)
     grad, g, J = structured.grad_and_pieces(v)
-    d_block = structured.newton_direction(v, g, J, grad)
+    w, box = None, None
+    if duals == "off_path":
+        w, box = off_path_weights(program, v, g, t, np.random.default_rng(num_users))
+    d_block = structured.newton_direction(v, g, J, grad, w, box)
 
     dense = _Barrier(without_structure(program), t)
     dense_grad, dense_g, dense_J = dense.grad_and_pieces(v)
     assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
-    H = dense.hessian(v, dense_g, dense_J)
+    H = dense.hessian(v, dense_g, dense_J, w, box)
     d_dense = _solve_spd(H, -grad)
     ridged = H + 1e-10 * max(1.0, np.max(np.abs(np.diag(H)))) * np.eye(program.n)
 
