@@ -158,14 +158,19 @@ def large_scale_gain(d_uo: float, alpha0: float) -> float:
     return alpha0 / (d_uo * d_uo)
 
 
+def _persp_ratio(x, c):
+    """c/x, with the overflow region (c/x = inf or > 1e280) flagged."""
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.where(c > 0, c / x, 0.0)
+    return s, ~np.isfinite(s) | (s > 1e280)
+
+
 def _persp_rate(x, c):
     """Vectorized x * log2(1 + c/x) for x > 0, c >= 0, safe for huge c/x."""
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        s = np.where(c > 0, c / x, 0.0)
+    s, big = _persp_ratio(x, c)
     out = np.empty(np.broadcast(x, c).shape)
-    big = ~np.isfinite(s) | (s > 1e280)
     ok = ~big
     out[ok] = (x * np.log1p(np.where(big, 0.0, s)))[ok] / LN2
     if np.any(big):

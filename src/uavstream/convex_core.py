@@ -17,13 +17,15 @@ stops once t is at its cap and the Newton decrement is below tolerance.
 Every program supplies an exact combined-curvature callback, so each step is
 a Newton step.
 
-A program may also declare the shape of its Hessian (BlockStructure): small
-independent variable blocks, an optional dense border coupled to every block,
-and a few dense coupling constraint rows.  Its Jacobian and curvature
-callbacks then answer in block form, and each Newton step is solved by block
-elimination of the border plus a Sherman-Morrison-Woodbury correction for the
-coupling rows, in O(n) time and memory.  Programs without a declared
-structure (phase-I, generic programs) take the dense Cholesky step.
+A program may also declare the shape of its Hessian (BlockStructure): every
+variable lies in exactly one small block or in a dense border coupled to every
+block; each local constraint row touches one block and the border, and a few
+dense coupling rows follow.  Its Jacobian and curvature callbacks then answer
+in block form (the curvature is a diagonal plus a border matrix), and each
+Newton step is solved by block elimination of the border plus a
+Sherman-Morrison-Woodbury correction for the coupling rows, in O(n) time and
+memory.  Programs without a declared structure (phase-I, generic programs)
+take the dense Cholesky step.
 """
 
 from __future__ import annotations
@@ -56,9 +58,8 @@ class BlockStructure:
     touches only the variables blocks[j] and the border.  The remaining
     k = m - nb rows couple everything and must be few.
     border: (b,) variable indices shared by every local row (may be empty).
-    Variables in neither are free: outside the coupling rows their Hessian
-    is diagonal.  Curvature may couple variables within a block and within
-    the border, never across.
+    Every variable lies in exactly one block or in the border.  Curvature is
+    diagonal except within the border.
     """
 
     def __init__(self, n: int, blocks, border=()):
@@ -67,10 +68,8 @@ class BlockStructure:
         self.border = np.asarray(border, dtype=np.intp).reshape(-1)
         self.n = n
         used = np.concatenate([self.blocks.ravel(), self.border])
-        if used.size and (np.unique(used).size != used.size
-                          or used.min() < 0 or used.max() >= n):
-            raise ValueError("blocks and border must be disjoint variable indices")
-        self.free = np.setdiff1d(np.arange(n), used)
+        if not np.array_equal(np.sort(used), np.arange(n)):
+            raise ValueError("every variable must lie in exactly one block or in the border")
 
 
 @dataclass
@@ -82,16 +81,15 @@ class BlockJacobian:
     """
 
     structure: BlockStructure
-    local: np.ndarray                           # (nb, s)
-    coupling: np.ndarray                        # (k, n)
-    border_part: Optional[np.ndarray] = None    # (nb, b)
+    local: np.ndarray           # (nb, s)
+    coupling: np.ndarray        # (k, n)
+    border_part: np.ndarray     # (nb, b)
 
     def matvec(self, d):
         """J d."""
         st = self.structure
         local = np.einsum("ij,ij->i", self.local, d[st.blocks])
-        if self.border_part is not None:
-            local += self.border_part @ d[st.border]
+        local += self.border_part @ d[st.border]
         return np.concatenate([local, self.coupling @ d])
 
     def rmatvec(self, y):
@@ -100,21 +98,19 @@ class BlockJacobian:
         nb = len(st.blocks)
         out = self.coupling.T @ y[nb:]
         out[st.blocks] += self.local * y[:nb, None]
-        if self.border_part is not None:
-            out[st.border] += y[:nb] @ self.border_part
+        out[st.border] += y[:nb] @ self.border_part
         return out
 
     def all_finite(self):
         return bool(np.isfinite(self.local).all() and np.isfinite(self.coupling).all()
-                    and (self.border_part is None or np.isfinite(self.border_part).all()))
+                    and np.isfinite(self.border_part).all())
 
     def dense(self):
         st = self.structure
         nb = len(st.blocks)
         J = np.zeros((nb + len(self.coupling), st.n))
         J[np.arange(nb)[:, None], st.blocks] = self.local
-        if self.border_part is not None:
-            J[:nb, st.border] = self.border_part
+        J[:nb, st.border] = self.border_part
         J[nb:] = self.coupling
         return J
 
@@ -122,20 +118,16 @@ class BlockJacobian:
 @dataclass
 class BlockCurvature:
     """hess f + sum_j w_j hess g_j of a structured program, in block form:
-    a full diagonal plus optional within-block and border matrices."""
+    a full diagonal plus a border matrix."""
 
     structure: BlockStructure
-    diag: np.ndarray                        # (n,)
-    blocks: Optional[np.ndarray] = None     # (nb, s, s)
-    border: Optional[np.ndarray] = None     # (b, b)
+    diag: np.ndarray        # (n,)
+    border: np.ndarray      # (b, b)
 
     def dense(self):
         st = self.structure
         H = np.diag(self.diag)
-        if self.blocks is not None:
-            H[st.blocks[:, :, None], st.blocks[:, None, :]] += self.blocks
-        if self.border is not None:
-            H[np.ix_(st.border, st.border)] += self.border
+        H[np.ix_(st.border, st.border)] += self.border
         return H
 
 
@@ -209,17 +201,16 @@ def without_structure(program: ConcaveProgram) -> ConcaveProgram:
 
 
 class _Barrier:
-    """Barrier subproblem phi_t(v) = -f(v) - (1/t)(sum ln g + box terms), minimized.
+    """The log barrier of a program: f, the log slacks and their derivatives.
 
     Its Newton system weights the constraint rows by multipliers w (the
     constraints' curvature by w, their Gauss-Newton part by w/g) and the box
-    sides by a diagonal.  The defaults are the central-path values w = 1/(t g)
-    and 1/(t s^2), which give the barrier's own Hessian.
+    sides by a diagonal.  On the central path at t these are w = 1/(t g) and
+    1/(t s^2), which give the Hessian of the barrier -f - (1/t) sum ln.
     """
 
-    def __init__(self, program: ConcaveProgram, t: float):
+    def __init__(self, program: ConcaveProgram):
         self.p = program
-        self.t = t
         # Finite box sides; a slice (a view) when a side is finite throughout.
         fin_lo, fin_hi = np.isfinite(program.lower), np.isfinite(program.upper)
         self.fin_lo = slice(None) if fin_lo.all() else fin_lo
@@ -243,10 +234,6 @@ class _Barrier:
             return None
         return f, float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
 
-    def value(self, v):
-        terms = self.terms(v)
-        return np.inf if terms is None else -terms[0] - terms[1] / self.t
-
     def pieces(self, v):
         """(grad f, grad of minus the log terms, g, J); the barrier's gradient
         at t is the second over t minus the first."""
@@ -266,65 +253,55 @@ class _Barrier:
             log_grad -= J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
         return grad_f, log_grad, g, J
 
-    def grad_and_pieces(self, v):
-        grad_f, log_grad, g, J = self.pieces(v)
-        return log_grad / self.t - grad_f, g, J
-
-    def box_hessian(self, v):
-        """Diagonal of the box terms' Hessian."""
-        return (1.0 / (v - self.p.lower) ** 2 + 1.0 / (self.p.upper - v) ** 2) / self.t
-
-    def hessian(self, v, g, J, w=None, box=None):
+    def hessian(self, v, g, J, w, box):
         """The dense Newton matrix: the Gauss-Newton part of the constraint
         terms, the box diagonal, and minus the program's curvature."""
-        w = 1.0 / (self.t * g) if w is None else w
         H = (J.T * (w / g)) @ J
-        H[np.diag_indices_from(H)] += self.box_hessian(v) if box is None else box
+        H[np.diag_indices_from(H)] += box
         H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
         return H
 
-    def newton_direction(self, v, g, J, grad, w=None, box=None):
+    def newton_direction(self, v, g, J, grad, w, box):
         """Solve (Newton matrix) d = -grad, in block form when declared."""
-        if self.p.structure is None:
-            return _solve_spd(self.hessian(v, g, J, w, box), -grad)
-        return _solve_structured(self._block_hessian(v, g, J, w, box), -grad)
+        H = self.hessian(v, g, J, w, box) if self.p.structure is None \
+            else self._block_hessian(v, g, J, w, box)
+        return _solve_spd(H, -grad)
 
-    def _block_hessian(self, v, g, J, w=None, box=None):
+    def _block_hessian(self, v, g, J, w, box):
         """The Newton matrix in block form: the blocks, the border, the
-        block-border entries, the free diagonal and the coupling rows scaled
-        by the square roots of their Gauss-Newton weights w/g."""
+        block-border entries and the coupling rows scaled by the square roots
+        of their Gauss-Newton weights w/g."""
         st = self.p.structure
         nb, size = st.blocks.shape
-        w = 1.0 / (self.t * g) if w is None else w
         curv = self.p.curvature(v, w)
         root_gn = np.sqrt(w / g)
-        diag = (self.box_hessian(v) if box is None else box) - curv.diag
+        diag = box - curv.diag
         a = J.local * root_gn[:nb, None]
         blocks = a[:, :, None] * a[:, None, :]
-        if curv.blocks is not None:
-            blocks -= curv.blocks
         blocks.reshape(nb, -1)[:, ::size + 1] += diag[st.blocks]
-        if st.border.size:
-            c = J.border_part * root_gn[:nb, None]
-            border = c.T @ c
-            border.flat[::len(st.border) + 1] += diag[st.border]
-            if curv.border is not None:
-                border -= curv.border
-            cross = a[:, :, None] * c[:, None, :]
-        else:
-            border, cross = np.zeros((0, 0)), np.zeros((nb, size, 0))
+        c = J.border_part * root_gn[:nb, None]
+        border = c.T @ c
+        border.flat[::len(st.border) + 1] += diag[st.border]
+        border -= curv.border
+        cross = a[:, :, None] * c[:, None, :]
         coupling = J.coupling.T * root_gn[nb:]
-        return _BlockHessian(st, blocks, border, cross, diag[st.free], coupling)
+        return _BlockHessian(st, blocks, border, cross, coupling)
 
 
 def _solve_spd(H, rhs):
-    ridge = _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H)))))
-    eye = np.eye(H.shape[0])
+    """(H + ridge I)^{-1} rhs for H a dense matrix or a _BlockHessian.
+
+    The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
+    grows 100-fold while the factorization fails.
+    """
+    dense = isinstance(H, np.ndarray)
+    ridge = _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H)))) if dense else H.max_diag())
     for _ in range(12):
         try:
-            L = np.linalg.cholesky(H + ridge * eye)
-            y = np.linalg.solve(L, rhs)
-            return np.linalg.solve(L.T, y)
+            if not dense:
+                return H.solve(rhs, ridge)
+            L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
+            return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
         except np.linalg.LinAlgError:
             ridge *= 100.0
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
@@ -332,35 +309,33 @@ def _solve_spd(H, rhs):
 
 @dataclass
 class _BlockHessian:
-    """H = M + Uc Uc^T, where M is block diagonal over the blocks and the free
-    variables except for a dense border coupled to every block."""
+    """H = M + Uc Uc^T, where M is block diagonal over the blocks except for
+    a dense border coupled to every block."""
 
     structure: BlockStructure
     blocks: np.ndarray      # (nb, s, s)
     border: np.ndarray      # (b, b)
     cross: np.ndarray       # (nb, s, b) block-border entries
-    free: np.ndarray        # (n_free,) diagonal of the free variables
     coupling: np.ndarray    # (n, k)
 
     def max_diag(self):
-        """Largest |H_ii|, as _solve_spd reads it off the dense matrix."""
+        """Largest |H_ii|, as _solve_spd reads it off a dense matrix."""
         st = self.structure
         size = self.blocks.shape[1]
         diag = np.square(self.coupling).sum(axis=1)
         diag[st.blocks] += self.blocks.reshape(len(st.blocks), -1)[:, ::size + 1]
         diag[st.border] += self.border.diagonal()
-        diag[st.free] += self.free
         return float(np.abs(diag).max())
 
     def solve(self, rhs, ridge):
         """(H + ridge I)^{-1} rhs.
 
         With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
-        [[M, Uc], [Uc^T, -I]].  Eliminating the block and free variables
-        leaves one small system in the border step and y, of size b + k: the
-        border's Schur complement and the Sherman-Morrison-Woodbury capacitance
-        in one matrix.  Raises LinAlgError unless the blocks, the free
-        diagonal and the border's Schur complement are positive definite.
+        [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one
+        small system in the border step and y, of size b + k: the border's
+        Schur complement and the Sherman-Morrison-Woodbury capacitance in one
+        matrix.  Raises LinAlgError unless the blocks and the border's Schur
+        complement are positive definite.
         """
         st = self.structure
         b, k = len(st.border), self.coupling.shape[1]
@@ -378,14 +353,6 @@ class _BlockHessian:
             np.linalg.cholesky(blocks)       # raises unless every block is positive definite
             Yb = np.linalg.solve(blocks, Zb)
         P = Zb[:, :, 1:].reshape(-1, b + k).T @ Yb.reshape(-1, 1 + b + k)
-        if st.free.size:
-            free = self.free + ridge
-            if (free <= 0).any():
-                raise np.linalg.LinAlgError("free diagonal not positive")
-            Uf = self.coupling[st.free]
-            Yf = np.concatenate([rhs[st.free, None], np.zeros((len(free), b)), Uf], axis=1) \
-                / free[:, None]
-            P[b:] += Uf.T @ Yf
         Ub = self.coupling[st.border]
         K = -P[:, 1:]
         K[:b, :b] += self.border
@@ -402,20 +369,7 @@ class _BlockHessian:
         d = np.empty_like(rhs)
         d[st.border] = border_and_y[:b]
         d[st.blocks] = Yb[:, :, 0] - Yb[:, :, 1:] @ border_and_y
-        if st.free.size:
-            d[st.free] = Yf[:, 0] - Yf[:, 1:] @ border_and_y
         return d
-
-
-def _solve_structured(H: _BlockHessian, rhs):
-    """_solve_spd's ridge escalation on a Hessian in block form."""
-    ridge = _RIDGE0 * max(1.0, H.max_diag())
-    for _ in range(12):
-        try:
-            return H.solve(rhs, ridge)
-        except np.linalg.LinAlgError:
-            ridge *= 100.0
-    return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
 def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
@@ -435,7 +389,7 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
                                status="infeasible")
     v = np.asarray(start, dtype=float).copy()
 
-    barrier = _Barrier(program, 1.0)   # for its callbacks and box sides; t is set below
+    barrier = _Barrier(program)
     fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
     f, logs = barrier.terms(v)
     grad_f, log_grad, g, J = barrier.pieces(v)

@@ -75,6 +75,8 @@ class SystemConfig:
             raise ConfigError(f"area_side must be >= 0, got {self.area_side}")
         if self.max_bcd_iters < 1:
             raise ConfigError("max_bcd_iters must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         mu0 = self.mu0
         if not (mu0 > 0 and math.isfinite(mu0)):
             raise ConfigError(f"derived mu0 = {mu0} is not finite and positive")
@@ -249,6 +251,8 @@ def parse_config_text(text: str) -> SystemConfig:
         elif key == "ref_gain_alpha0_db":
             values["ref_gain_alpha0"] = db_to_linear(num)
         elif key in SystemConfig.__dataclass_fields__:
+            if key in _INT_FIELDS and not num.is_integer():
+                raise ConfigError(f"line {lineno}: {key} must be an integer, got {value!r}")
             values[key] = int(num) if key in _INT_FIELDS else num
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")

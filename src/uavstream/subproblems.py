@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LinkBudget, _persp_rate, fspl_rate, rician_cdf_inverse
+from .channel import LinkBudget, _persp_rate, _persp_ratio, fspl_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
                           solve_concave)
 from .scenario import (Scenario, SystemConfig, UavPlacement, backhaul_chain, hop_dist2,
@@ -85,13 +85,6 @@ class DecisionState:
 
 
 # --- derivatives of the perspective rate x*log2(1 + c/x) in x -------------
-
-def _persp_ratio(x, c):
-    """c/x, with the overflow region (c/x = inf or > 1e280) flagged."""
-    with np.errstate(over="ignore", divide="ignore"):
-        s = np.where(c > 0, c / x, 0.0)
-    return s, ~np.isfinite(s) | (s > 1e280)
-
 
 def _persp_dx(x, c):
     """First derivative of the perspective rate in x."""
@@ -226,18 +219,19 @@ def _p5_program(scenario, budget, placement, x_start):
     coupling = np.zeros((2, n))
     coupling[0, sx] = -1.0
     coupling[1, sr] = -1.0
+    no_border = np.zeros((U, 0))     # every variable is in a block (x_u, r_u)
 
     def constraint_jac(v):
         local = np.empty((U, 2))
         local[:, 0] = one_m_rho * _persp_dx(v[sx], c)
         local[:, 1] = -1.0
-        return BlockJacobian(structure, local, coupling)
+        return BlockJacobian(structure, local, coupling, no_border)
 
     def curvature(v, w):
         diag = np.empty(n)
         diag[sx] = w[:U] * one_m_rho * _persp_dxx(v[sx], c)
         diag[sr] = -theta_over_U / v[sr] ** 2
-        return BlockCurvature(structure, diag)
+        return BlockCurvature(structure, diag, np.zeros((0, 0)))
 
     r_hi = one_m_rho * _persp_rate(np.ones(U), c) + 1.0
     program = ConcaveProgram(n=n, objective=objective, gradient=gradient,

@@ -4,7 +4,7 @@ import pytest
 
 from uavstream.cli import (DEFAULT_GRIDS, SweepSpec, apply_sweep_value, build_parser,
                            cmd_converge, cmd_presets, cmd_sweep, main, read_rows)
-from uavstream.scenario import (ConfigError, load_config, table2_config)
+from uavstream.scenario import (ConfigError, format_config, load_config, table2_config)
 from uavstream.subproblems import InfeasibleProblem
 
 read_csv = read_rows    # every emitted CSV must round-trip through the harness reader
@@ -140,6 +140,24 @@ class TestMainEntry:
         code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--seed", "-1"],
+        ["sweep", "--grid", "2", "--seeds", "1", "--seed", "-2", "--schemes", "relay_baseline"],
+    ], ids=["converge", "sweep"])
+    def test_negative_seed_exit_1(self, argv, tmp_path, capsys):
+        code = main(argv + ["--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_fractional_user_count_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(format_config(table2_config()) + "num_users_U = 10.7\n")
+        code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     def test_bad_grid_exit_1(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "3,2,1", "--seeds", "1",

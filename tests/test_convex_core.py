@@ -5,8 +5,7 @@ import pytest
 
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
                                    ConcaveProgram, _Barrier, _BlockHessian, _solve_spd,
-                                   _solve_structured, check_gradients, solve_concave,
-                                   without_structure)
+                                   check_gradients, solve_concave, without_structure)
 
 
 def quadratic_program():
@@ -60,13 +59,14 @@ def random_concave_program(seed):
 
 def block_program(coupled=True):
     """maximize sum_j ln y_j - |z - c|^2 - (s - 0.3)^2 subject to
-    1 + a_j.z - x_j^2 - y_j >= 0 for three blocks (x_j, y_j), a border z in
-    R^2, a free variable s and, when coupled, 1.5 - sum_j y_j - s >= 0."""
+    1 + a_j.z - x_j^2 - y_j >= 0 for three blocks (x_j, y_j), a border (z, s)
+    in R^3 (no local row touches s) and, when coupled, 1.5 - sum_j y_j - s >= 0."""
     a = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
     c = np.array([0.2, -0.1])
     n = 9
     xs, ys = np.arange(2, 8, 2), np.arange(3, 9, 2)
-    structure = BlockStructure(n, np.column_stack([xs, ys]), border=[0, 1])
+    structure = BlockStructure(n, np.column_stack([xs, ys]), border=[0, 1, 8])
+    border_part = np.column_stack([a, np.zeros(3)])
     coupling = np.zeros((1 if coupled else 0, n))
     coupling[:, ys] = -1.0
     coupling[:, 8] = -1.0
@@ -87,14 +87,13 @@ def block_program(coupled=True):
 
     def constraint_jac(v):
         local = np.column_stack([-2.0 * v[xs], -np.ones(3)])
-        return BlockJacobian(structure, local, coupling, a)
+        return BlockJacobian(structure, local, coupling, border_part)
 
     def curvature(v, w):
         diag = np.zeros(n)
         diag[xs] = -2.0 * w[:3]
         diag[ys] = -1.0 / v[ys] ** 2
-        diag[8] = -2.0
-        return BlockCurvature(structure, diag, border=-2.0 * np.eye(2))
+        return BlockCurvature(structure, diag, border=-2.0 * np.eye(3))
 
     lower = np.array([-2.0, -2.0, -2.0, 0.0, -2.0, 0.0, -2.0, 0.0, -2.0])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -219,11 +218,15 @@ class TestStructuredPrograms:
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_block_step_solves_the_newton_system(self, coupled):
-        program = block_program(coupled)
-        barrier = _Barrier(program, 10.0)
-        grad, g, J = barrier.grad_and_pieces(self.START)
-        d = barrier.newton_direction(self.START, g, J, grad)
-        H = _Barrier(without_structure(program), 10.0).hessian(self.START, g, J.dense())
+        program, v, t = block_program(coupled), self.START, 10.0
+        barrier = _Barrier(program)
+        grad_f, log_grad, g, J = barrier.pieces(v)
+        grad = log_grad / t - grad_f
+        # The central-path weights at t: the barrier's own Hessian.
+        w = 1.0 / (t * g)
+        box = 1.0 / (t * (v - program.lower) ** 2) + 1.0 / (t * (program.upper - v) ** 2)
+        d = barrier.newton_direction(v, g, J, grad, w, box)
+        H = _Barrier(without_structure(program)).hessian(v, g, J.dense(), w, box)
         assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
 
     def test_gradient_checker_reads_block_jacobians(self):
@@ -236,12 +239,19 @@ class TestStructuredPrograms:
         with pytest.raises(ValueError):
             BlockStructure(4, [[0, 1]], border=[1])
 
+    def test_rejects_variables_outside_blocks_and_border(self):
+        with pytest.raises(ValueError):
+            BlockStructure(4, [[0, 1]], border=[2])
+        with pytest.raises(ValueError):
+            BlockStructure(3, [[0, 1]], border=[3])
+        BlockStructure(4, [[0, 1]], border=[2, 3])
+
     def test_barrier_value_checks_box_before_constraints(self):
         calls = []
         program = waterfill_program()
         constraints = program.constraints
         program.constraints = lambda v: calls.append(v) or constraints(v)
-        assert _Barrier(program, 1.0).value(np.array([-0.1, 0.5])) == np.inf
+        assert _Barrier(program).terms(np.array([-0.1, 0.5])) is None
         assert calls == []
 
 
@@ -262,6 +272,6 @@ class TestLastResortStep:
     def test_structured_path(self):
         structure = BlockStructure(2, [[0, 1]])
         H = _BlockHessian(structure, self.H[None], np.zeros((0, 0)), np.zeros((1, 2, 0)),
-                          np.zeros(0), np.zeros((2, 0)))
-        assert np.allclose(_solve_structured(H, self.RHS), self.RHS / self.LAST_RIDGE,
+                          np.zeros((2, 0)))
+        assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)

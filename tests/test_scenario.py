@@ -38,6 +38,7 @@ class TestSystemConfig:
         ("bandwidth_B", 0.0), ("noise_density_N0", -1e-20), ("outage_target_rho", 0.0),
         ("outage_target_rho", 1.0), ("num_users_U", 0), ("rician_K", -1.0),
         ("p_max_user", 0.0), ("area_side", -5.0), ("network_size_D", 0.0),
+        ("rng_seed", -1),
     ])
     def test_invalid_configs_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -180,6 +181,16 @@ class TestConfigIO:
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="non-numeric"):
             parse_config_text("bandwidth_B = fast\n")
+
+    @pytest.mark.parametrize("key,value", [
+        ("num_users_U", "10.7"), ("max_bcd_iters", "2.9"), ("rng_seed", "0.5"),
+        ("num_users_U", "nan"), ("num_users_U", "inf"), ("num_users_U", "-inf"),
+    ])
+    def test_non_integer_value_of_integer_key_rejected(self, key, value):
+        # Truncation would run a different scenario than the file asks for.
+        text = format_config(table2_config()) + f"{key} = {value}\n"
+        with pytest.raises(ConfigError, match="integer"):
+            parse_config_text(text)
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigError):

@@ -390,7 +390,7 @@ def test_barrier_rejects_out_of_box_point_before_callbacks(name):
     v[0] = -0.01
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _Barrier(program, 1.0).value(v) == np.inf
+        assert _Barrier(program).terms(v) is None
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -430,11 +430,13 @@ def test_curvature_matches_central_differences(name):
     assert worst <= 1e-6
 
 
-def off_path_weights(program, v, g, t, rng):
-    """Multipliers c/(t g) and c/(t s) for the box sides, c drawn from
-    [0.5, 2]: the constraint weights and the box diagonal of a primal-dual
-    Newton system off the central path."""
-    c_row, c_lo, c_hi = (rng.uniform(0.5, 2.0, size) for size in (g.size, v.size, v.size))
+def off_path_weights(program, v, g, t, rng=None):
+    """Multipliers c/(t g) and c/(t s) for the box sides: the constraint
+    weights and the box diagonal of a primal-dual Newton system.  With c = 1
+    (no rng) they are the central-path weights, which give the barrier's
+    Hessian; with c drawn from [0.5, 2] they are off the central path."""
+    c_row, c_lo, c_hi = (np.ones(size) if rng is None else rng.uniform(0.5, 2.0, size)
+                         for size in (g.size, v.size, v.size))
     box = c_lo / (t * (v - program.lower) ** 2) + c_hi / (t * (program.upper - v) ** 2)
     return c_row / (t * g), box
 
@@ -458,15 +460,16 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     rounding of its Woodbury correction, at most 1%.
     """
     program, v = builder_program(name, num_users, seed=17)
-    structured = _Barrier(program, t)
-    grad, g, J = structured.grad_and_pieces(v)
-    w, box = None, None
-    if duals == "off_path":
-        w, box = off_path_weights(program, v, g, t, np.random.default_rng(num_users))
+    structured = _Barrier(program)
+    grad_f, log_grad, g, J = structured.pieces(v)
+    grad = log_grad / t - grad_f
+    rng = np.random.default_rng(num_users) if duals == "off_path" else None
+    w, box = off_path_weights(program, v, g, t, rng)
     d_block = structured.newton_direction(v, g, J, grad, w, box)
 
-    dense = _Barrier(without_structure(program), t)
-    dense_grad, dense_g, dense_J = dense.grad_and_pieces(v)
+    dense = _Barrier(without_structure(program))
+    dense_grad_f, dense_log_grad, dense_g, dense_J = dense.pieces(v)
+    dense_grad = dense_log_grad / t - dense_grad_f
     assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
     H = dense.hessian(v, dense_g, dense_J, w, box)
     d_dense = _solve_spd(H, -grad)
