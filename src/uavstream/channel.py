@@ -27,26 +27,6 @@ class DegenerateLinkWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class FadingModel:
-    """Rician small-scale fading, parameterized by the LoS-to-scatter power ratio.
-
-    K = 0 degenerates to Rayleigh fading, where cdf(z) = 1 - exp(-z).
-    """
-
-    rician_K: float
-
-    def __post_init__(self):
-        if self.rician_K < 0:
-            raise ValueError(f"Rician K must be >= 0, got {self.rician_K}")
-
-    def cdf(self, z: float) -> float:
-        return rician_cdf(z, self.rician_K)
-
-    def inverse_cdf(self, rho: float, tol: float = 1e-10) -> float:
-        return rician_cdf_inverse(rho, self.rician_K, tol)
-
-
-@dataclass(frozen=True)
 class LinkBudget:
     """Precomputed per-run link constants: mu0 = alpha0/(B*N0) and F^-1(rho)."""
 
@@ -149,13 +129,6 @@ def rician_cdf_inverse(rho: float, K: float, tol: float = 1e-10) -> float:
         if z_hi - z_lo <= 1e-16 * max(1.0, z_hi):
             break
     return 0.5 * (z_lo + z_hi)
-
-
-def large_scale_gain(d_uo: float, alpha0: float) -> float:
-    """Inverse-square large-scale power gain alpha0 / d^2 at distance d (m)."""
-    if d_uo <= 0:
-        raise ValueError(f"distance must be positive, got {d_uo}")
-    return alpha0 / (d_uo * d_uo)
 
 
 def _persp_ratio(x, c):

@@ -12,7 +12,8 @@ updates the multipliers along their own Newton direction (kept positive by a
 fraction-to-boundary rule), and backtracks both by Armijo on the barrier
 value at t.  With the multipliers on the central path this step is the
 log-barrier Newton step; a failed line search returns them there.  The solve
-stops once t is at its cap and the Newton decrement is below tolerance.
+stops once t is at its cap and the Newton decrement is below tolerance.  The
+caller supplies a strictly interior start.
 
 Every program supplies an exact combined-curvature callback, so each step is
 a Newton step.
@@ -24,8 +25,7 @@ dense coupling rows follow.  Its Jacobian and curvature callbacks then answer
 in block form (the curvature is a diagonal plus a border matrix), and each
 Newton step is solved by block elimination of the border plus a
 Sherman-Morrison-Woodbury correction for the coupling rows, in O(n) time and
-memory.  Programs without a declared structure (phase-I, generic programs)
-take the dense Cholesky step.
+memory.  Programs without a declared structure take the dense Cholesky step.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ _BACKTRACK = 0.5
 _GAP_SHRINK = 10.0      # t = 10 m / eta
 _TO_BOUNDARY = 0.99     # fraction of the step to the multipliers' boundary
 _RIDGE0 = 1e-10
+_MAX_NEWTON = 200      # Newton steps per solve
 
 
 class NumericError(RuntimeError):
@@ -167,11 +168,6 @@ class ConcaveProgram:
         if self.structure is not None and self.structure.n != self.n:
             raise ValueError("a structured program's BlockStructure must have the same n")
 
-    def midpoint(self) -> np.ndarray:
-        lo = np.where(np.isfinite(self.lower), self.lower, -1.0)
-        hi = np.where(np.isfinite(self.upper), self.upper, 1.0)
-        return 0.5 * (lo + hi)
-
 
 @dataclass
 class SolveReport:
@@ -179,7 +175,7 @@ class SolveReport:
     objective: float
     kkt_residual: float
     barrier_iterations: int
-    status: str                      # converged | max_iters | infeasible
+    status: str                      # converged | max_iters
     stage_objectives: list = field(default_factory=list)
 
 
@@ -372,22 +368,13 @@ class _BlockHessian:
         return d
 
 
-def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
-                  max_newton: int = 200) -> SolveReport:
-    """Maximize the program; see module docstring for the method.
-
-    start must be strictly interior; when omitted, a phase-I feasibility
-    subproblem locates one (status 'infeasible' if none exists).  max_newton
-    caps the Newton steps of the whole solve.
+def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:
+    """Maximize the program from a strictly interior start; see the module
+    docstring for the method.  At most _MAX_NEWTON Newton steps are taken.
     """
-    if start is None or not _interior(program, np.asarray(start, dtype=float)):
-        candidate = None if start is None else np.asarray(start, dtype=float)
-        start = _phase_one(program, candidate, tol=max(tol, 1e-8), max_newton=max_newton)
-        if start is None:
-            return SolveReport(solution=program.midpoint(), objective=-np.inf,
-                               kkt_residual=np.inf, barrier_iterations=0,
-                               status="infeasible")
     v = np.asarray(start, dtype=float).copy()
+    if not _interior(program, v):
+        raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
 
     barrier = _Barrier(program)
     fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
@@ -407,7 +394,7 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
     stage_objectives, recorded_gap = [], gap
     decrement = np.inf
     steps = 0
-    while steps < max_newton:
+    while steps < _MAX_NEWTON:
         if undamped:
             gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
         if m and gap <= recorded_gap / _GAP_SHRINK:
@@ -459,59 +446,13 @@ def solve_concave(program: ConcaveProgram, start=None, tol: float = 1e-9,
         s = np.concatenate([g, *barrier.box_slacks(v)])
     stage_objectives.append(float(f))
 
+    # Every accepted iterate is strictly interior (the line search rejects
+    # the rest), so the report needs only the optimality measure.
     kkt = max(gap if m else 0.0, 0.5 * decrement)
-    feasible = (not g.size or float(np.min(g)) >= -1e-9) \
-        and np.all(v >= program.lower - 1e-9) and np.all(v <= program.upper + 1e-9)
-    status = "converged" if (kkt <= tol and feasible) else "max_iters"
+    status = "converged" if kkt <= tol else "max_iters"
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
                        barrier_iterations=steps, status=status,
                        stage_objectives=stage_objectives)
-
-
-def _phase_one(program: ConcaveProgram, candidate, tol, max_newton):
-    """Find a strictly interior point by minimizing the worst constraint slack."""
-    program = without_structure(program)
-    v0 = program.midpoint() if candidate is None else np.clip(
-        candidate,
-        np.where(np.isfinite(program.lower), program.lower, -np.inf) + 1e-9,
-        np.where(np.isfinite(program.upper), program.upper, np.inf) - 1e-9)
-    g0 = np.atleast_1d(program.constraints(v0))
-    if g0.size == 0:
-        return v0
-    s0 = max(0.0, -float(np.min(g0))) + 1.0
-    n = program.n
-
-    def obj(vs):
-        return -vs[-1]
-
-    def grad(vs):
-        out = np.zeros(n + 1)
-        out[-1] = -1.0
-        return out
-
-    def cons(vs):
-        return np.atleast_1d(program.constraints(vs[:n])) + vs[-1]
-
-    def jac(vs):
-        J = np.atleast_2d(program.constraint_jac(vs[:n]))
-        return np.hstack([J, np.ones((J.shape[0], 1))])
-
-    def curvature(vs, w):
-        H = np.zeros((n + 1, n + 1))
-        H[:n, :n] = program.curvature(vs[:n], w)
-        return H
-
-    aux = ConcaveProgram(
-        n=n + 1,
-        objective=obj, gradient=grad, constraints=cons, constraint_jac=jac,
-        lower=np.append(program.lower, -2.0),
-        upper=np.append(program.upper, s0 + 1.0),
-        curvature=curvature, name=f"{program.name}:phase1")
-    report = solve_concave(aux, start=np.append(v0, s0), tol=tol, max_newton=max_newton)
-    v_feas = report.solution[:n]
-    if report.solution[-1] < 0 and _interior(program, v_feas):
-        return v_feas
-    return None
 
 
 def check_gradients(program: ConcaveProgram, reference_point, rng=None,

@@ -18,6 +18,11 @@ class ConfigError(ValueError):
     """Invalid system configuration or unparseable config file."""
 
 
+# Far above any instance the dense per-user arrays serve, and far below the
+# sizes numpy cannot allocate.
+_MAX_USERS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     bandwidth_B: float          # Hz
@@ -68,8 +73,9 @@ class SystemConfig:
         if not (0.0 < self.outage_target_rho < 1.0):
             raise ConfigError(
                 f"outage_target_rho must lie in (0, 1), got {self.outage_target_rho}")
-        if self.num_users_U < 1:
-            raise ConfigError(f"num_users_U must be >= 1, got {self.num_users_U}")
+        if not 1 <= self.num_users_U <= _MAX_USERS:
+            raise ConfigError(
+                f"num_users_U must lie in [1, {_MAX_USERS}], got {self.num_users_U}")
         # area_side == 0 is the degenerate all-at-origin deployment.
         if self.area_side < 0 or not math.isfinite(self.area_side):
             raise ConfigError(f"area_side must be >= 0, got {self.area_side}")

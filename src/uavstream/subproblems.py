@@ -253,9 +253,7 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     program, v0 = _p5_program(scenario, budget, placement, start.x)
-    report = solve_concave(program, start=v0, tol=cfg.sca_tol)
-    if report.status == "infeasible":
-        raise InfeasibleProblem("resource subproblem has no interior point")
+    report = solve_concave(program, v0, cfg.sca_tol)
 
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
@@ -464,12 +462,10 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
         program, v0 = _p7_program(scenario, coeffs, x)
     except InfeasibleProblem:
         return P7Result(q_i, r_at_qi, True, obj_at_qi, obj_at_qi)
-    report = solve_concave(program, start=v0, tol=cfg.sca_tol)
-    if report.status == "infeasible":
-        return P7Result(q_i, r_at_qi, True, obj_at_qi, obj_at_qi)
+    report = solve_concave(program, v0, cfg.sca_tol)
 
     uav_coords = report.solution[:2 * len(q_i.uavs)] * _POS_SCALE
-    new_placement = UavPlacement(*uav_coords.reshape(-1, 2))
+    new_placement = _sanitize_expansion(scenario, UavPlacement(*uav_coords.reshape(-1, 2)))
     obj_new, r_new = exact_fill_objective(scenario, budget, x, p_user,
                                           p_obs, p_relay, new_placement)
     # Require strict ascent: with slack constraints barrier centering can move

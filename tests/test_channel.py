@@ -7,10 +7,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
-from uavstream.channel import (DegenerateLinkWarning, FadingModel, LinkBudget,
-                               marcum_q1, outage_probability, rate_agu, rate_gbs,
-                               rate_relay, rician_cdf, rician_cdf_inverse,
-                               large_scale_gain)
+from uavstream.channel import (DegenerateLinkWarning, LinkBudget, marcum_q1,
+                               outage_probability, rate_agu, rate_gbs, rate_relay,
+                               rician_cdf, rician_cdf_inverse)
 
 
 def marcum_q1_quadrature(a, b):
@@ -87,22 +86,6 @@ class TestRicianCdf:
             assert abs(emp - f) <= 3.0 * se
 
 
-class TestFadingModel:
-    def test_rayleigh_reduction(self):
-        model = FadingModel(rician_K=0.0)
-        for z in [0.1, 0.5, 2.0]:
-            assert model.cdf(z) == pytest.approx(-math.expm1(-z), abs=1e-12)
-        assert model.inverse_cdf(0.5) == pytest.approx(math.log(2.0), abs=1e-8)
-
-    def test_matches_free_functions(self):
-        model = FadingModel(rician_K=4.0)
-        assert model.cdf(0.3) == rician_cdf(0.3, 4.0)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            FadingModel(rician_K=-0.5)
-
-
 class TestRicianInverse:
     def test_rayleigh_analytic(self):
         assert rician_cdf_inverse(0.01, 0.0) == pytest.approx(-math.log(0.99), abs=1e-8)
@@ -132,17 +115,13 @@ class TestRicianInverse:
         for rho in [0.0, 1.0, -0.1, 1.5]:
             with pytest.raises(ValueError):
                 rician_cdf_inverse(rho, 4.0)
+        with pytest.raises(ValueError):
+            rician_cdf(0.3, -0.5)
+        with pytest.raises(ValueError):
+            rician_cdf_inverse(0.01, -0.5)
 
 
 class TestGainAndRates:
-    def test_reference_gain(self):
-        assert large_scale_gain(1.0, 1e-6) == pytest.approx(1e-6, rel=1e-15)
-        assert large_scale_gain(100.0, 1e-6) == pytest.approx(1e-10, rel=1e-15)
-
-    def test_gain_decreasing(self):
-        gains = [large_scale_gain(d, 1e-6) for d in np.linspace(1.0, 500.0, 100)]
-        assert all(b < a for a, b in zip(gains, gains[1:]))
-
     def test_rate_agu_hand_value(self):
         # x=1, P=0.2 W, mu0=1e8, Rayleigh F^-1(0.01), UAV overhead at 100 m:
         # log2(1 + 0.0100503*0.2*1e8/1e4) computed independently here.

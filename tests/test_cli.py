@@ -159,6 +159,14 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    def test_huge_user_count_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(format_config(table2_config()) + "num_users_U = 1e30\n")
+        code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_bad_grid_exit_1(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "3,2,1", "--seeds", "1",
                      "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])

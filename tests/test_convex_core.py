@@ -134,8 +134,7 @@ class TestClosedFormPrograms:
         assert report.objective == pytest.approx(0.0, abs=1e-10)
 
     def test_symmetric_waterfill(self):
-        report = solve_concave(waterfill_program(), start=np.array([0.1, 0.3]),
-                               tol=1e-9, max_newton=400)
+        report = solve_concave(waterfill_program(), start=np.array([0.1, 0.3]), tol=1e-9)
         assert report.status == "converged"
         assert np.allclose(report.solution, 0.5, atol=1e-6)
 
@@ -166,28 +165,16 @@ class TestGridOracle:
         assert abs(report.objective - grid_best) <= 1e-4
 
 
-class TestPhaseOne:
-    def test_finds_interior_point_without_start(self):
-        report = solve_concave(waterfill_program(), start=None, tol=1e-9)
-        assert report.status == "converged"
-        assert np.allclose(report.solution, 0.5, atol=1e-5)
-
-    def test_recovers_from_infeasible_start(self):
-        report = solve_concave(waterfill_program(), start=np.array([0.9, 0.9]), tol=1e-9)
-        assert report.status == "converged"
-        assert np.allclose(report.solution, 0.5, atol=1e-5)
-
-    def test_reports_infeasible(self):
-        program = ConcaveProgram(
-            n=2,
-            objective=lambda v: 0.0,
-            gradient=lambda v: np.zeros(2),
-            constraints=lambda v: np.array([-1.0 - v.sum()]),
-            constraint_jac=lambda v: np.array([[-1.0, -1.0]]),
-            lower=np.zeros(2), upper=np.ones(2),
-            curvature=lambda v, w: np.zeros((2, 2)),
-        )
-        assert solve_concave(program, tol=1e-8).status == "infeasible"
+class TestStartContract:
+    @pytest.mark.parametrize("start", [
+        [0.9, 0.9],      # violates the constraint v1 + v2 <= 1
+        [0.5, 0.5],      # on the constraint's boundary
+        [0.0, 0.3],      # on the box's boundary
+        [-0.1, 0.3],     # outside the box
+    ])
+    def test_rejects_non_interior_start(self, start):
+        with pytest.raises(ValueError, match="strictly interior"):
+            solve_concave(waterfill_program(), np.array(start), 1e-9)
 
 
 class TestGradientChecker:

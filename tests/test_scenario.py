@@ -38,7 +38,7 @@ class TestSystemConfig:
         ("bandwidth_B", 0.0), ("noise_density_N0", -1e-20), ("outage_target_rho", 0.0),
         ("outage_target_rho", 1.0), ("num_users_U", 0), ("rician_K", -1.0),
         ("p_max_user", 0.0), ("area_side", -5.0), ("network_size_D", 0.0),
-        ("rng_seed", -1),
+        ("rng_seed", -1), ("num_users_U", 1_000_001),
     ])
     def test_invalid_configs_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -190,6 +190,12 @@ class TestConfigIO:
         # Truncation would run a different scenario than the file asks for.
         text = format_config(table2_config()) + f"{key} = {value}\n"
         with pytest.raises(ConfigError, match="integer"):
+            parse_config_text(text)
+
+    def test_huge_user_count_rejected(self):
+        # Caught here rather than as an allocation failure in generate_scenario.
+        text = format_config(table2_config()) + "num_users_U = 1e30\n"
+        with pytest.raises(ConfigError, match="num_users_U"):
             parse_config_text(text)
 
     def test_with_overrides_revalidates(self):

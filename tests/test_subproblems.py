@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
 from uavstream.convex_core import (_Barrier, _interior, _solve_spd, check_gradients,
                                    solve_concave, without_structure)
-from uavstream.orchestrator import initialize_state
+from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, capped_fill,
                                    exact_fill_objective, lower_bound_rates,
@@ -276,6 +276,18 @@ class TestSolveP7:
         assert abs(placement.q_obs[1]) <= 1e-4
         assert abs(placement.q_relay[1]) <= 1e-4
 
+    def test_solved_placement_never_lands_on_a_zero_length_hop(self):
+        # With equal UAV heights, P7 parks the relay exactly on the
+        # observation UAV in this instance; the exact objective at the solved
+        # placement must not evaluate a zero-distance FSPL link.
+        cfg = table2_config(num_users_U=4, p_max_user=0.07544382766336744,
+                            p_max_obs=0.0053464976862074584, p_max_relay=2.7763680772061554,
+                            rician_K=20.0, area_side=50.0, height_obs_Ho=20.0,
+                            height_relay_Hr=20.0, height_gbs_Hb=100.0, rng_seed=402)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_benchmark(generate_scenario(cfg), "position_only")
+
     def test_exact_objective_ascends(self):
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
         cfg = sc.config
@@ -343,10 +355,10 @@ class TestEmittedProgramGradients:
 
 # --- the four builders' programs, and their Newton systems ------------------
 
-def builder_programs(num_users, seed):
+def builder_programs(num_users, seed, **overrides):
     """(program, start) for P5 and P7 on the relay chain, then on the one-hop
     chain, built at the heuristic start the way the schemes build them."""
-    sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed))
+    sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed, **overrides))
     cfg = sc.config
     budget = make_link_budget(cfg)
     state = initialize_state(sc, budget)
@@ -381,12 +393,33 @@ def random_interior_points(program, v0, rng, count):
     return points
 
 
+# table2 flies both UAVs at 100 m (Ho = Hr); "low_uavs" flies them at 20 m
+# under a 100 m GBS.
+EDGE_CONFIGS = {
+    "table2": {},
+    "point_area": {"area_side": 0.0},
+    "low_uavs": {"height_obs_Ho": 20.0, "height_relay_Hr": 20.0, "height_gbs_Hb": 100.0},
+    "tiny_powers": {"p_max_user": 1e-4, "p_max_obs": 1e-4, "p_max_relay": 1e-4},
+    "loose_outage": {"outage_target_rho": 0.9},
+}
+
+
+@pytest.mark.parametrize("edge", EDGE_CONFIGS)
+@pytest.mark.parametrize("num_users", [1, 7])
+def test_builders_return_strictly_interior_starts(num_users, edge):
+    # solve_concave takes no phase-I search: every builder's start must
+    # already be strictly inside the box and every constraint row.
+    pairs = builder_programs(num_users, seed=5, **EDGE_CONFIGS[edge])
+    for name, (program, v0) in zip(BUILDERS, pairs):
+        assert _interior(program, v0), name
+
+
 @pytest.mark.parametrize("name", ["p5", "p5_no_relay"])
 def test_barrier_rejects_out_of_box_point_before_callbacks(name):
     # A negative bandwidth share makes the user-rate callbacks take log1p of
     # a value below -1; the box check must answer before they run.
-    program, _ = builder_program(name, num_users=10, seed=3)
-    v = program.midpoint()
+    program, v0 = builder_program(name, num_users=10, seed=3)
+    v = v0.copy()
     v[0] = -0.01
     with warnings.catch_warnings():
         warnings.simplefilter("error")
