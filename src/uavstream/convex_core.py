@@ -218,7 +218,7 @@ class _Barrier:
         return v[lo] - self.p.lower[lo], self.p.upper[hi] - v[hi]
 
     def terms(self, v):
-        """(f, sum of the log slacks) at v, or None outside the domain."""
+        """(f, sum of the log slacks, g) at v, or None outside the domain."""
         dlo, dhi = self.box_slacks(v)
         if (dlo <= 0).any() or (dhi <= 0).any():
             return None
@@ -228,12 +228,13 @@ class _Barrier:
         f = self.p.objective(v)
         if not np.isfinite(f):
             return None
-        return f, float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
+        logs = float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
+        return f, logs, g
 
-    def pieces(self, v):
-        """(grad f, grad of minus the log terms, g, J); the barrier's gradient
+    def pieces(self, v, g):
+        """(grad f, grad of minus the log terms, J) at v, given the
+        constraints g there (as terms returns them); the barrier's gradient
         at t is the second over t minus the first."""
-        g = np.atleast_1d(self.p.constraints(v))
         J = self.p.constraint_jac(v)
         if self.p.structure is not None:
             finite = J.all_finite()
@@ -247,7 +248,7 @@ class _Barrier:
         log_grad = 1.0 / (self.p.upper - v) - 1.0 / (v - self.p.lower)
         if g.size:
             log_grad -= J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
-        return grad_f, log_grad, g, J
+        return grad_f, log_grad, J
 
     def hessian(self, v, g, J, w, box):
         """The dense Newton matrix: the Gauss-Newton part of the constraint
@@ -378,8 +379,8 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
 
     barrier = _Barrier(program)
     fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
-    f, logs = barrier.terms(v)
-    grad_f, log_grad, g, J = barrier.pieces(v)
+    f, logs, g = barrier.terms(v)
+    grad_f, log_grad, J = barrier.pieces(v, g)
     s = np.concatenate([g, *barrier.box_slacks(v)])
     k, m = g.size, s.size
     lo = slice(k, k + v[fin_lo].size)
@@ -441,8 +442,8 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
             central, undamped = True, False
             continue
         v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
-        f, logs = terms
-        grad_f, log_grad, g, J = barrier.pieces(v)
+        f, logs, g = terms
+        grad_f, log_grad, J = barrier.pieces(v, g)
         s = np.concatenate([g, *barrier.box_slacks(v)])
     stage_objectives.append(float(f))
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import lambertw
 
 from .channel import LinkBudget, _persp_rate, _persp_ratio, fspl_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
@@ -25,6 +26,9 @@ from .utility import UtilityParams, average_utility
 
 LN2 = math.log(2.0)
 _POS_SCALE = 1000.0      # metres per solver position unit
+_FLAT_SPARE = 1e-9       # least spare bandwidth of a non-degenerate flat P5 face
+_CENTRE_STEPS = 50       # Newton steps for the flat face's centre
+_CENTRE_TOL = 1e-12      # Newton decrement over |barrier value| ending the damped phase
 
 
 class InfeasibleProblem(RuntimeError):
@@ -124,10 +128,14 @@ def rate_caps(scenario, budget, x, p_user, p_obs, p_relay, placement):
     cfg = scenario.config
     A = user_rate_coeffs(scenario, budget, placement.q_obs)
     caps = (1.0 - cfg.outage_target_rho) * _persp_rate(x, A * p_user)
+    return caps, backhaul_cap(scenario, budget, p_obs, p_relay, placement)
+
+
+def backhaul_cap(scenario, budget, p_obs, p_relay, placement):
+    """The rate of the weakest hop of the placement's chain."""
     nodes = backhaul_chain(scenario, placement)
-    link_cap = min(fspl_rate(p, q_tx, q_rx, budget.mu0, h_tx, h_rx)
-                   for p, (q_tx, h_tx), (q_rx, h_rx) in zip((p_obs, p_relay), nodes, nodes[1:]))
-    return caps, link_cap
+    return min(fspl_rate(p, q_tx, q_rx, budget.mu0, h_tx, h_rx)
+               for p, (q_tx, h_tx), (q_rx, h_rx) in zip((p_obs, p_relay), nodes, nodes[1:]))
 
 
 def capped_fill(caps: np.ndarray, total: float) -> np.ndarray:
@@ -183,6 +191,17 @@ def _log_utility(scenario, sr):
 
 # --- P5: bandwidth split with fixed UAV positions -------------------------
 
+def _p5_constants(scenario, budget, placement):
+    """The users' rate constants c_u at full power, with cap_u(x) =
+    (1-rho) x log2(1 + c_u/x), and the backhaul cap.  A zero-length hop
+    raises InfeasibleProblem before any rate is evaluated."""
+    cfg = scenario.config
+    if hop_dist2(scenario, placement).min() == 0.0:
+        raise InfeasibleProblem("degenerate zero-distance backhaul link")
+    c = user_rate_coeffs(scenario, budget, placement.q_obs) * cfg.p_max_user
+    return c, backhaul_cap(scenario, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
+
+
 def _p5_program(scenario, budget, placement, x_start):
     """P5 at full powers, and a strictly interior start near the split x_start.
 
@@ -191,17 +210,13 @@ def _p5_program(scenario, budget, placement, x_start):
     (the weakest hop at full power) against sum r.
     """
     cfg = scenario.config
-    if hop_dist2(scenario, placement).min() == 0.0:
-        raise InfeasibleProblem("degenerate zero-distance backhaul link")
+    c, link_cap = _p5_constants(scenario, budget, placement)
     U = cfg.num_users_U
     one_m_rho = 1.0 - cfg.outage_target_rho
-    p_user = np.full(U, cfg.p_max_user)
-    c = user_rate_coeffs(scenario, budget, placement.q_obs) * p_user
     x0 = np.maximum(x_start, 1e-6 / U)
     if x0.sum() > 1.0 - 1e-6:
         x0 = x0 * (1.0 - 1e-6) / x0.sum()
-    caps0, link_cap = rate_caps(scenario, budget, x0, p_user, cfg.p_max_obs,
-                                cfg.p_max_relay, placement)
+    caps0 = one_m_rho * _persp_rate(x0, c)
     theta_over_U = cfg.utility_theta / U
     n = 2 * U
     sx, sr = slice(0, U), slice(U, n)
@@ -241,24 +256,97 @@ def _p5_program(scenario, budget, placement, x_start):
     return program, np.concatenate([x0, 0.9 * capped_fill(caps0, link_cap)])
 
 
+def _flat_face_centre(c, level, one_m_rho):
+    """The split P5 returns when it is flat, or None when it is not.
+
+    P5 is flat when every user's cap reaches the equal level link_cap/U
+    within the bandwidth: r_u = level is then optimal for every split whose
+    caps all reach it, and those splits form the optimal face.  The least
+    share reaching the level solves x ln(1 + c/x) = a, a = level ln2/(1-rho);
+    with k = a/c it is a / (-W_{-1}(-k e^-k) - k), on the lower branch of
+    Lambert's W.  P5 is flat iff these shares sum below one (a face thinner
+    than _FLAT_SPARE counts as degenerate, and is solved).
+
+    The face's analytic centre maximizes the x-terms of P5's log barrier,
+    sum_u [ln(cap_u - level) + ln x_u + ln(1 - x_u)] + ln(1 - sum x): it is
+    where the central path's split converges (Boyd & Vandenberghe, Convex
+    Optimization, 8.5.3 and 11.2).  Damped Newton from the minimal shares
+    plus an equal part of the spare bandwidth; the Hessian is a diagonal
+    plus rank one, so each step is O(U) by Sherman-Morrison.
+    """
+    a = level * LN2 / one_m_rho
+    k = a / c
+    if not (level > 0.0 and np.all(k < 1.0)):
+        return None
+    x_min = a / (-lambertw(-k * np.exp(-k), -1).real - k)
+    spare = 1.0 - x_min.sum()
+    if not (np.all(x_min < 1.0) and spare > _FLAT_SPARE):
+        return None
+
+    def barrier(x):
+        """(value, cap slacks, bandwidth slack), or None off the face."""
+        left = 1.0 - x.sum()
+        if not ((x > 0.0).all() and (x < 1.0).all() and left > 0.0):
+            return None
+        slack = one_m_rho * _persp_rate(x, c) - level
+        if not (slack > 0.0).all():
+            return None
+        value = np.log(slack).sum() + np.log(x).sum() + np.log1p(-x).sum() + math.log(left)
+        return value, slack, left
+
+    x = x_min + spare / (len(c) + 1)
+    current = barrier(x)
+    if current is None:       # rounding left the minimal shares on the face's edge
+        return None
+    for _ in range(_CENTRE_STEPS):
+        value, slack, left = current
+        dlog = one_m_rho * _persp_dx(x, c) / slack
+        grad = dlog + 1.0 / x - 1.0 / (1.0 - x) - 1.0 / left
+        inv_diag = 1.0 / (dlog ** 2 - one_m_rho * _persp_dxx(x, c) / slack
+                          + 1.0 / x ** 2 + 1.0 / (1.0 - x) ** 2)
+        step = inv_diag * (grad - (grad @ inv_diag) / (left ** 2 + inv_diag.sum()))
+        decrement = float(grad @ step)
+        if decrement <= _CENTRE_TOL * abs(value):
+            # Newton's quadratic phase: one full step reaches rounding level,
+            # where Armijo could no longer tell the values apart.
+            if barrier(x + step) is not None:
+                x = x + step
+            break
+        alpha = 1.0
+        while alpha > 1e-12:
+            trial = barrier(x + alpha * step)
+            if trial is not None and trial[0] >= value + 0.25 * alpha * decrement:
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, current = x + alpha * step, trial
+    return x
+
+
 def solve_p5(scenario: Scenario, placement: UavPlacement,
              start: DecisionState, budget: LinkBudget | None = None) -> DecisionState:
     """Optimal bandwidth shares for pinned UAV positions.
 
     The returned powers sit exactly at their budgets: the objective and every
     constraint are non-decreasing in each power, so P5 fixes them there and
-    optimizes the split alone.  Effective rates are then re-filled against
-    the exact rate caps.
+    optimizes the split alone.  When P5 is flat (every user can reach the
+    equal share of the backhaul), the split is the optimal face's analytic
+    centre in closed form; otherwise the program is solved.  Effective rates
+    are then re-filled against the exact rate caps.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
-    program, v0 = _p5_program(scenario, budget, placement, start.x)
-    report = solve_concave(program, v0, cfg.sca_tol)
+    U = cfg.num_users_U
+    c, link_cap = _p5_constants(scenario, budget, placement)
+    x_opt = _flat_face_centre(c, link_cap / U, 1.0 - cfg.outage_target_rho)
+    if x_opt is None:
+        program, v0 = _p5_program(scenario, budget, placement, start.x)
+        report = solve_concave(program, v0, cfg.sca_tol)
+        x_opt = np.clip(report.solution[:U], 1e-12, 1.0)
 
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
-    U = cfg.num_users_U
-    x_opt = np.clip(report.solution[:U], 1e-12, 1.0)
     x_opt = x_opt / x_opt.sum()
     p_user = np.full(U, cfg.p_max_user)
     obj, r_fill = exact_fill_objective(scenario, budget, x_opt, p_user,

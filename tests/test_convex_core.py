@@ -207,7 +207,8 @@ class TestStructuredPrograms:
     def test_block_step_solves_the_newton_system(self, coupled):
         program, v, t = block_program(coupled), self.START, 10.0
         barrier = _Barrier(program)
-        grad_f, log_grad, g, J = barrier.pieces(v)
+        g = barrier.terms(v)[2]
+        grad_f, log_grad, J = barrier.pieces(v, g)
         grad = log_grad / t - grad_f
         # The central-path weights at t: the barrier's own Hessian.
         w = 1.0 / (t * g)

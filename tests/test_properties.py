@@ -1,0 +1,49 @@
+"""Property tests over the valid SystemConfig domain (small U)."""
+
+import warnings
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from uavstream.orchestrator import initialize_state
+from uavstream.scenario import UavPlacement, generate_scenario, table2_config
+from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
+                                   solve_p5)
+
+configs = st.builds(
+    table2_config,
+    num_users_U=st.integers(1, 12),
+    rng_seed=st.integers(0, 10_000),
+    p_max_user=st.floats(1e-4, 1.0),
+    p_max_obs=st.floats(1e-3, 1.0),
+    p_max_relay=st.floats(1e-3, 1.0),
+    rician_K=st.floats(0.0, 20.0),
+    outage_target_rho=st.floats(1e-3, 0.3),
+    area_side=st.floats(0.0, 3000.0),
+    network_size_D=st.floats(200.0, 5000.0),
+    height_obs_Ho=st.floats(20.0, 300.0),
+    height_relay_Hr=st.floats(20.0, 300.0),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=configs, relay=st.booleans())
+def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
+    # Flat or not, P5's answer must validate, must not lose to its start
+    # split, and must leak no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = generate_scenario(cfg)
+        budget = make_link_budget(cfg)
+        start = initialize_state(sc, budget)
+        placement = start.placement if relay else UavPlacement(start.placement.q_obs)
+        try:
+            out = solve_p5(sc, placement, start, budget)
+        except InfeasibleProblem:
+            return
+        out.validate(sc, budget)
+        args = (out.p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
+        before, _ = exact_fill_objective(sc, budget, start.x, *args)
+        after, _ = exact_fill_objective(sc, budget, out.x, *args)
+    assert after >= before > -float("inf")

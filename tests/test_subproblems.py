@@ -12,10 +12,12 @@ from uavstream.convex_core import (_Barrier, _interior, _solve_spd, check_gradie
                                    solve_concave, without_structure)
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import (DecisionState, InfeasibleProblem, capped_fill,
-                                   exact_fill_objective, lower_bound_rates,
+from uavstream import subproblems
+from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_cap,
+                                   capped_fill, exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5,
-                                   solve_p7, _p5_program, _p7_program)
+                                   solve_p7, _flat_face_centre, _p5_constants, _p5_program,
+                                   _p7_program)
 
 LN2 = math.log(2.0)
 
@@ -260,6 +262,137 @@ class TestSolveP5:
                 solve_p5(sc, placement, state)
 
 
+class TestFlatP5:
+    """P5 is flat when every user can reach the equal level link_cap/U within
+    the bandwidth; solve_p5 then returns the optimal face's analytic centre
+    without a solve."""
+
+    @staticmethod
+    def chain(state, relay):
+        return state.placement if relay else UavPlacement(state.placement.q_obs)
+
+    @staticmethod
+    def centre_residual(x, c, level, one_m_rho):
+        """Largest relative stationarity residual of the face's barrier
+        sum ln(cap - level) + ln x + ln(1 - x) + ln(1 - sum x), from the
+        closed-form derivative of cap = (1-rho) x log2(1 + c/x)."""
+        s = c / x
+        cap = one_m_rho * x * np.log1p(s) / LN2
+        dcap = one_m_rho * (np.log1p(s) - s / (1.0 + s)) / LN2
+        terms = np.stack([dcap / (cap - level), 1.0 / x, -1.0 / (1.0 - x),
+                          np.full_like(x, -1.0 / (1.0 - x.sum()))])
+        return float(np.max(np.abs(terms.sum(axis=0)) / np.abs(terms).sum(axis=0)))
+
+    @staticmethod
+    def solved_split(sc, budget, placement, start_x):
+        program, v0 = _p5_program(sc, budget, placement, start_x)
+        x = np.clip(solve_concave(program, v0, sc.config.sca_tol).solution[:len(start_x)],
+                    1e-12, 1.0)
+        return x / x.sum()
+
+    @pytest.mark.parametrize("relay", [True, False])
+    @pytest.mark.parametrize("num_users", [10, 30, 200])
+    def test_table2_start_is_flat_and_solved_in_closed_form(self, num_users, relay,
+                                                            monkeypatch):
+        sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=0))
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        state = heuristic_state(sc)
+        placement = self.chain(state, relay)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a flat P5 must not be solved")
+
+        monkeypatch.setattr(subproblems, "solve_concave", no_solve)
+        out = solve_p5(sc, placement, state, budget)
+        out.validate(sc, budget)
+        link_cap = backhaul_cap(sc, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
+        assert np.all(out.r_tilde == link_cap / num_users)
+        assert out.x.sum() == pytest.approx(1.0, abs=1e-12)
+
+        c, link_cap = _p5_constants(sc, budget, placement)
+        one_m_rho = 1.0 - cfg.outage_target_rho
+        centre = _flat_face_centre(c, link_cap / num_users, one_m_rho)
+        assert self.centre_residual(centre, c, link_cap / num_users, one_m_rho) <= 1e-8
+
+    @pytest.mark.parametrize("num_users", [30, 100, 200])
+    def test_centre_is_where_the_solver_split_converges(self, num_users):
+        sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=0))
+        budget = make_link_budget(sc.config)
+        state = heuristic_state(sc)
+        out = solve_p5(sc, state.placement, state, budget)
+        solved = self.solved_split(sc, budget, state.placement, state.x)
+        assert np.max(np.abs(out.x - solved)) <= 1e-5
+
+    def test_user_limited_instance_is_solved(self, monkeypatch):
+        # At p_max_user = 0.002 some user cannot reach the equal level: P5 is
+        # not flat, and solve_p5 answers exactly as the solve path does.
+        sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        state = heuristic_state(sc)
+        c, link_cap = _p5_constants(sc, budget, state.placement)
+        assert _flat_face_centre(c, link_cap / 20, 1.0 - cfg.outage_target_rho) is None
+
+        calls = []
+        solve = subproblems.solve_concave
+        monkeypatch.setattr(subproblems, "solve_concave",
+                            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        out = solve_p5(sc, state.placement, state, budget)
+        assert len(calls) == 1
+        x = self.solved_split(sc, budget, state.placement, state.x)
+        obj, r = exact_fill_objective(sc, budget, x, out.p_user, cfg.p_max_obs,
+                                      cfg.p_max_relay, state.placement)
+        start_obj, _ = exact_fill_objective(sc, budget, state.x, out.p_user, cfg.p_max_obs,
+                                            cfg.p_max_relay, state.placement)
+        assert obj >= start_obj
+        assert np.array_equal(out.x, x) and np.array_equal(out.r_tilde, r)
+
+    def test_user_whose_cap_at_full_band_misses_the_level(self):
+        one_m_rho, level = 0.99, 2.0
+        sup = one_m_rho / LN2          # cap_u(x) -> sup * c_u as x grows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # c = 1: no share reaches the level (k >= 1).
+            assert level > sup * 1.0
+            assert _flat_face_centre(np.array([50.0, 1.0]), level, one_m_rho) is None
+            # c = 3: the cap reaches the level only past the full band.
+            assert one_m_rho * np.log2(1.0 + 3.0) < level < sup * 3.0
+            assert _flat_face_centre(np.array([50.0, 3.0]), level, one_m_rho) is None
+
+    def test_degenerate_face_is_solved(self):
+        # Two equal users whose caps reach the level exactly at x = 1/2 leave
+        # no spare bandwidth: the face is a point, and P5 is not flat.
+        one_m_rho, c = 0.99, np.array([20.0, 20.0])
+        level = one_m_rho * 0.5 * np.log2(1.0 + 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _flat_face_centre(c, level, one_m_rho) is None
+            assert _flat_face_centre(c, level * (1.0 - 1e-12), one_m_rho) is None
+            assert _flat_face_centre(c, 0.9 * level, one_m_rho) is not None
+
+    def test_users_at_one_point_split_evenly(self):
+        sc = generate_scenario(table2_config(num_users_U=7, rng_seed=2, area_side=0.0))
+        budget = make_link_budget(sc.config)
+        state = heuristic_state(sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve_p5(sc, state.placement, state, budget)
+        out.validate(sc, budget)
+        assert np.allclose(out.x, 1.0 / 7, rtol=0.0, atol=1e-12)
+        assert np.all(out.r_tilde == out.r_tilde[0])
+
+    def test_zero_length_one_hop_chain_is_infeasible(self):
+        # The observation UAV over the GBS at the GBS's height: the one hop
+        # has zero length, reported before the flat test evaluates a rate.
+        sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0, height_gbs_Hb=100.0))
+        state = heuristic_state(sc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InfeasibleProblem):
+                solve_p5(sc, UavPlacement(sc.gbs_pos_wb), state)
+
+
 class TestSolveP7:
     def test_symmetric_instance_stays_on_axis(self):
         sc = mirrored_scenario()
@@ -494,14 +627,16 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     """
     program, v = builder_program(name, num_users, seed=17)
     structured = _Barrier(program)
-    grad_f, log_grad, g, J = structured.pieces(v)
+    g = structured.terms(v)[2]
+    grad_f, log_grad, J = structured.pieces(v, g)
     grad = log_grad / t - grad_f
     rng = np.random.default_rng(num_users) if duals == "off_path" else None
     w, box = off_path_weights(program, v, g, t, rng)
     d_block = structured.newton_direction(v, g, J, grad, w, box)
 
     dense = _Barrier(without_structure(program))
-    dense_grad_f, dense_log_grad, dense_g, dense_J = dense.pieces(v)
+    dense_g = dense.terms(v)[2]
+    dense_grad_f, dense_log_grad, dense_J = dense.pieces(v, dense_g)
     dense_grad = dense_log_grad / t - dense_grad_f
     assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
     H = dense.hessian(v, dense_g, dense_J, w, box)
