@@ -13,7 +13,7 @@ fraction-to-boundary rule), and backtracks both by Armijo on the barrier
 value at t.  With the multipliers on the central path this step is the
 log-barrier Newton step; a failed line search returns them there.  The solve
 stops once t is at its cap and the Newton decrement is below tolerance.  The
-caller supplies a strictly interior start.
+caller supplies a strictly interior start with a finite objective.
 
 Every program supplies an exact combined-curvature callback, so each step is
 a Newton step.
@@ -370,16 +370,17 @@ class _BlockHessian:
 
 
 def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:
-    """Maximize the program from a strictly interior start; see the module
-    docstring for the method.  At most _MAX_NEWTON Newton steps are taken.
+    """Maximize the program from a strictly interior start with a finite
+    objective (ValueError otherwise); see the module docstring for the
+    method.  At most _MAX_NEWTON Newton steps are taken.
     """
     v = np.asarray(start, dtype=float).copy()
-    if not _interior(program, v):
-        raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
-
     barrier = _Barrier(program)
+    current = barrier.terms(v)
+    if current is None or not np.isfinite(current[2]).all():
+        raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
     fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
-    f, logs, g = barrier.terms(v)
+    f, logs, g = current
     grad_f, log_grad, J = barrier.pieces(v, g)
     s = np.concatenate([g, *barrier.box_slacks(v)])
     k, m = g.size, s.size

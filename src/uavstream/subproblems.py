@@ -3,7 +3,9 @@
 The resource step optimizes bandwidth shares and effective rates with the
 UAVs pinned and every power at its budget; the placement step moves the
 backhaul chain's UAVs against first-order concave lower bounds on the user
-and hop rates, expanded at the current placement.  Both builders serve either
+and hop rates, expanded at the current placement, then extrapolates the
+accepted move while the exact objective rises, so a step may end past the
+surrogate's optimum.  Both builders serve either
 chain (observation -> relay -> GBS, or observation -> GBS when the placement
 has no relay) and reduce to ConcaveProgram instances for the barrier solver.
 """
@@ -432,6 +434,11 @@ class P7Result:
     exact_objective: float
 
 
+def _placement_extent(cfg: SystemConfig) -> float:
+    """Half-side (metres) of the box P7 keeps every UAV coordinate in."""
+    return 4.0 * max(cfg.network_size_D, cfg.area_side)
+
+
 def _p7_program(scenario, coeffs, x):
     """P7 around coeffs.expansion, and the strictly interior start there.
 
@@ -501,7 +508,7 @@ def _p7_program(scenario, coeffs, x):
         border = -(incidence.T * np.repeat(weights, 2)) @ incidence
         return BlockCurvature(structure, diag, border=border)
 
-    extent = 4.0 * max(cfg.network_size_D, cfg.area_side) / _POS_SCALE
+    extent = _placement_extent(cfg) / _POS_SCALE
     lower = np.concatenate([np.full(nb, -extent), np.zeros(U)])
     upper = np.concatenate([np.full(nb, extent), base_u + 1.0])
     program = ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -536,6 +543,16 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
     Moves the UAVs of q_i's chain.  Guarantees ascent of the exact-rate
     objective; if the linearized solve fails or regresses, the expansion
     point comes back with stalled=True.
+
+    An accepted move q* - q_i is then extrapolated: the exact objective is
+    tried at q_i + 2^j (q* - q_i) for j = 1, 2, ..., and the last trial that
+    strictly raised it is returned, so the UAVs may end past the surrogate's
+    optimum.  The doubling stops at the first trial that does not raise the
+    objective, has a zero-length hop or leaves P7's placement box.  Far from
+    q_i the surrogate's first-order rate bounds are conservative, and each
+    trial is one O(U log U) rate fill where a P7 solve takes tens of Newton
+    steps.  lb_objective stays the solve's surrogate value, which is below
+    the exact objective at q* and hence at the returned placement.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
@@ -560,4 +577,22 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
     # the UAVs without touching the objective, and such drift must not loop.
     if obj_new <= obj_at_qi:
         return P7Result(q_i, r_at_qi, True, report.objective, obj_at_qi)
+
+    origin = np.concatenate(q_i.uavs)
+    move = np.concatenate(new_placement.uavs) - origin
+    extent = _placement_extent(cfg)
+    scale = 2.0
+    while True:
+        # The returned placement is the next P7's expansion point, which must
+        # be strictly inside P7's box and expandable (no zero-length hop).
+        coords = origin + scale * move
+        trial = UavPlacement(*coords.reshape(-1, 2))
+        if not np.abs(coords).max() < extent or hop_dist2(scenario, trial).min() == 0.0:
+            break
+        obj_trial, r_trial = exact_fill_objective(scenario, budget, x, p_user,
+                                                  p_obs, p_relay, trial)
+        if not obj_trial > obj_new:
+            break
+        new_placement, obj_new, r_new = trial, obj_trial, r_trial
+        scale *= 2.0
     return P7Result(new_placement, r_new, False, report.objective, obj_new)

@@ -176,6 +176,20 @@ class TestStartContract:
         with pytest.raises(ValueError, match="strictly interior"):
             solve_concave(waterfill_program(), np.array(start), 1e-9)
 
+    def test_rejects_start_with_non_finite_objective(self):
+        # The start is inside the box and the constraint, but f(start) = -inf.
+        program = ConcaveProgram(
+            n=1,
+            objective=lambda v: -np.inf,
+            gradient=lambda v: np.zeros(1),
+            constraints=lambda v: np.array([1.0 - v[0]]),
+            constraint_jac=lambda v: np.array([[-1.0]]),
+            lower=np.zeros(1), upper=np.full(1, 2.0),
+            curvature=lambda v, w: np.zeros((1, 1)),
+        )
+        with pytest.raises(ValueError, match="strictly interior"):
+            solve_concave(program, np.array([0.5]), 1e-9)
+
 
 class TestGradientChecker:
     def test_accepts_correct_gradients(self):

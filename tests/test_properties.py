@@ -5,25 +5,31 @@ import warnings
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from uavstream.orchestrator import initialize_state
-from uavstream.scenario import UavPlacement, generate_scenario, table2_config
+from uavstream.convex_core import NumericError
+from uavstream.orchestrator import SCHEMES, initialize_state, run_benchmark
+from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
                                    solve_p5)
 
-configs = st.builds(
-    table2_config,
-    num_users_U=st.integers(1, 12),
-    rng_seed=st.integers(0, 10_000),
-    p_max_user=st.floats(1e-4, 1.0),
-    p_max_obs=st.floats(1e-3, 1.0),
-    p_max_relay=st.floats(1e-3, 1.0),
-    rician_K=st.floats(0.0, 20.0),
-    outage_target_rho=st.floats(1e-3, 0.3),
-    area_side=st.floats(0.0, 3000.0),
-    network_size_D=st.floats(200.0, 5000.0),
-    height_obs_Ho=st.floats(20.0, 300.0),
-    height_relay_Hr=st.floats(20.0, 300.0),
-)
+
+def config_strategy(max_users):
+    return st.builds(
+        table2_config,
+        num_users_U=st.integers(1, max_users),
+        rng_seed=st.integers(0, 10_000),
+        p_max_user=st.floats(1e-4, 1.0),
+        p_max_obs=st.floats(1e-3, 1.0),
+        p_max_relay=st.floats(1e-3, 1.0),
+        rician_K=st.floats(0.0, 20.0),
+        outage_target_rho=st.floats(1e-3, 0.3),
+        area_side=st.floats(0.0, 3000.0),
+        network_size_D=st.floats(200.0, 5000.0),
+        height_obs_Ho=st.floats(20.0, 300.0),
+        height_relay_Hr=st.floats(20.0, 300.0),
+    )
+
+
+configs = config_strategy(max_users=12)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -47,3 +53,24 @@ def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
         before, _ = exact_fill_objective(sc, budget, start.x, *args)
         after, _ = exact_fill_objective(sc, budget, out.x, *args)
     assert after >= before > -float("inf")
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=config_strategy(max_users=8), scheme=st.sampled_from(SCHEMES))
+def test_every_scheme_keeps_the_bcd_invariants(cfg, scheme):
+    # The exact trace never falls, each lower bound stays below its exact
+    # objective, the final state validates, no warning leaks, and only the
+    # solver's own error types escape.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = generate_scenario(cfg)
+        budget = make_link_budget(cfg)
+        try:
+            res = run_benchmark(sc, scheme)
+        except (InfeasibleProblem, NumericError, ConfigError):
+            return
+        res.state.validate(sc, budget)
+    exact = res.trace.exact_objectives
+    assert all(b >= a - 1e-9 for a, b in zip(exact, exact[1:]))
+    assert all(lb <= ex + 1e-9 for lb, ex in zip(res.trace.lower_bound_objectives, exact))

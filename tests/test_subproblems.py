@@ -411,15 +411,19 @@ class TestSolveP7:
 
     def test_solved_placement_never_lands_on_a_zero_length_hop(self):
         # With equal UAV heights, P7 parks the relay exactly on the
-        # observation UAV in this instance; the exact objective at the solved
-        # placement must not evaluate a zero-distance FSPL link.
-        cfg = table2_config(num_users_U=4, p_max_user=0.07544382766336744,
-                            p_max_obs=0.0053464976862074584, p_max_relay=2.7763680772061554,
-                            rician_K=20.0, area_side=50.0, height_obs_Ho=20.0,
-                            height_relay_Hr=20.0, height_gbs_Hb=100.0, rng_seed=402)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            run_benchmark(generate_scenario(cfg), "position_only")
+        # observation UAV in the seed-402 instance; neither the exact
+        # objective at the solved placement nor an extrapolation trial may
+        # evaluate a zero-distance FSPL link, in any scheme that moves UAVs.
+        for seed in (402, 0):
+            cfg = table2_config(num_users_U=4, p_max_user=0.07544382766336744,
+                                p_max_obs=0.0053464976862074584,
+                                p_max_relay=2.7763680772061554, rician_K=20.0,
+                                area_side=50.0, height_obs_Ho=20.0, height_relay_Hr=20.0,
+                                height_gbs_Hb=100.0, rng_seed=seed)
+            for scheme in ("position_only", "joint", "no_relay"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    run_benchmark(generate_scenario(cfg), scheme)
 
     def test_exact_objective_ascends(self):
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
@@ -463,6 +467,76 @@ class TestSolveP7:
                 break
             placement = res.placement
         assert np.linalg.norm(placement.q_obs) < 40.0
+
+    def test_accepted_move_is_extrapolated_past_the_solved_point(self):
+        # From the heuristic start at table2 U=30 the surrogate's optimum q*
+        # is short of where the exact objective peaks along q* - q_i.
+        sc = generate_scenario(table2_config(num_users_U=30, rng_seed=0))
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        state = heuristic_state(sc)
+        args = (state.x, state.p_user, state.p_obs, state.p_relay)
+        q_i = state.placement
+        coeffs = sca_coefficients(sc, *args, q_i, budget)
+        program, v0 = _p7_program(sc, coeffs, state.x)
+        solved = UavPlacement(*(solve_concave(program, v0, cfg.sca_tol).solution[:4]
+                                * subproblems._POS_SCALE).reshape(2, 2))
+        at_qi, _ = exact_fill_objective(sc, budget, *args, q_i)
+        at_solved, _ = exact_fill_objective(sc, budget, *args, solved)
+
+        res = solve_p7(sc, *args, q_i, budget)
+        assert not res.stalled
+        assert res.exact_objective >= at_solved > at_qi
+        assert res.lb_objective <= res.exact_objective
+        assert res.exact_objective == exact_fill_objective(sc, budget, *args,
+                                                           res.placement)[0]
+        # The returned placement is q_i + 2^j (q* - q_i) for some j >= 1.
+        origin = np.concatenate(q_i.uavs)
+        move = np.concatenate(solved.uavs) - origin
+        ratio = (np.concatenate(res.placement.uavs) - origin) / move
+        j = math.log2(ratio[0])
+        assert j >= 1 and j == round(j)
+        assert np.allclose(ratio, ratio[0], rtol=1e-12)
+
+    def test_stalled_step_returns_the_expansion_point(self):
+        sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
+        budget = make_link_budget(sc.config)
+        state = heuristic_state(sc)
+        args = (state.x, state.p_user, state.p_obs, state.p_relay)
+        placement = state.placement
+        for _ in range(40):
+            res = solve_p7(sc, *args, placement, budget)
+            if res.stalled:
+                break
+            placement = res.placement
+        assert res.stalled
+        assert res.placement is placement
+        assert res.exact_objective == exact_fill_objective(sc, budget, *args, placement)[0]
+
+    def test_extrapolation_stops_before_a_zero_length_hop(self, monkeypatch):
+        # Equal heights; the solve (stubbed) halves the relay's offset from
+        # the observation UAV, so the doubled move would land the relay on it.
+        sc = generate_scenario(table2_config(num_users_U=4, height_obs_Ho=120.0,
+                                             height_relay_Hr=120.0, area_side=0.0))
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        q_i = UavPlacement(q_obs=[0.0, 0.0], q_relay=[1000.0, 0.0])
+        solved = UavPlacement(q_obs=[0.0, 0.0], q_relay=[500.0, 0.0])
+        solve = subproblems.solve_concave
+
+        def stub(program, start, tol):
+            report = solve(program, start, tol)
+            report.solution[:4] = np.concatenate(solved.uavs) / subproblems._POS_SCALE
+            return report
+
+        monkeypatch.setattr(subproblems, "solve_concave", stub)
+        args = (np.full(4, 0.25), np.full(4, cfg.p_max_user), cfg.p_max_obs, cfg.p_max_relay)
+        at_qi, _ = exact_fill_objective(sc, budget, *args, q_i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_p7(sc, *args, q_i, budget)
+        assert res.exact_objective > at_qi
+        assert np.array_equal(res.placement.q_relay, solved.q_relay)
 
 
 class TestEmittedProgramGradients:
