@@ -92,8 +92,8 @@ def rician_cdf(z: float, K: float) -> float:
     """
     if z < 0:
         raise ValueError(f"rician_cdf requires z >= 0, got {z}")
-    if K < 0:
-        raise ValueError(f"rician_cdf requires K >= 0, got {K}")
+    if not (K >= 0 and math.isfinite(K)):
+        raise ValueError(f"rician_cdf requires a finite K >= 0, got {K}")
     if z == 0.0:
         return 0.0
     return 1.0 - marcum_q1(math.sqrt(2.0 * K), math.sqrt(2.0 * (K + 1.0) * z))
@@ -104,7 +104,8 @@ def rician_cdf_inverse(rho: float, K: float, tol: float = 1e-10) -> float:
 
     No closed form exists for K > 0, so the bracket [0, z_hi] is grown by
     doubling until F(z_hi) >= rho and then bisected.  F is non-decreasing,
-    which makes the result monotone in rho.
+    which makes the result monotone in rho.  K must be finite and >= 0, as
+    for rician_cdf (ValueError otherwise).
     """
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho}")

@@ -2,8 +2,8 @@
 
 Primal-dual interior-point method (Boyd & Vandenberghe, Convex Optimization,
 section 11.7).  The barrier subproblem at t is: maximize
-f(v) + (1/t) * sum ln g_j(v), finite box sides contributing their own log
-terms.  The method carries multipliers for the constraint rows and the finite
+f(v) + (1/t) * sum ln g_j(v), each side of the (finite) box contributing its
+own log term.  The method carries multipliers for the constraint rows and the
 box sides.  t starts at 1 and, after every step the line search did not
 shorten, becomes 10 m / eta for the surrogate gap eta (multipliers times
 slacks), never falling and capped at m/tol.  Each iteration takes one Newton
@@ -139,7 +139,7 @@ class ConcaveProgram:
     objective/gradient: smooth concave f and its gradient.
     constraints/constraint_jac: vector g(v) >= 0 of smooth concave functions
     and its (m, n) Jacobian; m may be zero.
-    lower/upper: box bounds, +-inf entries allowed.
+    lower/upper: finite box bounds.
     curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), for the
     Newton steps.
     structure: optional BlockStructure; when given, constraint_jac returns a
@@ -161,8 +161,10 @@ class ConcaveProgram:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (self.n,) or self.upper.shape != (self.n,):
-            raise ValueError("box bounds must have shape (n,)")
+        if self.n < 1 or self.lower.shape != (self.n,) or self.upper.shape != (self.n,):
+            raise ValueError("need n >= 1 and box bounds of shape (n,)")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper on every coordinate")
         if self.structure is not None and self.structure.n != self.n:
@@ -196,93 +198,81 @@ def without_structure(program: ConcaveProgram) -> ConcaveProgram:
                                curvature=lambda v, w: curvature(v, w).dense())
 
 
-class _Barrier:
-    """The log barrier of a program: f, the log slacks and their derivatives.
+# The log barrier of a program: f, the log slacks and their derivatives.  Its
+# Newton system weights the constraint rows by multipliers w (the constraints'
+# curvature by w, their Gauss-Newton part by w/g) and the box sides by a
+# diagonal.  On the central path at t these are w = 1/(t g) and 1/(t s^2),
+# which give the Hessian of the barrier -f - (1/t) sum ln.
 
-    Its Newton system weights the constraint rows by multipliers w (the
-    constraints' curvature by w, their Gauss-Newton part by w/g) and the box
-    sides by a diagonal.  On the central path at t these are w = 1/(t g) and
-    1/(t s^2), which give the Hessian of the barrier -f - (1/t) sum ln.
-    """
+def _terms(p: ConcaveProgram, v):
+    """(f, sum of the log slacks, g) at v, or None outside the domain."""
+    dlo, dhi = v - p.lower, p.upper - v
+    if (dlo <= 0).any() or (dhi <= 0).any():
+        return None
+    g = np.atleast_1d(p.constraints(v))
+    if (g <= 0).any():
+        return None
+    f = p.objective(v)
+    if not np.isfinite(f):
+        return None
+    logs = float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
+    return f, logs, g
 
-    def __init__(self, program: ConcaveProgram):
-        self.p = program
-        # Finite box sides; a slice (a view) when a side is finite throughout.
-        fin_lo, fin_hi = np.isfinite(program.lower), np.isfinite(program.upper)
-        self.fin_lo = slice(None) if fin_lo.all() else fin_lo
-        self.fin_hi = slice(None) if fin_hi.all() else fin_hi
 
-    def box_slacks(self, v):
-        """Slacks of the finite lower and upper box sides."""
-        lo, hi = self.fin_lo, self.fin_hi
-        return v[lo] - self.p.lower[lo], self.p.upper[hi] - v[hi]
+def _pieces(p: ConcaveProgram, v, g):
+    """(grad f, grad of minus the log terms, J) at v, given the constraints g
+    there (as _terms returns them); the barrier's gradient at t is the second
+    over t minus the first."""
+    J = p.constraint_jac(v)
+    if p.structure is not None:
+        finite = J.all_finite()
+    else:
+        J = np.atleast_2d(np.asarray(J, dtype=float)) if g.size else np.zeros((0, p.n))
+        finite = np.isfinite(J).all()
+    grad_f = np.asarray(p.gradient(v), dtype=float)
+    if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and finite):
+        raise NumericError("non-finite objective/constraint derivatives", v)
+    log_grad = 1.0 / (p.upper - v) - 1.0 / (v - p.lower)
+    if g.size:
+        log_grad -= J.rmatvec(1.0 / g) if p.structure is not None else J.T @ (1.0 / g)
+    return grad_f, log_grad, J
 
-    def terms(self, v):
-        """(f, sum of the log slacks, g) at v, or None outside the domain."""
-        dlo, dhi = self.box_slacks(v)
-        if (dlo <= 0).any() or (dhi <= 0).any():
-            return None
-        g = np.atleast_1d(self.p.constraints(v))
-        if g.size and (g <= 0).any():
-            return None
-        f = self.p.objective(v)
-        if not np.isfinite(f):
-            return None
-        logs = float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
-        return f, logs, g
 
-    def pieces(self, v, g):
-        """(grad f, grad of minus the log terms, J) at v, given the
-        constraints g there (as terms returns them); the barrier's gradient
-        at t is the second over t minus the first."""
-        J = self.p.constraint_jac(v)
-        if self.p.structure is not None:
-            finite = J.all_finite()
-        else:
-            J = np.atleast_2d(np.asarray(J, dtype=float)) if g.size else np.zeros((0, self.p.n))
-            finite = np.isfinite(J).all()
-        grad_f = np.asarray(self.p.gradient(v), dtype=float)
-        if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and finite):
-            raise NumericError("non-finite objective/constraint derivatives", v)
-        # Infinite box sides contribute 1/inf = 0.
-        log_grad = 1.0 / (self.p.upper - v) - 1.0 / (v - self.p.lower)
-        if g.size:
-            log_grad -= J.rmatvec(1.0 / g) if self.p.structure is not None else J.T @ (1.0 / g)
-        return grad_f, log_grad, J
+def _hessian(p: ConcaveProgram, v, g, J, w, box):
+    """The dense Newton matrix: the Gauss-Newton part of the constraint terms,
+    the box diagonal, and minus the program's curvature."""
+    H = (J.T * (w / g)) @ J
+    H[np.diag_indices_from(H)] += box
+    H -= p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
+    return H
 
-    def hessian(self, v, g, J, w, box):
-        """The dense Newton matrix: the Gauss-Newton part of the constraint
-        terms, the box diagonal, and minus the program's curvature."""
-        H = (J.T * (w / g)) @ J
-        H[np.diag_indices_from(H)] += box
-        H -= self.p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
-        return H
 
-    def newton_direction(self, v, g, J, grad, w, box):
-        """Solve (Newton matrix) d = -grad, in block form when declared."""
-        H = self.hessian(v, g, J, w, box) if self.p.structure is None \
-            else self._block_hessian(v, g, J, w, box)
-        return _solve_spd(H, -grad)
+def _newton_direction(p: ConcaveProgram, v, g, J, grad, w, box):
+    """Solve (Newton matrix) d = -grad, in block form when declared."""
+    H = _hessian(p, v, g, J, w, box) if p.structure is None \
+        else _block_hessian(p, v, g, J, w, box)
+    return _solve_spd(H, -grad)
 
-    def _block_hessian(self, v, g, J, w, box):
-        """The Newton matrix in block form: the blocks, the border, the
-        block-border entries and the coupling rows scaled by the square roots
-        of their Gauss-Newton weights w/g."""
-        st = self.p.structure
-        nb, size = st.blocks.shape
-        curv = self.p.curvature(v, w)
-        root_gn = np.sqrt(w / g)
-        diag = box - curv.diag
-        a = J.local * root_gn[:nb, None]
-        blocks = a[:, :, None] * a[:, None, :]
-        blocks.reshape(nb, -1)[:, ::size + 1] += diag[st.blocks]
-        c = J.border_part * root_gn[:nb, None]
-        border = c.T @ c
-        border.flat[::len(st.border) + 1] += diag[st.border]
-        border -= curv.border
-        cross = a[:, :, None] * c[:, None, :]
-        coupling = J.coupling.T * root_gn[nb:]
-        return _BlockHessian(st, blocks, border, cross, coupling)
+
+def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
+    """The Newton matrix in block form: the blocks, the border, the
+    block-border entries and the coupling rows scaled by the square roots of
+    their Gauss-Newton weights w/g."""
+    st = p.structure
+    nb, size = st.blocks.shape
+    curv = p.curvature(v, w)
+    root_gn = np.sqrt(w / g)
+    diag = box - curv.diag
+    a = J.local * root_gn[:nb, None]
+    blocks = a[:, :, None] * a[:, None, :]
+    blocks.reshape(nb, -1)[:, ::size + 1] += diag[st.blocks]
+    c = J.border_part * root_gn[:nb, None]
+    border = c.T @ c
+    border.flat[::len(st.border) + 1] += diag[st.border]
+    border -= curv.border
+    cross = a[:, :, None] * c[:, None, :]
+    coupling = J.coupling.T * root_gn[nb:]
+    return _BlockHessian(st, blocks, border, cross, coupling)
 
 
 def _solve_spd(H, rhs):
@@ -375,17 +365,14 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     method.  At most _MAX_NEWTON Newton steps are taken.
     """
     v = np.asarray(start, dtype=float).copy()
-    barrier = _Barrier(program)
-    current = barrier.terms(v)
+    current = _terms(program, v)
     if current is None or not np.isfinite(current[2]).all():
         raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
-    fin_lo, fin_hi = barrier.fin_lo, barrier.fin_hi
     f, logs, g = current
-    grad_f, log_grad, J = barrier.pieces(v, g)
-    s = np.concatenate([g, *barrier.box_slacks(v)])
-    k, m = g.size, s.size
-    lo = slice(k, k + v[fin_lo].size)
-    hi = slice(lo.stop, m)
+    grad_f, log_grad, J = _pieces(program, v, g)
+    s = np.concatenate([g, v - program.lower, program.upper - v])
+    k, m = g.size, s.size       # m >= 2n: the rows, then both box sides
+    lo, hi = slice(k, k + program.n), slice(k + program.n, m)
     # gap = m/t, floored at tol (t at its cap).  The multipliers y start on
     # the central path at t = 1.  gap follows the surrogate gap eta / 10, but
     # only after a step the line search did not shorten: while steps are
@@ -399,16 +386,13 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     while steps < _MAX_NEWTON:
         if undamped:
             gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
-        if m and gap <= recorded_gap / _GAP_SHRINK:
+        if gap <= recorded_gap / _GAP_SHRINK:
             stage_objectives.append(float(f))
             recorded_gap = gap
-        t = m / gap if m else 1.0
+        t = m / gap
         grad = log_grad / t - grad_f
         weight = y / s
-        box = np.zeros(program.n)
-        box[fin_lo] += weight[lo]
-        box[fin_hi] += weight[hi]
-        d = barrier.newton_direction(v, g, J, grad, y[:k], box)
+        d = _newton_direction(program, v, g, J, grad, y[:k], weight[lo] + weight[hi])
         steps += 1
         decrement = float(-grad @ d)
         if decrement < 0:        # model not PD enough; fall back to steepest descent
@@ -419,7 +403,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
         # The multipliers' Newton step, and the largest step keeping them
         # a fraction _TO_BOUNDARY away from zero.
         slack_step = np.concatenate([J.matvec(d) if program.structure is not None else J @ d,
-                                     d[fin_lo], -d[fin_hi]])
+                                     d, -d])
         dy = 1.0 / (t * s) - y - weight * slack_step
         shrinking = dy < 0
         alpha = alpha_max = 1.0 if not shrinking.any() else \
@@ -427,7 +411,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
         phi = -f - logs / t
         while alpha > 1e-14:
             trial = v + alpha * d
-            terms = barrier.terms(trial)
+            terms = _terms(program, trial)
             phi_trial = np.inf if terms is None else -terms[0] - terms[1] / t
             if phi_trial <= phi - _ARMIJO_SLOPE * alpha * decrement:
                 break
@@ -444,13 +428,13 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
             continue
         v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
         f, logs, g = terms
-        grad_f, log_grad, J = barrier.pieces(v, g)
-        s = np.concatenate([g, *barrier.box_slacks(v)])
+        grad_f, log_grad, J = _pieces(program, v, g)
+        s = np.concatenate([g, v - program.lower, program.upper - v])
     stage_objectives.append(float(f))
 
     # Every accepted iterate is strictly interior (the line search rejects
     # the rest), so the report needs only the optimality measure.
-    kkt = max(gap if m else 0.0, 0.5 * decrement)
+    kkt = max(gap, 0.5 * decrement)
     status = "converged" if kkt <= tol else "max_iters"
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
                        barrier_iterations=steps, status=status,
@@ -469,11 +453,9 @@ def check_gradients(program: ConcaveProgram, reference_point, rng=None,
     v0 = np.asarray(reference_point, dtype=float)
     if not _interior(program, v0):
         raise ValueError("reference_point must be strictly interior")
-    lo = np.where(np.isfinite(program.lower), program.lower, v0 - 1.0)
-    hi = np.where(np.isfinite(program.upper), program.upper, v0 + 1.0)
     worst = 0.0
     for _ in range(n_points):
-        target = rng.uniform(lo, hi)
+        target = rng.uniform(program.lower, program.upper)
         lam = 1.0
         v = v0 + lam * (target - v0)
         while lam > 1e-6 and not _interior(program, v, margin=1e-12):

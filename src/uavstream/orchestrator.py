@@ -31,7 +31,7 @@ _SCHEMES = {
     "resource_only": _Scheme(p5=True, sca_steps=0),
     "position_only": _Scheme(p5=False, sca_steps=1),
     "relay_baseline": _Scheme(p5=False, sca_steps=0),
-    "no_relay": _Scheme(p5=True, sca_steps=1, relay=False),
+    "no_relay": _Scheme(p5=True, sca_steps=None, relay=False),
 }
 SCHEMES = tuple(_SCHEMES)
 
@@ -134,18 +134,19 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
 
     The starting point is left open by the iteration itself, and the SCA
     descent is path dependent, so by default two initializations are tried:
-    the geometric heuristic, and the heuristic with its placement pre-refined
-    at the initial resource split.  The better converged run is reported.
-    An explicit initial_state suppresses the restart.
+    the geometric heuristic, and position_only's answer (the heuristic's
+    placement refined at the initial resource split).  The better converged
+    run is reported.  The BCD trace never falls, so the second run, and with
+    it the result, is never below position_only.  An explicit initial_state
+    suppresses the restart.
     """
-    cfg = scenario.config
-    budget = make_link_budget(cfg)
+    budget = make_link_budget(scenario.config)
     if initial_state is not None:
         return _bcd(scenario, budget, initial_state.copy(), "joint")
 
     base = initialize_state(scenario, budget)
     first = _bcd(scenario, budget, base, "joint")
-    warmed, _, _ = _sca_descent(scenario, budget, base.copy(), cfg.max_bcd_iters)
+    warmed = _bcd(scenario, budget, base, "position_only").state
     second = _bcd(scenario, budget, warmed, "joint")
     return second if second.avg_utility > first.avg_utility else first
 

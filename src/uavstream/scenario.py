@@ -9,7 +9,7 @@ share across worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class SystemConfig:
         for name, value in positive:
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if self.rician_K < 0:
-            raise ConfigError(f"rician_K must be >= 0, got {self.rician_K}")
+        if not (self.rician_K >= 0 and math.isfinite(self.rician_K)):
+            raise ConfigError(f"rician_K must be finite and >= 0, got {self.rician_K}")
         if not (0.0 < self.outage_target_rho < 1.0):
             raise ConfigError(
                 f"outage_target_rho must lie in (0, 1), got {self.outage_target_rho}")
@@ -192,7 +192,8 @@ def distances(scenario: Scenario, placement: UavPlacement, user_index: int):
 # alternate suffixed keys noise_density_N0_dbm (dBm/Hz) and
 # ref_gain_alpha0_db (dB) are converted to linear units on ingestion.
 
-_INT_FIELDS = {"num_users_U", "rng_seed", "max_bcd_iters"}
+# The annotations are strings (postponed evaluation).
+_INT_FIELDS = {f.name for f in fields(SystemConfig) if f.type == "int"}
 
 TABLE2 = {
     "bandwidth_B": 1e6,
@@ -262,8 +263,8 @@ def parse_config_text(text: str) -> SystemConfig:
             values[key] = int(num) if key in _INT_FIELDS else num
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-    missing = [f for f in SystemConfig.__dataclass_fields__
-               if f not in values and f not in ("rng_seed", "sca_tol", "bcd_tol", "max_bcd_iters")]
+    missing = [f.name for f in fields(SystemConfig)
+               if f.name not in values and f.default is MISSING]
     if missing:
         raise ConfigError(f"missing config keys: {', '.join(missing)}")
     try:

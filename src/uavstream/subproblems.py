@@ -38,15 +38,15 @@ class InfeasibleProblem(RuntimeError):
 
 
 @lru_cache(maxsize=32)
-def _cached_inverse_cdf(rho: float, K: float, tol: float) -> float:
-    return rician_cdf_inverse(rho, K, tol)
+def _cached_inverse_cdf(rho: float, K: float) -> float:
+    return rician_cdf_inverse(rho, K)
 
 
-def make_link_budget(config: SystemConfig, tol: float = 1e-10) -> LinkBudget:
-    """LinkBudget for a config; the CDF inversion is cached across calls."""
-    return LinkBudget(mu0=config.mu0,
-                      inv_cdf_at_rho=_cached_inverse_cdf(
-                          config.outage_target_rho, config.rician_K, tol))
+def make_link_budget(config: SystemConfig) -> LinkBudget:
+    """LinkBudget for a config; the CDF inversion (at rician_cdf_inverse's
+    default tolerance) is cached across calls."""
+    return LinkBudget(mu0=config.mu0, inv_cdf_at_rho=_cached_inverse_cdf(
+        config.outage_target_rho, config.rician_K))
 
 
 def utility_params(config: SystemConfig) -> UtilityParams:

@@ -151,6 +151,15 @@ def test_criterion_5_scheme_dominance(user_count_table):
                 assert joint >= other, (users, scheme, joint, other)
 
 
+def test_joint_never_below_position_only_per_cell(user_count_table):
+    # joint's second run starts from position_only's answer and its BCD trace
+    # never falls, so this holds cell by cell, with no tolerance.
+    for users in (10, 20, 30):
+        for s in range(20):
+            joint = user_count_table[("joint", users, s)]
+            assert joint >= user_count_table[("position_only", users, s)], (users, s)
+
+
 def test_criterion_6_trends(user_count_table):
     with criterion(6, "figure trends"):
         # utility falls as the user count grows

@@ -120,6 +120,15 @@ class TestRicianInverse:
         with pytest.raises(ValueError):
             rician_cdf_inverse(0.01, -0.5)
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf])
+    def test_non_finite_k_rejected(self, K):
+        # Without the check a NaN K runs the Marcum series to its term cap on
+        # every call, and an infinite K fails the bracket expansion.
+        with pytest.raises(ValueError, match="finite"):
+            rician_cdf(1.0, K)
+        with pytest.raises(ValueError, match="finite"):
+            rician_cdf_inverse(0.01, K)
+
 
 class TestGainAndRates:
     def test_rate_agu_hand_value(self):

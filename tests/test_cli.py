@@ -167,6 +167,16 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rician_k_exit_1(self, value, tmp_path, capsys):
+        # Caught by the config check, before any CDF inversion runs.
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(format_config(table2_config()) + f"rician_K = {value}\n")
+        code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "rician_K" in err and "Traceback" not in err
+
     def test_bad_grid_exit_1(self, tmp_path, capsys):
         code = main(["sweep", "--grid", "3,2,1", "--seeds", "1",
                      "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])

@@ -1,10 +1,13 @@
 """Barrier solver behaviour against closed forms and brute-force grid search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram, _Barrier, _BlockHessian, _solve_spd,
+                                   ConcaveProgram, _BlockHessian, _hessian,
+                                   _newton_direction, _pieces, _solve_spd, _terms,
                                    check_gradients, solve_concave, without_structure)
 
 
@@ -165,6 +168,24 @@ class TestGridOracle:
         assert abs(report.objective - grid_best) <= 1e-4
 
 
+class TestBoxContract:
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_bounds(self, side, bound):
+        # A NaN bound passes the lower < upper check, so finiteness is
+        # checked on its own: every box side carries a log term.
+        program = waterfill_program()
+        box = {"lower": program.lower.copy(), "upper": program.upper.copy()}
+        box[side][1] = bound
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(program, **box)
+
+    def test_rejects_empty_program(self):
+        # With n >= 1 the solver has m >= 2 slacks, so t = m / gap is defined.
+        with pytest.raises(ValueError, match="n >= 1"):
+            dataclasses.replace(quadratic_program(), n=0, lower=np.zeros(0), upper=np.zeros(0))
+
+
 class TestStartContract:
     @pytest.mark.parametrize("start", [
         [0.9, 0.9],      # violates the constraint v1 + v2 <= 1
@@ -220,15 +241,14 @@ class TestStructuredPrograms:
     @pytest.mark.parametrize("coupled", [True, False])
     def test_block_step_solves_the_newton_system(self, coupled):
         program, v, t = block_program(coupled), self.START, 10.0
-        barrier = _Barrier(program)
-        g = barrier.terms(v)[2]
-        grad_f, log_grad, J = barrier.pieces(v, g)
+        g = _terms(program, v)[2]
+        grad_f, log_grad, J = _pieces(program, v, g)
         grad = log_grad / t - grad_f
         # The central-path weights at t: the barrier's own Hessian.
         w = 1.0 / (t * g)
         box = 1.0 / (t * (v - program.lower) ** 2) + 1.0 / (t * (program.upper - v) ** 2)
-        d = barrier.newton_direction(v, g, J, grad, w, box)
-        H = _Barrier(without_structure(program)).hessian(v, g, J.dense(), w, box)
+        d = _newton_direction(program, v, g, J, grad, w, box)
+        H = _hessian(without_structure(program), v, g, J.dense(), w, box)
         assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
 
     def test_gradient_checker_reads_block_jacobians(self):
@@ -253,7 +273,7 @@ class TestStructuredPrograms:
         program = waterfill_program()
         constraints = program.constraints
         program.constraints = lambda v: calls.append(v) or constraints(v)
-        assert _Barrier(program).terms(np.array([-0.1, 0.5])) is None
+        assert _terms(program, np.array([-0.1, 0.5])) is None
         assert calls == []
 
 

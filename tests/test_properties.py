@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uavstream.convex_core import NumericError
-from uavstream.orchestrator import SCHEMES, initialize_state, run_benchmark
+from uavstream.orchestrator import SCHEMES, initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
                                    solve_p5)
@@ -74,3 +74,20 @@ def test_every_scheme_keeps_the_bcd_invariants(cfg, scheme):
     exact = res.trace.exact_objectives
     assert all(b >= a - 1e-9 for a, b in zip(exact, exact[1:]))
     assert all(lb <= ex + 1e-9 for lb, ex in zip(res.trace.lower_bound_objectives, exact))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=config_strategy(max_users=8))
+def test_joint_is_never_below_position_only(cfg):
+    # joint's second run starts from position_only's answer and its BCD trace
+    # never falls: no tolerance.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = generate_scenario(cfg)
+        try:
+            joint = run_algorithm1(sc).avg_utility
+            position_only = run_benchmark(sc, "position_only").avg_utility
+        except (InfeasibleProblem, NumericError, ConfigError):
+            return
+    assert joint >= position_only

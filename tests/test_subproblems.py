@@ -8,8 +8,9 @@ import pytest
 from scipy.optimize import minimize
 
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
-from uavstream.convex_core import (_Barrier, _interior, _solve_spd, check_gradients,
-                                   solve_concave, without_structure)
+from uavstream.convex_core import (_hessian, _interior, _newton_direction, _pieces,
+                                   _solve_spd, _terms, check_gradients, solve_concave,
+                                   without_structure)
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
@@ -630,7 +631,7 @@ def test_barrier_rejects_out_of_box_point_before_callbacks(name):
     v[0] = -0.01
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _Barrier(program).terms(v) is None
+        assert _terms(program, v) is None
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -700,20 +701,19 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     rounding of its Woodbury correction, at most 1%.
     """
     program, v = builder_program(name, num_users, seed=17)
-    structured = _Barrier(program)
-    g = structured.terms(v)[2]
-    grad_f, log_grad, J = structured.pieces(v, g)
+    g = _terms(program, v)[2]
+    grad_f, log_grad, J = _pieces(program, v, g)
     grad = log_grad / t - grad_f
     rng = np.random.default_rng(num_users) if duals == "off_path" else None
     w, box = off_path_weights(program, v, g, t, rng)
-    d_block = structured.newton_direction(v, g, J, grad, w, box)
+    d_block = _newton_direction(program, v, g, J, grad, w, box)
 
-    dense = _Barrier(without_structure(program))
-    dense_g = dense.terms(v)[2]
-    dense_grad_f, dense_log_grad, dense_J = dense.pieces(v, dense_g)
+    dense = without_structure(program)
+    dense_g = _terms(dense, v)[2]
+    dense_grad_f, dense_log_grad, dense_J = _pieces(dense, v, dense_g)
     dense_grad = dense_log_grad / t - dense_grad_f
     assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
-    H = dense.hessian(v, dense_g, dense_J, w, box)
+    H = _hessian(dense, v, dense_g, dense_J, w, box)
     d_dense = _solve_spd(H, -grad)
     ridged = H + 1e-10 * max(1.0, np.max(np.abs(np.diag(H)))) * np.eye(program.n)
 
