@@ -18,21 +18,21 @@ caller supplies a strictly interior start with a finite objective.
 Every program supplies an exact combined-curvature callback, so each step is
 a Newton step.
 
-A program may also declare the shape of its Hessian (BlockStructure): every
+Every program declares the shape of its Hessian (BlockStructure): every
 variable lies in exactly one small block or in a dense border coupled to every
 block; each local constraint row touches one block and the border, and a few
-dense coupling rows follow.  Its Jacobian and curvature callbacks then answer
-in block form (the curvature is a diagonal plus a border matrix), and each
-Newton step is solved by block elimination of the border plus a
+dense coupling rows follow.  Its Jacobian and curvature callbacks answer in
+block form (the curvature is a diagonal plus a border matrix), and each Newton
+step is solved by block elimination of the border plus a
 Sherman-Morrison-Woodbury correction for the coupling rows, in O(n) time and
-memory.  Programs without a declared structure take the dense Cholesky step.
+memory.  A generic program declares no blocks: every variable in the border
+and every row a coupling row.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class BlockStructure:
     blocks: (nb, s) variable indices.  Constraint row j < nb is local: it
     touches only the variables blocks[j] and the border.  The remaining
     k = m - nb rows couple everything and must be few.
+    blocks may be empty, which leaves every row a coupling row.
     border: (b,) variable indices shared by every local row (may be empty).
     Every variable lies in exactly one block or in the border.  Curvature is
     diagonal except within the border.
@@ -65,7 +66,7 @@ class BlockStructure:
 
     def __init__(self, n: int, blocks, border=()):
         blocks = np.asarray(blocks, dtype=np.intp)
-        self.blocks = blocks.reshape(len(blocks), -1)
+        self.blocks = blocks.reshape(len(blocks), -1) if len(blocks) else blocks.reshape(0, 0)
         self.border = np.asarray(border, dtype=np.intp).reshape(-1)
         self.n = n
         used = np.concatenate([self.blocks.ravel(), self.border])
@@ -106,30 +107,14 @@ class BlockJacobian:
         return bool(np.isfinite(self.local).all() and np.isfinite(self.coupling).all()
                     and np.isfinite(self.border_part).all())
 
-    def dense(self):
-        st = self.structure
-        nb = len(st.blocks)
-        J = np.zeros((nb + len(self.coupling), st.n))
-        J[np.arange(nb)[:, None], st.blocks] = self.local
-        J[:nb, st.border] = self.border_part
-        J[nb:] = self.coupling
-        return J
-
 
 @dataclass
 class BlockCurvature:
     """hess f + sum_j w_j hess g_j of a structured program, in block form:
     a full diagonal plus a border matrix."""
 
-    structure: BlockStructure
     diag: np.ndarray        # (n,)
     border: np.ndarray      # (b, b)
-
-    def dense(self):
-        st = self.structure
-        H = np.diag(self.diag)
-        H[np.ix_(st.border, st.border)] += self.border
-        return H
 
 
 @dataclass
@@ -138,25 +123,23 @@ class ConcaveProgram:
 
     objective/gradient: smooth concave f and its gradient.
     constraints/constraint_jac: vector g(v) >= 0 of smooth concave functions
-    and its (m, n) Jacobian; m may be zero.
+    (m may be zero) and its Jacobian, as a BlockJacobian.
     lower/upper: finite box bounds.
-    curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), for the
-    Newton steps.
-    structure: optional BlockStructure; when given, constraint_jac returns a
-    BlockJacobian, curvature a BlockCurvature, and Newton steps are solved in
-    block form.
+    curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), as a
+    BlockCurvature, for the Newton steps.
+    structure: the BlockStructure both callbacks answer in.
     """
 
     n: int
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     constraints: Callable[[np.ndarray], np.ndarray]
-    constraint_jac: Callable[[np.ndarray], np.ndarray]
+    constraint_jac: Callable[[np.ndarray], BlockJacobian]
     lower: np.ndarray
     upper: np.ndarray
-    curvature: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    curvature: Callable[[np.ndarray, np.ndarray], BlockCurvature]
+    structure: BlockStructure
     name: str = ""
-    structure: Optional[BlockStructure] = None
 
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
@@ -167,8 +150,8 @@ class ConcaveProgram:
             raise ValueError("box bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper on every coordinate")
-        if self.structure is not None and self.structure.n != self.n:
-            raise ValueError("a structured program's BlockStructure must have the same n")
+        if self.structure.n != self.n:
+            raise ValueError("a program's BlockStructure must have the same n")
 
 
 @dataclass
@@ -179,23 +162,6 @@ class SolveReport:
     barrier_iterations: int
     status: str                      # converged | max_iters
     stage_objectives: list = field(default_factory=list)
-
-
-def _interior(program: ConcaveProgram, v: np.ndarray, margin: float = 0.0) -> bool:
-    if np.any(v <= program.lower + margin) or np.any(v >= program.upper - margin):
-        return False
-    g = np.atleast_1d(program.constraints(v))
-    return bool(np.all(np.isfinite(g)) and np.all(g > margin))
-
-
-def without_structure(program: ConcaveProgram) -> ConcaveProgram:
-    """The same program with dense Jacobian and curvature callbacks."""
-    if program.structure is None:
-        return program
-    jac, curvature = program.constraint_jac, program.curvature
-    return dataclasses.replace(program, structure=None,
-                               constraint_jac=lambda v: jac(v).dense(),
-                               curvature=lambda v, w: curvature(v, w).dense())
 
 
 # The log barrier of a program: f, the log slacks and their derivatives.  Its
@@ -224,40 +190,19 @@ def _pieces(p: ConcaveProgram, v, g):
     there (as _terms returns them); the barrier's gradient at t is the second
     over t minus the first."""
     J = p.constraint_jac(v)
-    if p.structure is not None:
-        finite = J.all_finite()
-    else:
-        J = np.atleast_2d(np.asarray(J, dtype=float)) if g.size else np.zeros((0, p.n))
-        finite = np.isfinite(J).all()
     grad_f = np.asarray(p.gradient(v), dtype=float)
-    if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and finite):
+    if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and J.all_finite()):
         raise NumericError("non-finite objective/constraint derivatives", v)
     log_grad = 1.0 / (p.upper - v) - 1.0 / (v - p.lower)
-    if g.size:
-        log_grad -= J.rmatvec(1.0 / g) if p.structure is not None else J.T @ (1.0 / g)
+    log_grad -= J.rmatvec(1.0 / g)
     return grad_f, log_grad, J
 
 
-def _hessian(p: ConcaveProgram, v, g, J, w, box):
-    """The dense Newton matrix: the Gauss-Newton part of the constraint terms,
-    the box diagonal, and minus the program's curvature."""
-    H = (J.T * (w / g)) @ J
-    H[np.diag_indices_from(H)] += box
-    H -= p.curvature(v, w)   # -(hess f + sum w_j hess g_j) is PSD
-    return H
-
-
-def _newton_direction(p: ConcaveProgram, v, g, J, grad, w, box):
-    """Solve (Newton matrix) d = -grad, in block form when declared."""
-    H = _hessian(p, v, g, J, w, box) if p.structure is None \
-        else _block_hessian(p, v, g, J, w, box)
-    return _solve_spd(H, -grad)
-
-
 def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
-    """The Newton matrix in block form: the blocks, the border, the
-    block-border entries and the coupling rows scaled by the square roots of
-    their Gauss-Newton weights w/g."""
+    """The Newton matrix (the Gauss-Newton part of the constraint terms, the
+    box diagonal, and minus the program's curvature) in block form: the
+    blocks, the border, the block-border entries and the coupling rows scaled
+    by the square roots of their Gauss-Newton weights w/g."""
     st = p.structure
     nb, size = st.blocks.shape
     curv = p.curvature(v, w)
@@ -265,7 +210,7 @@ def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
     diag = box - curv.diag
     a = J.local * root_gn[:nb, None]
     blocks = a[:, :, None] * a[:, None, :]
-    blocks.reshape(nb, -1)[:, ::size + 1] += diag[st.blocks]
+    blocks.reshape(nb, size * size)[:, ::size + 1] += diag[st.blocks]
     c = J.border_part * root_gn[:nb, None]
     border = c.T @ c
     border.flat[::len(st.border) + 1] += diag[st.border]
@@ -276,19 +221,15 @@ def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
 
 
 def _solve_spd(H, rhs):
-    """(H + ridge I)^{-1} rhs for H a dense matrix or a _BlockHessian.
+    """(H + ridge I)^{-1} rhs for a _BlockHessian H.
 
     The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
     grows 100-fold while the factorization fails.
     """
-    dense = isinstance(H, np.ndarray)
-    ridge = _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H)))) if dense else H.max_diag())
+    ridge = _RIDGE0 * max(1.0, H.max_diag())
     for _ in range(12):
         try:
-            if not dense:
-                return H.solve(rhs, ridge)
-            L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
-            return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+            return H.solve(rhs, ridge)
         except np.linalg.LinAlgError:
             ridge *= 100.0
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
@@ -306,11 +247,11 @@ class _BlockHessian:
     coupling: np.ndarray    # (n, k)
 
     def max_diag(self):
-        """Largest |H_ii|, as _solve_spd reads it off a dense matrix."""
+        """Largest |H_ii|."""
         st = self.structure
-        size = self.blocks.shape[1]
+        nb, size = st.blocks.shape
         diag = np.square(self.coupling).sum(axis=1)
-        diag[st.blocks] += self.blocks.reshape(len(st.blocks), -1)[:, ::size + 1]
+        diag[st.blocks] += self.blocks.reshape(nb, size * size)[:, ::size + 1]
         diag[st.border] += self.border.diagonal()
         return float(np.abs(diag).max())
 
@@ -392,7 +333,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
         t = m / gap
         grad = log_grad / t - grad_f
         weight = y / s
-        d = _newton_direction(program, v, g, J, grad, y[:k], weight[lo] + weight[hi])
+        d = _solve_spd(_block_hessian(program, v, g, J, y[:k], weight[lo] + weight[hi]), -grad)
         steps += 1
         decrement = float(-grad @ d)
         if decrement < 0:        # model not PD enough; fall back to steepest descent
@@ -402,8 +343,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
             break
         # The multipliers' Newton step, and the largest step keeping them
         # a fraction _TO_BOUNDARY away from zero.
-        slack_step = np.concatenate([J.matvec(d) if program.structure is not None else J @ d,
-                                     d, -d])
+        slack_step = np.concatenate([J.matvec(d), d, -d])
         dy = 1.0 / (t * s) - y - weight * slack_step
         shrinking = dy < 0
         alpha = alpha_max = 1.0 if not shrinking.any() else \
@@ -439,52 +379,3 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
                        barrier_iterations=steps, status=status,
                        stage_objectives=stage_objectives)
-
-
-def check_gradients(program: ConcaveProgram, reference_point, rng=None,
-                    n_points: int = 100, step: float = 1e-6) -> float:
-    """Max relative error of gradient/Jacobian callbacks vs central differences.
-
-    Points are sampled on segments from the strictly interior reference point
-    toward random box points, shrunk until they stay interior.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    program = without_structure(program)
-    v0 = np.asarray(reference_point, dtype=float)
-    if not _interior(program, v0):
-        raise ValueError("reference_point must be strictly interior")
-    worst = 0.0
-    for _ in range(n_points):
-        target = rng.uniform(program.lower, program.upper)
-        lam = 1.0
-        v = v0 + lam * (target - v0)
-        while lam > 1e-6 and not _interior(program, v, margin=1e-12):
-            lam *= 0.5
-            v = v0 + lam * (target - v0)
-        if not _interior(program, v, margin=1e-12):
-            continue
-        worst = max(worst, _point_gradient_error(program, v, step))
-    return worst
-
-
-def _point_gradient_error(program, v, step):
-    n = program.n
-    grad = np.asarray(program.gradient(v), dtype=float)
-    J = np.atleast_2d(np.asarray(program.constraint_jac(v), dtype=float))
-    m = np.atleast_1d(program.constraints(v)).size
-    worst = 0.0
-    for i in range(n):
-        h = step * max(1.0, abs(v[i]))
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        fd_obj = (program.objective(vp) - program.objective(vm)) / (2 * h)
-        denom = max(1e-8, abs(fd_obj), abs(grad[i]))
-        worst = max(worst, abs(fd_obj - grad[i]) / denom)
-        if m:
-            fd_con = (np.atleast_1d(program.constraints(vp))
-                      - np.atleast_1d(program.constraints(vm))) / (2 * h)
-            for j in range(m):
-                denom = max(1e-8, abs(fd_con[j]), abs(J[j, i]))
-                worst = max(worst, abs(fd_con[j] - J[j, i]) / denom)
-    return worst

@@ -21,6 +21,9 @@ class ConfigError(ValueError):
 # Far above any instance the dense per-user arrays serve, and far below the
 # sizes numpy cannot allocate.
 _MAX_USERS = 1_000_000
+# 60 dB: the Rician CDF inversion takes about a second at K = 1e6 and fails
+# to bracket its root by K = 1e9.
+_MAX_RICIAN_K = 1e6
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,9 @@ class SystemConfig:
         for name, value in positive:
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not (self.rician_K >= 0 and math.isfinite(self.rician_K)):
-            raise ConfigError(f"rician_K must be finite and >= 0, got {self.rician_K}")
+        if not 0 <= self.rician_K <= _MAX_RICIAN_K:
+            raise ConfigError(
+                f"rician_K must lie in [0, {_MAX_RICIAN_K:g}], got {self.rician_K}")
         if not (0.0 < self.outage_target_rho < 1.0):
             raise ConfigError(
                 f"outage_target_rho must lie in (0, 1), got {self.outage_target_rho}")

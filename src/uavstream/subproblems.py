@@ -248,7 +248,7 @@ def _p5_program(scenario, budget, placement, x_start):
         diag = np.empty(n)
         diag[sx] = w[:U] * one_m_rho * _persp_dxx(v[sx], c)
         diag[sr] = -theta_over_U / v[sr] ** 2
-        return BlockCurvature(structure, diag, np.zeros((0, 0)))
+        return BlockCurvature(diag, np.zeros((0, 0)))
 
     r_hi = one_m_rho * _persp_rate(np.ones(U), c) + 1.0
     program = ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -506,7 +506,7 @@ def _p7_program(scenario, coeffs, x):
         diag[sr] = -theta_over_U / v[sr] ** 2
         weights = np.concatenate([[2.0 * float(np.sum(w[:U] * ku))], 2.0 * w[U:] * kh])
         border = -(incidence.T * np.repeat(weights, 2)) @ incidence
-        return BlockCurvature(structure, diag, border=border)
+        return BlockCurvature(diag, border=border)
 
     extent = _placement_extent(cfg) / _POS_SCALE
     lower = np.concatenate([np.full(nb, -extent), np.zeros(U)])

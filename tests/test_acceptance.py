@@ -13,12 +13,13 @@ import pytest
 
 from uavstream.channel import (LinkBudget, outage_probability, rate_agu, rate_gbs,
                                rate_relay, rician_cdf, rician_cdf_inverse)
-from uavstream.convex_core import check_gradients
 from uavstream.orchestrator import initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5, solve_p7,
                                    _p5_program, _p7_program)
+
+from dense_reference import check_gradients
 
 LN2 = math.log(2.0)
 BENCHMARKS = ("resource_only", "position_only", "no_relay")

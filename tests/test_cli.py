@@ -167,9 +167,10 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_rician_k_exit_1(self, value, tmp_path, capsys):
-        # Caught by the config check, before any CDF inversion runs.
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e9"])
+    def test_out_of_range_rician_k_exit_1(self, value, tmp_path, capsys):
+        # Caught by the config check, before any CDF inversion runs; at
+        # K = 1e9 the inversion would fail to bracket its root.
         bad = tmp_path / "bad.cfg"
         bad.write_text(format_config(table2_config()) + f"rician_K = {value}\n")
         code = main(["converge", "--config", str(bad), "--out", str(tmp_path / "o.csv")])

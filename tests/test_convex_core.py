@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram, _BlockHessian, _hessian,
-                                   _newton_direction, _pieces, _solve_spd, _terms,
-                                   check_gradients, solve_concave, without_structure)
+                                   ConcaveProgram, _BlockHessian, _block_hessian, _pieces,
+                                   _solve_spd, _terms, solve_concave)
+
+from dense_reference import border_only, border_only_twin, check_gradients, dense_newton_matrix
 
 
 def quadratic_program():
     """maximize -||v||^2 on [-1, 1]^2."""
-    return ConcaveProgram(
+    return border_only(
         n=2,
         objective=lambda v: -float(v @ v),
         gradient=lambda v: -2.0 * v,
@@ -26,7 +27,7 @@ def quadratic_program():
 
 def waterfill_program():
     """maximize ln v1 + ln v2 subject to v1 + v2 <= 1."""
-    return ConcaveProgram(
+    return border_only(
         n=2,
         objective=lambda v: float(np.sum(np.log(v))),
         gradient=lambda v: 1.0 / v,
@@ -49,7 +50,7 @@ def random_concave_program(seed):
         d = v - root
         return -float(d @ M @ d)
 
-    return ConcaveProgram(
+    return border_only(
         n=3,
         objective=objective,
         gradient=lambda v: -2.0 * (M @ (v - root)),
@@ -96,7 +97,7 @@ def block_program(coupled=True):
         diag = np.zeros(n)
         diag[xs] = -2.0 * w[:3]
         diag[ys] = -1.0 / v[ys] ** 2
-        return BlockCurvature(structure, diag, border=-2.0 * np.eye(3))
+        return BlockCurvature(diag, border=-2.0 * np.eye(3))
 
     lower = np.array([-2.0, -2.0, -2.0, 0.0, -2.0, 0.0, -2.0, 0.0, -2.0])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -185,6 +186,17 @@ class TestBoxContract:
         with pytest.raises(ValueError, match="n >= 1"):
             dataclasses.replace(quadratic_program(), n=0, lower=np.zeros(0), upper=np.zeros(0))
 
+    def test_requires_a_structure(self):
+        fields = {f.name: getattr(waterfill_program(), f.name)
+                  for f in dataclasses.fields(ConcaveProgram) if f.name != "structure"}
+        with pytest.raises(TypeError, match="structure"):
+            ConcaveProgram(**fields)
+
+    def test_rejects_structure_of_another_size(self):
+        with pytest.raises(ValueError, match="same n"):
+            dataclasses.replace(waterfill_program(),
+                                structure=BlockStructure(3, [], border=range(3)))
+
 
 class TestStartContract:
     @pytest.mark.parametrize("start", [
@@ -199,7 +211,7 @@ class TestStartContract:
 
     def test_rejects_start_with_non_finite_objective(self):
         # The start is inside the box and the constraint, but f(start) = -inf.
-        program = ConcaveProgram(
+        program = border_only(
             n=1,
             objective=lambda v: -np.inf,
             gradient=lambda v: np.zeros(1),
@@ -233,7 +245,7 @@ class TestStructuredPrograms:
     def test_block_solve_matches_dense_solve(self, coupled):
         program = block_program(coupled)
         block = solve_concave(program, start=self.START, tol=1e-10)
-        dense = solve_concave(without_structure(program), start=self.START, tol=1e-10)
+        dense = solve_concave(border_only_twin(program), start=self.START, tol=1e-10)
         assert block.status == dense.status == "converged"
         assert block.objective == pytest.approx(dense.objective, rel=1e-10)
         assert np.allclose(block.solution, dense.solution, atol=1e-6)
@@ -247,8 +259,8 @@ class TestStructuredPrograms:
         # The central-path weights at t: the barrier's own Hessian.
         w = 1.0 / (t * g)
         box = 1.0 / (t * (v - program.lower) ** 2) + 1.0 / (t * (program.upper - v) ** 2)
-        d = _newton_direction(program, v, g, J, grad, w, box)
-        H = _hessian(without_structure(program), v, g, J.dense(), w, box)
+        d = _solve_spd(_block_hessian(program, v, g, J, w, box), -grad)
+        H = dense_newton_matrix(program, v, g, w, box)
         assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
 
     def test_gradient_checker_reads_block_jacobians(self):
@@ -267,6 +279,8 @@ class TestStructuredPrograms:
         with pytest.raises(ValueError):
             BlockStructure(3, [[0, 1]], border=[3])
         BlockStructure(4, [[0, 1]], border=[2, 3])
+        # No blocks, as the generic programs above declare (and solve).
+        assert BlockStructure(4, [], border=range(4)).blocks.shape == (0, 0)
 
     def test_barrier_value_checks_box_before_constraints(self):
         calls = []
@@ -278,7 +292,7 @@ class TestStructuredPrograms:
 
 
 class TestLastResortStep:
-    """When every ridge fails, both Newton paths return rhs / ridge: a scaled
+    """When every ridge fails, the Newton step is rhs / ridge: a scaled
     steepest-descent step.  The off-diagonal entries here exceed the largest
     ridge tried (1e12 times the largest diagonal entry, at least 1e12), so
     H + ridge I stays indefinite throughout the escalation."""
@@ -286,10 +300,6 @@ class TestLastResortStep:
     H = np.array([[0.0, 1e13], [1e13, 0.0]])
     RHS = np.array([1.0, -2.0])
     LAST_RIDGE = _RIDGE0 * 100.0 ** 12
-
-    def test_dense_path(self):
-        assert np.allclose(_solve_spd(self.H, self.RHS), self.RHS / self.LAST_RIDGE,
-                           rtol=1e-12, atol=0.0)
 
     def test_structured_path(self):
         structure = BlockStructure(2, [[0, 1]])

@@ -37,7 +37,7 @@ class TestSystemConfig:
     @pytest.mark.parametrize("field,value", [
         ("bandwidth_B", 0.0), ("noise_density_N0", -1e-20), ("outage_target_rho", 0.0),
         ("outage_target_rho", 1.0), ("num_users_U", 0), ("rician_K", -1.0),
-        ("rician_K", float("nan")), ("rician_K", float("inf")),
+        ("rician_K", float("nan")), ("rician_K", float("inf")), ("rician_K", 1e9),
         ("p_max_user", 0.0), ("area_side", -5.0), ("network_size_D", 0.0),
         ("rng_seed", -1), ("num_users_U", 1_000_001),
     ])
@@ -193,8 +193,9 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="integer"):
             parse_config_text(text)
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e9"])
     def test_non_finite_rician_k_rejected(self, value):
+        # 1e9 is finite but above the 60 dB cap.
         text = format_config(table2_config()) + f"rician_K = {value}\n"
         with pytest.raises(ConfigError, match="rician_K"):
             parse_config_text(text)

@@ -8,9 +8,7 @@ import pytest
 from scipy.optimize import minimize
 
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
-from uavstream.convex_core import (_hessian, _interior, _newton_direction, _pieces,
-                                   _solve_spd, _terms, check_gradients, solve_concave,
-                                   without_structure)
+from uavstream.convex_core import _block_hessian, _pieces, _solve_spd, _terms, solve_concave
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
@@ -19,6 +17,10 @@ from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_ca
                                    make_link_budget, sca_coefficients, solve_p5,
                                    solve_p7, _flat_face_centre, _p5_constants, _p5_program,
                                    _p7_program)
+
+from dense_reference import (border_only_twin, check_gradients, dense_curvature,
+                             dense_jacobian, dense_newton_matrix, dense_step, interior,
+                             random_interior_points)
 
 LN2 = math.log(2.0)
 
@@ -586,21 +588,6 @@ def builder_program(name, num_users, seed):
     return builder_programs(num_users, seed)[BUILDERS.index(name)]
 
 
-def random_interior_points(program, v0, rng, count):
-    """Points on segments from v0 toward random box points, shrunk until interior."""
-    points = []
-    while len(points) < count:
-        target = rng.uniform(program.lower, program.upper)
-        lam = 1.0
-        v = target
-        while lam > 1e-6 and not _interior(program, v, margin=1e-12):
-            lam *= 0.5
-            v = v0 + lam * (target - v0)
-        if _interior(program, v, margin=1e-12):
-            points.append(v)
-    return points
-
-
 # table2 flies both UAVs at 100 m (Ho = Hr); "low_uavs" flies them at 20 m
 # under a 100 m GBS.
 EDGE_CONFIGS = {
@@ -619,7 +606,7 @@ def test_builders_return_strictly_interior_starts(num_users, edge):
     # already be strictly inside the box and every constraint row.
     pairs = builder_programs(num_users, seed=5, **EDGE_CONFIGS[edge])
     for name, (program, v0) in zip(BUILDERS, pairs):
-        assert _interior(program, v0), name
+        assert interior(program, v0), name
 
 
 @pytest.mark.parametrize("name", ["p5", "p5_no_relay"])
@@ -651,16 +638,15 @@ def test_curvature_matches_central_differences(name):
     """curvature(v, w) against central differences of grad f + sum_j w_j grad g_j
     (criterion-8 scenario, random interior points and weights)."""
     program, v0 = builder_program(name, num_users=4, seed=17)
-    dense = without_structure(program)
     rng = np.random.default_rng(BUILDERS.index(name))
     worst = 0.0
     for v in random_interior_points(program, v0, rng, count=10):
-        w = rng.uniform(0.0, 1.0, dense.constraints(v).size)
+        w = rng.uniform(0.0, 1.0, program.constraints(v).size)
 
         def lagrangian_grad(u):
-            return dense.gradient(u) + dense.constraint_jac(u).T @ w
+            return program.gradient(u) + dense_jacobian(program.constraint_jac(u)).T @ w
 
-        C = dense.curvature(v, w)
+        C = dense_curvature(program.structure, program.curvature(v, w))
         for i in range(program.n):
             h = 1e-6 * max(abs(v[i]), 1e-3)
             step = np.zeros(program.n)
@@ -706,15 +692,10 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     grad = log_grad / t - grad_f
     rng = np.random.default_rng(num_users) if duals == "off_path" else None
     w, box = off_path_weights(program, v, g, t, rng)
-    d_block = _newton_direction(program, v, g, J, grad, w, box)
+    d_block = _solve_spd(_block_hessian(program, v, g, J, w, box), -grad)
 
-    dense = without_structure(program)
-    dense_g = _terms(dense, v)[2]
-    dense_grad_f, dense_log_grad, dense_J = _pieces(dense, v, dense_g)
-    dense_grad = dense_log_grad / t - dense_grad_f
-    assert np.allclose(dense_grad, grad, rtol=0.0, atol=1e-12 * np.abs(grad).max())
-    H = _hessian(dense, v, dense_g, dense_J, w, box)
-    d_dense = _solve_spd(H, -grad)
+    H = dense_newton_matrix(program, v, g, w, box)
+    d_dense = dense_step(H, -grad)
     ridged = H + 1e-10 * max(1.0, np.max(np.abs(np.diag(H)))) * np.eye(program.n)
 
     def residual(M, d):
@@ -724,12 +705,28 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     assert residual(H, d_block) <= max(1e-5, 1.01 * residual(H, d_dense))
 
 
+@pytest.mark.parametrize("num_users", [4, 30])
+@pytest.mark.parametrize("name", BUILDERS)
+def test_block_jacobian_products_match_the_dense_jacobian(name, num_users):
+    # The block Jacobian's products J d (the slack step) and J^T y (the
+    # barrier gradient) against the dense matrix.
+    program, v = builder_program(name, num_users, seed=17)
+    J = program.constraint_jac(v)
+    D = dense_jacobian(J)
+    rng = np.random.default_rng(num_users)
+    d, y = rng.standard_normal(program.n), rng.standard_normal(len(D))
+    for block, dense in ((J.matvec(d), D @ d), (J.rmatvec(y), D.T @ y)):
+        assert np.allclose(block, dense, rtol=0.0, atol=1e-12 * np.abs(dense).max())
+
+
 @pytest.mark.parametrize("num_users", [4, 30, 200])
 @pytest.mark.parametrize("name", BUILDERS)
 def test_structured_and_dense_solves_agree(name, num_users):
+    # The twin sees the dense callbacks, so its steps eliminate no blocks:
+    # one system in every variable and row.
     program, v0 = builder_program(name, num_users, seed=17)
     tol = 1e-9
     block = solve_concave(program, start=v0, tol=tol)
-    dense = solve_concave(without_structure(program), start=v0, tol=tol)
+    dense = solve_concave(border_only_twin(program), start=v0, tol=tol)
     assert block.status == dense.status == "converged"
     assert abs(block.objective - dense.objective) <= 1e-8 * abs(dense.objective)
