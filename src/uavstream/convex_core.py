@@ -19,7 +19,7 @@ Every program supplies an exact combined-curvature callback, so each step is
 a Newton step.
 
 Every program declares the shape of its Hessian (BlockStructure): every
-variable lies in exactly one small block or in a dense border coupled to every
+variable is a one-variable block or lies in a dense border coupled to every
 block; each local constraint row touches one block and the border, and a few
 dense coupling rows follow.  Its Jacobian and curvature callbacks answer in
 block form (the curvature is a diagonal plus a border matrix), and each Newton
@@ -55,21 +55,22 @@ class NumericError(RuntimeError):
 class BlockStructure:
     """Declared shape of a program's constraints and curvature.
 
-    blocks: (nb, s) variable indices.  Constraint row j < nb is local: it
-    touches only the variables blocks[j] and the border.  The remaining
-    k = m - nb rows couple everything and must be few.
+    blocks: (nb,) variable indices, one variable per block.  Constraint row
+    j < nb is local: it touches only the variable blocks[j] and the border.
+    The remaining k = m - nb rows couple everything and must be few.
     blocks may be empty, which leaves every row a coupling row.
     border: (b,) variable indices shared by every local row (may be empty).
-    Every variable lies in exactly one block or in the border.  Curvature is
+    Every variable is in exactly one block or in the border.  Curvature is
     diagonal except within the border.
     """
 
     def __init__(self, n: int, blocks, border=()):
-        blocks = np.asarray(blocks, dtype=np.intp)
-        self.blocks = blocks.reshape(len(blocks), -1) if len(blocks) else blocks.reshape(0, 0)
+        self.blocks = np.asarray(blocks, dtype=np.intp)
+        if self.blocks.ndim != 1:
+            raise ValueError("blocks must be a 1-D index array: one variable per block")
         self.border = np.asarray(border, dtype=np.intp).reshape(-1)
         self.n = n
-        used = np.concatenate([self.blocks.ravel(), self.border])
+        used = np.concatenate([self.blocks, self.border])
         if not np.array_equal(np.sort(used), np.arange(n)):
             raise ValueError("every variable must lie in exactly one block or in the border")
 
@@ -83,14 +84,14 @@ class BlockJacobian:
     """
 
     structure: BlockStructure
-    local: np.ndarray           # (nb, s)
+    local: np.ndarray           # (nb,)
     coupling: np.ndarray        # (k, n)
     border_part: np.ndarray     # (nb, b)
 
     def matvec(self, d):
         """J d."""
         st = self.structure
-        local = np.einsum("ij,ij->i", self.local, d[st.blocks])
+        local = self.local * d[st.blocks]
         local += self.border_part @ d[st.border]
         return np.concatenate([local, self.coupling @ d])
 
@@ -99,7 +100,7 @@ class BlockJacobian:
         st = self.structure
         nb = len(st.blocks)
         out = self.coupling.T @ y[nb:]
-        out[st.blocks] += self.local * y[:nb, None]
+        out[st.blocks] += self.local * y[:nb]
         out[st.border] += y[:nb] @ self.border_part
         return out
 
@@ -204,18 +205,17 @@ def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
     blocks, the border, the block-border entries and the coupling rows scaled
     by the square roots of their Gauss-Newton weights w/g."""
     st = p.structure
-    nb, size = st.blocks.shape
+    nb = len(st.blocks)
     curv = p.curvature(v, w)
     root_gn = np.sqrt(w / g)
     diag = box - curv.diag
-    a = J.local * root_gn[:nb, None]
-    blocks = a[:, :, None] * a[:, None, :]
-    blocks.reshape(nb, size * size)[:, ::size + 1] += diag[st.blocks]
+    a = J.local * root_gn[:nb]
+    blocks = a * a + diag[st.blocks]
     c = J.border_part * root_gn[:nb, None]
     border = c.T @ c
     border.flat[::len(st.border) + 1] += diag[st.border]
     border -= curv.border
-    cross = a[:, :, None] * c[:, None, :]
+    cross = a[:, None] * c
     coupling = J.coupling.T * root_gn[nb:]
     return _BlockHessian(st, blocks, border, cross, coupling)
 
@@ -237,21 +237,20 @@ def _solve_spd(H, rhs):
 
 @dataclass
 class _BlockHessian:
-    """H = M + Uc Uc^T, where M is block diagonal over the blocks except for
-    a dense border coupled to every block."""
+    """H = M + Uc Uc^T, where M is diagonal over the blocks except for a
+    dense border coupled to every block."""
 
     structure: BlockStructure
-    blocks: np.ndarray      # (nb, s, s)
+    blocks: np.ndarray      # (nb,) the blocks' diagonal entries
     border: np.ndarray      # (b, b)
-    cross: np.ndarray       # (nb, s, b) block-border entries
+    cross: np.ndarray       # (nb, b) block-border entries
     coupling: np.ndarray    # (n, k)
 
     def max_diag(self):
         """Largest |H_ii|."""
         st = self.structure
-        nb, size = st.blocks.shape
         diag = np.square(self.coupling).sum(axis=1)
-        diag[st.blocks] += self.blocks.reshape(nb, size * size)[:, ::size + 1]
+        diag[st.blocks] += self.blocks
         diag[st.border] += self.border.diagonal()
         return float(np.abs(diag).max())
 
@@ -262,25 +261,19 @@ class _BlockHessian:
         [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one
         small system in the border step and y, of size b + k: the border's
         Schur complement and the Sherman-Morrison-Woodbury capacitance in one
-        matrix.  Raises LinAlgError unless the blocks and the border's Schur
-        complement are positive definite.
+        matrix.  Raises LinAlgError unless the block pivots are positive and
+        the border's Schur complement is positive definite.
         """
         st = self.structure
         b, k = len(st.border), self.coupling.shape[1]
-        size = self.blocks.shape[1]
         # Columns: the right-hand side, the border coupling, the coupling rows.
-        Zb = np.concatenate([rhs[st.blocks][:, :, None], self.cross,
-                             self.coupling[st.blocks]], axis=2)
-        if size == 1:
-            pivots = self.blocks + ridge
-            if (pivots <= 0).any():
-                raise np.linalg.LinAlgError("block not positive definite")
-            Yb = Zb / pivots
-        else:
-            blocks = self.blocks + ridge * np.eye(size)
-            np.linalg.cholesky(blocks)       # raises unless every block is positive definite
-            Yb = np.linalg.solve(blocks, Zb)
-        P = Zb[:, :, 1:].reshape(-1, b + k).T @ Yb.reshape(-1, 1 + b + k)
+        Zb = np.concatenate([rhs[st.blocks][:, None], self.cross,
+                             self.coupling[st.blocks]], axis=1)
+        pivots = self.blocks + ridge
+        if (pivots <= 0).any():
+            raise np.linalg.LinAlgError("block not positive definite")
+        Yb = Zb / pivots[:, None]
+        P = Zb[:, 1:].T @ Yb
         Ub = self.coupling[st.border]
         K = -P[:, 1:]
         K[:b, :b] += self.border
@@ -296,7 +289,7 @@ class _BlockHessian:
         border_and_y = np.linalg.solve(K, small_rhs)
         d = np.empty_like(rhs)
         d[st.border] = border_and_y[:b]
-        d[st.blocks] = Yb[:, :, 0] - Yb[:, :, 1:] @ border_and_y
+        d[st.blocks] = Yb[:, 0] - Yb[:, 1:] @ border_and_y
         return d
 
 
@@ -346,8 +339,9 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
         slack_step = np.concatenate([J.matvec(d), d, -d])
         dy = 1.0 / (t * s) - y - weight * slack_step
         shrinking = dy < 0
-        alpha = alpha_max = 1.0 if not shrinking.any() else \
-            min(1.0, _TO_BOUNDARY * float(np.min(-y[shrinking] / dy[shrinking])))
+        with np.errstate(over="ignore"):     # a subnormal dy allows any step: inf
+            alpha = alpha_max = 1.0 if not shrinking.any() else \
+                min(1.0, _TO_BOUNDARY * float(np.min(-y[shrinking] / dy[shrinking])))
         phi = -f - logs / t
         while alpha > 1e-14:
             trial = v + alpha * d

@@ -1,13 +1,15 @@
-"""Convex subproblem builders: resource allocation (fixed UAVs) and SCA placement.
+"""The two convex subproblems: resource allocation (fixed UAVs) and SCA placement.
 
 The resource step optimizes bandwidth shares and effective rates with the
 UAVs pinned and every power at its budget; the placement step moves the
 backhaul chain's UAVs against first-order concave lower bounds on the user
 and hop rates, expanded at the current placement, then extrapolates the
 accepted move while the exact objective rises, so a step may end past the
-surrogate's optimum.  Both builders serve either
-chain (observation -> relay -> GBS, or observation -> GBS when the placement
-has no relay) and reduce to ConcaveProgram instances for the barrier solver.
+surrogate's optimum.  Both steps serve either chain
+(observation -> relay -> GBS, or observation -> GBS when the placement has no
+relay).  The resource step is solved in closed form, from its optimality
+conditions; the placement step reduces to a ConcaveProgram for the barrier
+solver.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.special import lambertw
 
 from .channel import LinkBudget, _persp_rate, _persp_ratio, fspl_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
-                          solve_concave)
+                          NumericError, solve_concave)
 from .scenario import (Scenario, SystemConfig, UavPlacement, backhaul_chain, hop_dist2,
                        hop_offsets)
 from .utility import UtilityParams, average_utility
@@ -31,6 +33,10 @@ _POS_SCALE = 1000.0      # metres per solver position unit
 _FLAT_SPARE = 1e-9       # least spare bandwidth of a non-degenerate flat P5 face
 _CENTRE_STEPS = 50       # Newton steps for the flat face's centre
 _CENTRE_TOL = 1e-12      # Newton decrement over |barrier value| ending the damped phase
+_PRICE_STEPS = 50        # projected Newton steps on P5's two prices
+_PRICE_TOL = 1e-12       # |1 - sum x| and |link_cap - sum cap| / link_cap at P5's optimum
+_SHARE_STEPS = 100       # bracketed Newton steps for the shares at given prices
+_SHARE_TOL = 1e-13       # relative share step ending that search
 
 
 class InfeasibleProblem(RuntimeError):
@@ -204,58 +210,20 @@ def _p5_constants(scenario, budget, placement):
     return c, backhaul_cap(scenario, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
 
 
-def _p5_program(scenario, budget, placement, x_start):
-    """P5 at full powers, and a strictly interior start near the split x_start.
+def _level_shares(c, level, one_m_rho):
+    """The least shares whose caps reach level, or None unless every user's
+    cap reaches it at some share.
 
-    Variables (x_u, r_u).  Rows: each user's outage-constrained cap, local to
-    (x_u, r_u); then two coupling rows, the bandwidth sum and the backhaul cap
-    (the weakest hop at full power) against sum r.
+    The share solves x ln(1 + c/x) = a, a = level ln2/(1-rho); with k = a/c
+    it is a / (-W_{-1}(-k e^-k) - k), on the lower branch of Lambert's W,
+    and it exists iff level > 0 and k < 1 (the cap tends to level/k as x
+    grows).
     """
-    cfg = scenario.config
-    c, link_cap = _p5_constants(scenario, budget, placement)
-    U = cfg.num_users_U
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    x0 = np.maximum(x_start, 1e-6 / U)
-    if x0.sum() > 1.0 - 1e-6:
-        x0 = x0 * (1.0 - 1e-6) / x0.sum()
-    caps0 = one_m_rho * _persp_rate(x0, c)
-    theta_over_U = cfg.utility_theta / U
-    n = 2 * U
-    sx, sr = slice(0, U), slice(U, n)
-    objective, gradient = _log_utility(scenario, sr)
-
-    def constraints(v):
-        g = np.empty(U + 2)
-        g[:U] = one_m_rho * _persp_rate(v[sx], c) - v[sr]
-        g[U] = 1.0 - v[sx].sum()
-        g[U + 1] = link_cap - v[sr].sum()
-        return g
-
-    idx = np.arange(U)
-    structure = BlockStructure(n, np.column_stack([idx, U + idx]))
-    coupling = np.zeros((2, n))
-    coupling[0, sx] = -1.0
-    coupling[1, sr] = -1.0
-    no_border = np.zeros((U, 0))     # every variable is in a block (x_u, r_u)
-
-    def constraint_jac(v):
-        local = np.empty((U, 2))
-        local[:, 0] = one_m_rho * _persp_dx(v[sx], c)
-        local[:, 1] = -1.0
-        return BlockJacobian(structure, local, coupling, no_border)
-
-    def curvature(v, w):
-        diag = np.empty(n)
-        diag[sx] = w[:U] * one_m_rho * _persp_dxx(v[sx], c)
-        diag[sr] = -theta_over_U / v[sr] ** 2
-        return BlockCurvature(diag, np.zeros((0, 0)))
-
-    r_hi = one_m_rho * _persp_rate(np.ones(U), c) + 1.0
-    program = ConcaveProgram(n=n, objective=objective, gradient=gradient,
-                             constraints=constraints, constraint_jac=constraint_jac,
-                             lower=np.zeros(n), upper=np.concatenate([np.ones(U), r_hi]),
-                             curvature=curvature, name="p5", structure=structure)
-    return program, np.concatenate([x0, 0.9 * capped_fill(caps0, link_cap)])
+    a = level * LN2 / one_m_rho
+    k = a / c
+    if not (level > 0.0 and np.all(k < 1.0)):
+        return None
+    return a / (-lambertw(-k * np.exp(-k), -1).real - k)
 
 
 def _flat_face_centre(c, level, one_m_rho):
@@ -263,11 +231,10 @@ def _flat_face_centre(c, level, one_m_rho):
 
     P5 is flat when every user's cap reaches the equal level link_cap/U
     within the bandwidth: r_u = level is then optimal for every split whose
-    caps all reach it, and those splits form the optimal face.  The least
-    share reaching the level solves x ln(1 + c/x) = a, a = level ln2/(1-rho);
-    with k = a/c it is a / (-W_{-1}(-k e^-k) - k), on the lower branch of
-    Lambert's W.  P5 is flat iff these shares sum below one (a face thinner
-    than _FLAT_SPARE counts as degenerate, and is solved).
+    caps all reach it, and those splits form the optimal face.  P5 is flat
+    iff the least shares reaching the level (_level_shares) sum below one (a
+    face thinner than _FLAT_SPARE counts as degenerate, and goes to
+    _price_split).
 
     The face's analytic centre maximizes the x-terms of P5's log barrier,
     sum_u [ln(cap_u - level) + ln x_u + ln(1 - x_u)] + ln(1 - sum x): it is
@@ -276,11 +243,9 @@ def _flat_face_centre(c, level, one_m_rho):
     plus an equal part of the spare bandwidth; the Hessian is a diagonal
     plus rank one, so each step is O(U) by Sherman-Morrison.
     """
-    a = level * LN2 / one_m_rho
-    k = a / c
-    if not (level > 0.0 and np.all(k < 1.0)):
+    x_min = _level_shares(c, level, one_m_rho)
+    if x_min is None:
         return None
-    x_min = a / (-lambertw(-k * np.exp(-k), -1).real - k)
     spare = 1.0 - x_min.sum()
     if not (np.all(x_min < 1.0) and spare > _FLAT_SPARE):
         return None
@@ -326,6 +291,110 @@ def _flat_face_centre(c, level, one_m_rho):
     return x
 
 
+def _share_terms(x, c, one_m_rho, nu):
+    """(cap, cap', h'' + lam) at the shares x > 0 for the price nu: the caps
+    (1-rho) x log2(1 + c/x), their slopes, and the second derivative of
+    h = ln cap - lam x - nu cap."""
+    s = c / x
+    log_term, frac = np.log1p(s), s / (1.0 + s)
+    scale = one_m_rho / LN2
+    cap = scale * x * log_term
+    slope = scale * (log_term - frac)
+    curv = -scale * frac ** 2 / x * (1.0 / cap - nu) - (slope / cap) ** 2
+    return cap, slope, curv
+
+
+def _price_shares(c, one_m_rho, lam, nu, x):
+    """Each user's share maximizing h_u(x) = ln cap_u(x) - lam x - nu cap_u(x)
+    at the prices lam > 0, nu >= 0, with (cap_u, cap_u', -1/h_u'') there.
+
+    h_u' = cap_u' (1/cap_u - nu) - lam decreases where cap_u < 1/nu, where
+    h_u is concave, and is below -lam beyond, so the maximizer is h_u's one
+    stationary point.  It lies below 1/lam (cap_u'/cap_u <= 1/x, since cap_u
+    is concave with cap_u(0) = 0): Newton from the warm start x, bisecting
+    whenever a step leaves the bracket or h_u'' >= 0.
+    """
+    lo, hi = np.zeros_like(x), np.full_like(x, 1.0 / lam)
+    x = np.where(x < hi, x, 0.5 * hi)
+    for _ in range(_SHARE_STEPS):
+        cap, slope, curv = _share_terms(x, c, one_m_rho, nu)
+        grad = slope * (1.0 / cap - nu) - lam
+        lo, hi = np.where(grad > 0.0, x, lo), np.where(grad < 0.0, x, hi)
+        newton = x - grad / curv
+        step = np.where((curv < 0.0) & (newton >= lo) & (newton <= hi),
+                        newton, 0.5 * (lo + hi)) - x
+        if np.all(np.abs(step) <= _SHARE_TOL * x):
+            return x, cap, slope, -1.0 / curv
+        x = x + step
+    raise NumericError("P5's share search did not converge")
+
+
+def _price_split(c, link_cap, one_m_rho, theta_over_U):
+    """P5's optimal split when it is not flat, and its prices: (x, lam, nu),
+    the multipliers of sum x <= 1 and of the backhaul cap, in P5's units.
+
+    P5 at full power maximizes (theta/U) sum ln(beta r_u / rbar) over
+    r_u <= cap_u(x_u), sum r <= link_cap and sum x <= 1.  Its dual in the
+    two prices, D(lam, nu) = sum_u max_x h_u(x) + lam + nu link_cap with
+    h_u = ln cap_u - lam x - nu cap_u (_price_shares; prices per unit of
+    sum ln r), is convex, with gradient (1 - sum x, link_cap - sum cap) and
+    Hessian sum_u w_u [1, cap_u'][1, cap_u']^T, w_u = -1/h_u''.  At its
+    minimum every user sits at its cap (r_u = cap_u' / (lam + nu cap_u')),
+    the bandwidth is used up, and nu (link_cap - sum cap) = 0.
+
+    lam = 0 only where every user reaches the equal level link_cap/U within
+    the bandwidth: the flat case (_flat_face_centre), or a face too thin for
+    it, whose least shares are returned.  Otherwise lam > 0, and D is
+    minimized by damped Newton with nu projected onto nu >= 0 (a zero nu
+    whose partial derivative is positive stays there) and lam kept above a
+    hundredth of its value, since D is singular at lam = 0 when some user
+    cannot reach 1/nu; Armijo backtracks along the projected step.
+    """
+    if link_cap <= 0.0 or np.any(c <= 0.0):
+        raise InfeasibleProblem("no positive rate available for some user")
+    U = len(c)
+    x = _level_shares(c, link_cap / U, one_m_rho)
+    if x is not None and x.sum() <= 1.0:
+        return x, 0.0, theta_over_U * U / link_cap
+    # Start at nu = 0 and the lam at which sum x is about one: each user's
+    # share is about its cap elasticity x cap'/cap over lam, taken at 1/U.
+    x = np.full(U, 1.0 / U)
+    cap, slope, _ = _share_terms(x, c, one_m_rho, 0.0)
+    prices = np.array([float(np.sum(x * slope / cap)), 0.0])
+    total = np.array([1.0, link_cap])
+
+    def dual(p, x):
+        """(D, shares, caps, cap slopes, w) at the prices p."""
+        x, cap, slope, w = _price_shares(c, one_m_rho, p[0], p[1], x)
+        return float(np.log(cap).sum() + p @ (total - [x.sum(), cap.sum()])), x, cap, slope, w
+
+    current = dual(prices, x)
+    for _ in range(_PRICE_STEPS):
+        value, x, cap, slope, w = current
+        grad = total - [x.sum(), cap.sum()]
+        free = np.array([True, prices[1] > 0.0 or grad[1] < 0.0])
+        if np.all(np.abs(grad[free]) <= _PRICE_TOL * total[free]):
+            return x, theta_over_U * prices[0], theta_over_U * prices[1]
+        hess = np.array([[w.sum(), w @ slope], [w @ slope, w @ slope ** 2]])
+        hess[np.diag_indices(2)] *= 1.0 + 1e-12   # all slopes equal: H has rank one
+        step = np.zeros(2)
+        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+        alpha = 1.0 if step[0] >= 0.0 else min(1.0, -0.99 * prices[0] / step[0])
+        # Within rounding of the optimum Armijo can no longer tell the values
+        # apart; Newton's quadratic phase takes the full step.
+        rounding = float(-grad @ step) <= 1e-12 * np.abs(np.log(cap)).sum()
+        while alpha > 1e-12:
+            trial_prices = np.maximum(prices + alpha * step, 0.0)
+            trial = dual(trial_prices, x)
+            if rounding or trial[0] <= value + 0.25 * float(grad @ (trial_prices - prices)):
+                break
+            alpha *= 0.5
+        else:
+            raise NumericError("P5's price search stalled")
+        prices, current = trial_prices, trial
+    raise NumericError(f"P5's price search did not converge in {_PRICE_STEPS} steps")
+
+
 def solve_p5(scenario: Scenario, placement: UavPlacement,
              start: DecisionState, budget: LinkBudget | None = None) -> DecisionState:
     """Optimal bandwidth shares for pinned UAV positions.
@@ -334,18 +403,18 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     constraint are non-decreasing in each power, so P5 fixes them there and
     optimizes the split alone.  When P5 is flat (every user can reach the
     equal share of the backhaul), the split is the optimal face's analytic
-    centre in closed form; otherwise the program is solved.  Effective rates
-    are then re-filled against the exact rate caps.
+    centre in closed form; otherwise it solves P5's optimality conditions in
+    their two prices (_price_split).  Effective rates are then re-filled
+    against the exact rate caps.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     U = cfg.num_users_U
     c, link_cap = _p5_constants(scenario, budget, placement)
-    x_opt = _flat_face_centre(c, link_cap / U, 1.0 - cfg.outage_target_rho)
+    one_m_rho = 1.0 - cfg.outage_target_rho
+    x_opt = _flat_face_centre(c, link_cap / U, one_m_rho)
     if x_opt is None:
-        program, v0 = _p5_program(scenario, budget, placement, start.x)
-        report = solve_concave(program, v0, cfg.sca_tol)
-        x_opt = np.clip(report.solution[:U], 1e-12, 1.0)
+        x_opt = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / U)[0]
 
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
@@ -489,7 +558,7 @@ def _p7_program(scenario, coeffs, x):
     # Local rows: user u's link touches the observation UAV (the border) and
     # r_u.  Coupling rows: the hops against sum r.
     structure = BlockStructure(n, np.arange(nb, n), border=np.arange(nb))
-    local = np.full((U, 1), -1.0)
+    local = np.full(U, -1.0)
     coupling0 = np.zeros((K, n))
     coupling0[:, sr] = -1.0
 

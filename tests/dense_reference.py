@@ -1,16 +1,27 @@
-"""Dense reference for convex_core's block-form callbacks and Newton step.
+"""Dense reference for convex_core's block-form callbacks and Newton step,
+and an interior-point reference for P5.
 
 The solver takes every Newton step in block form.  The tests check those
 steps, and the block-form callbacks, against the dense matrices built here,
 with no call into the block solve.  Generic programs written with dense
 callbacks declare a border-only structure: no blocks, every variable in the
 border and every row a coupling row (border_only).
+
+p5_program states the resource step P5 as such a program, so that
+convex_core's solve checks subproblems' closed-form P5 independently.
 """
+
+from unittest import mock
 
 import numpy as np
 
+from uavstream import subproblems
+from uavstream.channel import _persp_rate
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram)
+                                   ConcaveProgram, solve_concave)
+from uavstream.subproblems import (_flat_face_centre, _log_utility, _p5_constants,
+                                   _persp_dx, _persp_dxx, _price_split, capped_fill,
+                                   exact_fill_objective, solve_p5)
 
 
 def border_only(n, constraint_jac, curvature, **fields):
@@ -18,7 +29,7 @@ def border_only(n, constraint_jac, curvature, **fields):
     curvature(v, w) -> (n, n).  fields are the remaining ConcaveProgram
     fields."""
     structure = BlockStructure(n, [], border=np.arange(n))
-    no_local, no_border_part, zero_diag = np.zeros((0, 0)), np.zeros((0, n)), np.zeros(n)
+    no_local, no_border_part, zero_diag = np.zeros(0), np.zeros((0, n)), np.zeros(n)
 
     def jac(v):
         J = np.asarray(constraint_jac(v), dtype=float).reshape(-1, n)
@@ -31,12 +42,104 @@ def border_only(n, constraint_jac, curvature, **fields):
                           **fields)
 
 
+def p5_program(scenario, budget, placement, x_start):
+    """P5 at full powers as a border-only program, and a strictly interior
+    start near the split x_start.
+
+    Variables (x_u, r_u).  Rows: each user's outage-constrained cap against
+    r_u, then the bandwidth sum and the backhaul cap (the weakest hop at
+    full power) against sum r.
+    """
+    cfg = scenario.config
+    c, link_cap = _p5_constants(scenario, budget, placement)
+    U = cfg.num_users_U
+    one_m_rho = 1.0 - cfg.outage_target_rho
+    x0 = np.maximum(x_start, 1e-6 / U)
+    if x0.sum() > 1.0 - 1e-6:
+        x0 = x0 * (1.0 - 1e-6) / x0.sum()
+    caps0 = one_m_rho * _persp_rate(x0, c)
+    theta_over_U = cfg.utility_theta / U
+    n = 2 * U
+    sx, sr = slice(0, U), slice(U, n)
+    objective, gradient = _log_utility(scenario, sr)
+    idx = np.arange(U)
+
+    def constraints(v):
+        g = np.empty(U + 2)
+        g[:U] = one_m_rho * _persp_rate(v[sx], c) - v[sr]
+        g[U] = 1.0 - v[sx].sum()
+        g[U + 1] = link_cap - v[sr].sum()
+        return g
+
+    def constraint_jac(v):
+        J = np.zeros((U + 2, n))
+        J[idx, idx] = one_m_rho * _persp_dx(v[sx], c)
+        J[idx, U + idx] = -1.0
+        J[U, sx] = -1.0
+        J[U + 1, sr] = -1.0
+        return J
+
+    def curvature(v, w):
+        diag = np.empty(n)
+        diag[sx] = w[:U] * one_m_rho * _persp_dxx(v[sx], c)
+        diag[sr] = -theta_over_U / v[sr] ** 2
+        return np.diag(diag)
+
+    r_hi = one_m_rho * _persp_rate(np.ones(U), c) + 1.0
+    program = border_only(n, constraint_jac, curvature, objective=objective,
+                          gradient=gradient, constraints=constraints, lower=np.zeros(n),
+                          upper=np.concatenate([np.ones(U), r_hi]), name="p5")
+    return program, np.concatenate([x0, 0.9 * capped_fill(caps0, link_cap)])
+
+
+def p5_reference_objective(scenario, budget, placement, x_start):
+    """The exact-fill objective at convex_core's solve of p5_program, with the
+    split rescaled onto sum x = 1 as solve_p5 rescales its own."""
+    cfg = scenario.config
+    U = cfg.num_users_U
+    program, v0 = p5_program(scenario, budget, placement, x_start)
+    x = np.clip(solve_concave(program, v0, cfg.sca_tol).solution[:U], 1e-12, 1.0)
+    return exact_fill_objective(scenario, budget, x / x.sum(), np.full(U, cfg.p_max_user),
+                                cfg.p_max_obs, cfg.p_max_relay, placement)[0]
+
+
+def check_p5_closed_form(scenario, budget, placement, start):
+    """Assert that solve_p5 answers P5 at placement with no convex_core solve,
+    at least as well as the reference (to 1e-9 relative), and, unless P5 is
+    flat, that _price_split's answer meets P5's KKT conditions: lam > 0,
+    nu >= 0, sum x = 1, nu (C - sum cap) <= 1e-10 C, and each user's
+    stationarity (theta/U) cap'/cap = lam + nu cap' to 1e-10 relative."""
+    cfg = scenario.config
+    U = cfg.num_users_U
+    with mock.patch.object(subproblems, "solve_concave",
+                           side_effect=AssertionError("P5 must not call the solver")):
+        out = solve_p5(scenario, placement, start, budget)
+    obj, _ = exact_fill_objective(scenario, budget, out.x, out.p_user, cfg.p_max_obs,
+                                  cfg.p_max_relay, placement)
+    ref = p5_reference_objective(scenario, budget, placement, start.x)
+    assert obj >= ref - 1e-9 * max(1.0, abs(ref))
+
+    c, link_cap = _p5_constants(scenario, budget, placement)
+    one_m_rho = 1.0 - cfg.outage_target_rho
+    if _flat_face_centre(c, link_cap / U, one_m_rho) is not None:
+        return
+    theta_over_U = cfg.utility_theta / U
+    x, lam, nu = _price_split(c, link_cap, one_m_rho, theta_over_U)
+    cap = one_m_rho * _persp_rate(x, c)
+    slope = one_m_rho * _persp_dx(x, c)
+    assert lam > 0.0 and nu >= 0.0
+    assert abs(x.sum() - 1.0) <= 1e-10
+    assert nu * abs(link_cap - cap.sum()) <= 1e-10 * link_cap
+    marginal = theta_over_U * slope / cap
+    assert np.max(np.abs(marginal - nu * slope - lam) / marginal) <= 1e-10
+
+
 def dense_jacobian(J):
     """The (m, n) matrix of a BlockJacobian."""
     st = J.structure
     nb = len(st.blocks)
     D = np.zeros((nb + len(J.coupling), st.n))
-    D[np.arange(nb)[:, None], st.blocks] = J.local
+    D[np.arange(nb), st.blocks] = J.local
     D[:nb, st.border] = J.border_part
     D[nb:] = J.coupling
     return D

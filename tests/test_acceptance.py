@@ -17,9 +17,9 @@ from uavstream.orchestrator import initialize_state, run_algorithm1, run_benchma
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5, solve_p7,
-                                   _p5_program, _p7_program)
+                                   _p7_program)
 
-from dense_reference import check_gradients
+from dense_reference import check_gradients, p5_program
 
 LN2 = math.log(2.0)
 BENCHMARKS = ("resource_only", "position_only", "no_relay")
@@ -351,7 +351,7 @@ def test_criterion_8_gradient_checks():
 
         # P5 and P7 on the relay chain, then on the one-hop (no-relay) chain
         for placement in (state.placement, UavPlacement(state.placement.q_obs)):
-            program, v0 = _p5_program(sc, budget, placement, state.x)
+            program, v0 = p5_program(sc, budget, placement, state.x)
             assert check_gradients(program, v0, rng, n_points=100) <= 1e-5
 
             coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,

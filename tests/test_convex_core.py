@@ -63,14 +63,15 @@ def random_concave_program(seed):
 
 def block_program(coupled=True):
     """maximize sum_j ln y_j - |z - c|^2 - (s - 0.3)^2 subject to
-    1 + a_j.z - x_j^2 - y_j >= 0 for three blocks (x_j, y_j), a border (z, s)
-    in R^3 (no local row touches s) and, when coupled, 1.5 - sum_j y_j - s >= 0."""
+    1 + a_j.z - x_j^2 - y_j >= 0 for three one-variable blocks y_j, a border
+    (z, x_1, x_2, x_3, s) with z in R^2 (no local row touches s, and row j
+    touches x_j alone of the x) and, when coupled, 1.5 - sum_j y_j - s >= 0."""
     a = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
     c = np.array([0.2, -0.1])
     n = 9
     xs, ys = np.arange(2, 8, 2), np.arange(3, 9, 2)
-    structure = BlockStructure(n, np.column_stack([xs, ys]), border=[0, 1, 8])
-    border_part = np.column_stack([a, np.zeros(3)])
+    border = np.array([0, 1, 2, 4, 6, 8])
+    structure = BlockStructure(n, ys, border=border)
     coupling = np.zeros((1 if coupled else 0, n))
     coupling[:, ys] = -1.0
     coupling[:, 8] = -1.0
@@ -90,14 +91,16 @@ def block_program(coupled=True):
         return np.append(local, 1.5 - v[ys].sum() - v[8]) if coupled else local
 
     def constraint_jac(v):
-        local = np.column_stack([-2.0 * v[xs], -np.ones(3)])
-        return BlockJacobian(structure, local, coupling, border_part)
+        border_part = np.zeros((3, len(border)))
+        border_part[:, :2] = a
+        border_part[np.arange(3), 2 + np.arange(3)] = -2.0 * v[xs]
+        return BlockJacobian(structure, -np.ones(3), coupling, border_part)
 
     def curvature(v, w):
         diag = np.zeros(n)
         diag[xs] = -2.0 * w[:3]
         diag[ys] = -1.0 / v[ys] ** 2
-        return BlockCurvature(diag, border=-2.0 * np.eye(3))
+        return BlockCurvature(diag, border=np.diag([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0]))
 
     lower = np.array([-2.0, -2.0, -2.0, 0.0, -2.0, 0.0, -2.0, 0.0, -2.0])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -269,18 +272,22 @@ class TestStructuredPrograms:
 
     def test_rejects_overlapping_blocks(self):
         with pytest.raises(ValueError):
-            BlockStructure(4, [[0, 1], [1, 2]])
+            BlockStructure(4, [0, 1, 1], border=[2, 3])
         with pytest.raises(ValueError):
-            BlockStructure(4, [[0, 1]], border=[1])
+            BlockStructure(4, [0, 1], border=[1, 2, 3])
 
     def test_rejects_variables_outside_blocks_and_border(self):
         with pytest.raises(ValueError):
-            BlockStructure(4, [[0, 1]], border=[2])
+            BlockStructure(4, [0, 1], border=[2])
         with pytest.raises(ValueError):
-            BlockStructure(3, [[0, 1]], border=[3])
-        BlockStructure(4, [[0, 1]], border=[2, 3])
+            BlockStructure(3, [0, 1], border=[3])
+        BlockStructure(4, [0, 1], border=[2, 3])
         # No blocks, as the generic programs above declare (and solve).
-        assert BlockStructure(4, [], border=range(4)).blocks.shape == (0, 0)
+        assert BlockStructure(4, [], border=range(4)).blocks.shape == (0,)
+
+    def test_rejects_a_block_of_two_variables(self):
+        with pytest.raises(ValueError, match="one variable per block"):
+            BlockStructure(4, [[0, 1]], border=[2, 3])
 
     def test_barrier_value_checks_box_before_constraints(self):
         calls = []
@@ -302,8 +309,7 @@ class TestLastResortStep:
     LAST_RIDGE = _RIDGE0 * 100.0 ** 12
 
     def test_structured_path(self):
-        structure = BlockStructure(2, [[0, 1]])
-        H = _BlockHessian(structure, self.H[None], np.zeros((0, 0)), np.zeros((1, 2, 0)),
-                          np.zeros((2, 0)))
+        structure = BlockStructure(2, [], border=[0, 1])
+        H = _BlockHessian(structure, np.zeros(0), self.H, np.zeros((0, 2)), np.zeros((2, 0)))
         assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)

@@ -70,11 +70,11 @@ class TestRunAlgorithm1:
         res.state.validate(sc, budget)
 
     def test_newton_step_budget(self, monkeypatch):
-        # joint at table2, U=30, seed 0 makes 12 solves (10 P7, 2 P5) and
-        # about 194 Newton steps: the cold run's first P5 is flat and takes
-        # its split in closed form, and each accepted placement move is
-        # extrapolated, which saves 4 P7 solves.  On the 17 solves made
-        # before both, a fixed-schedule barrier method (t from 1, x10 per
+        # joint at table2, U=30, seed 0 makes 10 solves, all P7: every P5
+        # takes its split in closed form (the flat ones at the face's centre,
+        # the others from their two prices), and each accepted placement move
+        # is extrapolated, which saves 4 P7 solves.  On the 17 solves made
+        # before these, a fixed-schedule barrier method (t from 1, x10 per
         # Newton-centred stage) took 914 Newton steps; the primal-dual steps
         # must take at most half of that.
         from uavstream import subproblems
@@ -87,7 +87,7 @@ class TestRunAlgorithm1:
 
         monkeypatch.setattr(subproblems, "solve_concave", counted)
         run_benchmark(small_scenario(seed=0, users=30), "joint")
-        assert len(reports) == 12
+        assert len(reports) == 10
         assert all(r.status == "converged" for r in reports)
         assert sum(r.barrier_iterations for r in reports) <= 457
 

@@ -9,7 +9,9 @@ from uavstream.convex_core import NumericError
 from uavstream.orchestrator import SCHEMES, initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
-                                   solve_p5)
+                                   solve_p5, solve_p7)
+
+from dense_reference import check_p5_closed_form
 
 
 def config_strategy(max_users):
@@ -53,6 +55,28 @@ def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
         before, _ = exact_fill_objective(sc, budget, start.x, *args)
         after, _ = exact_fill_objective(sc, budget, out.x, *args)
     assert after >= before > -float("inf")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=configs, relay=st.booleans())
+def test_closed_form_p5_matches_the_reference_after_a_placement_step(cfg, relay):
+    # At a placement one SCA step from P5's answer, where P5 is generally
+    # not flat: the closed form against the interior-point reference, and
+    # its prices against P5's KKT conditions (check_p5_closed_form).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sc = generate_scenario(cfg)
+        budget = make_link_budget(cfg)
+        start = initialize_state(sc, budget)
+        placement = start.placement if relay else UavPlacement(start.placement.q_obs)
+        try:
+            state = solve_p5(sc, placement, start, budget)
+            placement = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+                                 placement, budget).placement
+            check_p5_closed_form(sc, budget, placement, state)
+        except InfeasibleProblem:
+            return
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None,

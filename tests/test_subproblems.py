@@ -8,18 +8,20 @@ import pytest
 from scipy.optimize import minimize
 
 from uavstream.channel import rate_agu, rate_gbs, rate_relay
-from uavstream.convex_core import _block_hessian, _pieces, _solve_spd, _terms, solve_concave
+from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve_spd, _terms,
+                                   solve_concave)
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_cap,
                                    capped_fill, exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5,
-                                   solve_p7, _flat_face_centre, _p5_constants, _p5_program,
-                                   _p7_program)
+                                   solve_p7, _flat_face_centre, _p5_constants, _p7_program,
+                                   _price_split)
 
-from dense_reference import (border_only_twin, check_gradients, dense_curvature,
-                             dense_jacobian, dense_newton_matrix, dense_step, interior,
+from dense_reference import (border_only_twin, check_gradients, check_p5_closed_form,
+                             dense_curvature, dense_jacobian, dense_newton_matrix, dense_step,
+                             interior, p5_program, p5_reference_objective,
                              random_interior_points)
 
 LN2 = math.log(2.0)
@@ -288,7 +290,7 @@ class TestFlatP5:
 
     @staticmethod
     def solved_split(sc, budget, placement, start_x):
-        program, v0 = _p5_program(sc, budget, placement, start_x)
+        program, v0 = p5_program(sc, budget, placement, start_x)
         x = np.clip(solve_concave(program, v0, sc.config.sca_tol).solution[:len(start_x)],
                     1e-12, 1.0)
         return x / x.sum()
@@ -329,7 +331,8 @@ class TestFlatP5:
 
     def test_user_limited_instance_is_solved(self, monkeypatch):
         # At p_max_user = 0.002 some user cannot reach the equal level: P5 is
-        # not flat, and solve_p5 answers exactly as the solve path does.
+        # not flat, and solve_p5 answers from its two prices, with no solve,
+        # at least as well as the interior-point reference.
         sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
         cfg = sc.config
         budget = make_link_budget(cfg)
@@ -342,14 +345,14 @@ class TestFlatP5:
         monkeypatch.setattr(subproblems, "solve_concave",
                             lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
         out = solve_p5(sc, state.placement, state, budget)
-        assert len(calls) == 1
-        x = self.solved_split(sc, budget, state.placement, state.x)
-        obj, r = exact_fill_objective(sc, budget, x, out.p_user, cfg.p_max_obs,
+        assert calls == []
+        obj, _ = exact_fill_objective(sc, budget, out.x, out.p_user, cfg.p_max_obs,
                                       cfg.p_max_relay, state.placement)
+        ref = p5_reference_objective(sc, budget, state.placement, state.x)
         start_obj, _ = exact_fill_objective(sc, budget, state.x, out.p_user, cfg.p_max_obs,
                                             cfg.p_max_relay, state.placement)
-        assert obj >= start_obj
-        assert np.array_equal(out.x, x) and np.array_equal(out.r_tilde, r)
+        assert ref >= start_obj
+        assert obj >= ref - 1e-9 * max(1.0, abs(ref))
 
     def test_user_whose_cap_at_full_band_misses_the_level(self):
         one_m_rho, level = 0.99, 2.0
@@ -362,10 +365,20 @@ class TestFlatP5:
             # c = 3: the cap reaches the level only past the full band.
             assert one_m_rho * np.log2(1.0 + 3.0) < level < sup * 3.0
             assert _flat_face_centre(np.array([50.0, 3.0]), level, one_m_rho) is None
+            # Both are answered by the two prices, the weak user at its cap.
+            for c in (np.array([50.0, 1.0]), np.array([50.0, 3.0])):
+                x, lam, nu = _price_split(c, 2.0 * level, one_m_rho, 0.5)
+                assert x.sum() == pytest.approx(1.0, abs=1e-12)
+                assert lam > 0.0 and nu >= 0.0
+                cap = one_m_rho * x * np.log2(1.0 + c / x)
+                assert cap.sum() <= 2.0 * level * (1.0 + 1e-12)
 
     def test_degenerate_face_is_solved(self):
         # Two equal users whose caps reach the level exactly at x = 1/2 leave
-        # no spare bandwidth: the face is a point, and P5 is not flat.
+        # no spare bandwidth: the face is a point, and P5 is not flat.  The
+        # price solve answers it and the face 1e-12 thinner with x = 1/2 and
+        # prices meeting stationarity (both rows bind at that point, so the
+        # prices need not be unique).
         one_m_rho, c = 0.99, np.array([20.0, 20.0])
         level = one_m_rho * 0.5 * np.log2(1.0 + 40.0)
         with warnings.catch_warnings():
@@ -373,6 +386,23 @@ class TestFlatP5:
             assert _flat_face_centre(c, level, one_m_rho) is None
             assert _flat_face_centre(c, level * (1.0 - 1e-12), one_m_rho) is None
             assert _flat_face_centre(c, 0.9 * level, one_m_rho) is not None
+            for lvl in (level, level * (1.0 - 1e-12)):
+                x, lam, nu = _price_split(c, 2.0 * lvl, one_m_rho, 0.5)
+                assert np.allclose(x, 0.5, rtol=0.0, atol=1e-9)
+                cap = one_m_rho * x * np.log2(1.0 + c / x)
+                slope = one_m_rho * (np.log2(1.0 + c / x) - c / (x + c) / LN2)
+                assert lam >= 0.0 and nu >= 0.0
+                assert np.allclose(0.5 * slope / cap, lam + nu * slope, rtol=1e-9, atol=0.0)
+
+    def test_price_search_out_of_steps_is_an_error(self, monkeypatch):
+        # A non-flat P5 needs several price steps; with too few, solve_p5
+        # raises instead of returning an unconverged split.
+        sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
+        state = heuristic_state(sc)
+        budget = make_link_budget(sc.config)
+        monkeypatch.setattr(subproblems, "_PRICE_STEPS", 1)
+        with pytest.raises(NumericError, match="did not converge"):
+            solve_p5(sc, state.placement, state, budget)
 
     def test_users_at_one_point_split_evenly(self):
         sc = generate_scenario(table2_config(num_users_U=7, rng_seed=2, area_side=0.0))
@@ -394,6 +424,32 @@ class TestFlatP5:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleProblem):
                 solve_p5(sc, UavPlacement(sc.gbs_pos_wb), state)
+
+
+REGIMES = {"table2": {}, "p_max_user_0.002": {"p_max_user": 0.002},
+           "p_max_user_0.01": {"p_max_user": 0.01}, "area_3000": {"area_side": 3000.0}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
+    # As in joint's loop: P5, then placement steps.  After two of them P5 is
+    # not flat in any of these regimes; the closed form must match the
+    # interior-point reference and meet KKT.
+    sc = generate_scenario(table2_config(num_users_U=20, rng_seed=seed, **REGIMES[regime]))
+    cfg = sc.config
+    budget = make_link_budget(cfg)
+    start = heuristic_state(sc)
+    state = solve_p5(sc, start.placement, start, budget)
+    placement = state.placement
+    for _ in range(2):
+        placement = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+                             placement, budget).placement
+    c, link_cap = _p5_constants(sc, budget, placement)
+    assert _flat_face_centre(c, link_cap / 20, 1.0 - cfg.outage_target_rho) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_p5_closed_form(sc, budget, placement, state)
 
 
 class TestSolveP7:
@@ -547,7 +603,7 @@ class TestEmittedProgramGradients:
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=6))
         budget = make_link_budget(sc.config)
         state = heuristic_state(sc)
-        program, v0 = _p5_program(sc, budget, state.placement, state.x)
+        program, v0 = p5_program(sc, budget, state.placement, state.x)
         err = check_gradients(program, v0, np.random.default_rng(0), n_points=40)
         assert err <= 1e-5
 
@@ -566,15 +622,16 @@ class TestEmittedProgramGradients:
 # --- the four builders' programs, and their Newton systems ------------------
 
 def builder_programs(num_users, seed, **overrides):
-    """(program, start) for P5 and P7 on the relay chain, then on the one-hop
-    chain, built at the heuristic start the way the schemes build them."""
+    """(program, start) for P5 (dense_reference's border-only program) and P7
+    on the relay chain, then on the one-hop chain, built at the heuristic
+    start."""
     sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed, **overrides))
     cfg = sc.config
     budget = make_link_budget(cfg)
     state = initialize_state(sc, budget)
     pairs = []
     for placement in (state.placement, UavPlacement(state.placement.q_obs)):
-        pairs.append(_p5_program(sc, budget, placement, state.x))
+        pairs.append(p5_program(sc, budget, placement, state.x))
         coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
                                   cfg.p_max_relay, placement, budget)
         pairs.append(_p7_program(sc, coeffs, state.x))
@@ -623,12 +680,12 @@ def test_barrier_rejects_out_of_box_point_before_callbacks(name):
 
 @pytest.mark.parametrize("name", BUILDERS)
 def test_one_builder_per_block_sizes_its_program_by_the_chain(name):
-    # P5 has (x_u, r_u) per user on either chain.  P7 has r_u per user and a
-    # border of two coordinates per UAV in the chain: two UAVs with the relay,
-    # one without.
+    # P5 (the border-only reference) has (x_u, r_u) per user on either chain,
+    # all in the border.  P7 has r_u per user and a border of two coordinates
+    # per UAV in the chain: two UAVs with the relay, one without.
     U = 7
     program, v0 = builder_program(name, num_users=U, seed=2)
-    border = {"p5": 0, "p7": 4, "p5_no_relay": 0, "p7_no_relay": 2}[name]
+    border = {"p5": 2 * U, "p7": 4, "p5_no_relay": 2 * U, "p7_no_relay": 2}[name]
     assert program.n == v0.size == (2 * U if name.startswith("p5") else U + border)
     assert len(program.structure.border) == border
 
