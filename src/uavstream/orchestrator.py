@@ -3,7 +3,8 @@
 Every scheme runs the same loop over the two blocks: the exact resource
 subproblem (P5) and SCA placement steps (P7), until the exact-rate objective
 stops improving.  A scheme fixes which blocks run and on which backhaul
-chain, so every scheme reports the same exact-rate objective.
+chain, so every scheme reports the same exact-rate objective.  joint then
+ascends the reduced objective over the observation UAV alone.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import numpy as np
 
 from .channel import LinkBudget
 from .scenario import Scenario, UavPlacement
-from .subproblems import (DecisionState, exact_fill_objective, make_link_budget,
-                          solve_p5, solve_p7)
+from .subproblems import (DecisionState, InfeasibleProblem, exact_fill_objective,
+                          make_link_budget, placement_extent, reduced_point, solve_p5,
+                          solve_p7)
+
+_PROBE = 1.0           # metres between the points of the reduced ascent's first Hessian
+_ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
 
 
 @dataclass(frozen=True)
@@ -129,26 +134,108 @@ def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
                         iterations, converged)
 
 
-def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = None) -> SchemeResult:
-    """Joint placement and resource optimization by block coordinate descent.
+def _first_inverse(point, evaluate):
+    """The BFGS ascent's first inverse Hessian of -J*, and whether it
+    measured J*'s curvature.  The Hessian is measured by gradient differences
+    over _PROBE metres along each axis; where that is not positive definite
+    (J* is not concave everywhere), the first trial step moves _PROBE metres
+    along the gradient and the first update rescales the inverse
+    (Nocedal & Wright, Numerical Optimization, eq. 6.20)."""
+    q, g = point.state.placement.q_obs, point.gradient
+    probes = [evaluate(q + _PROBE * e) for e in np.eye(2)]
+    if all(p is not None for p in probes):
+        hess = np.array([g - p.gradient for p in probes]) / _PROBE
+        hess = 0.5 * (hess + hess.T)
+        if np.linalg.eigvalsh(hess)[0] > 0.0:
+            return np.linalg.inv(hess), True
+    return np.eye(2) * (_PROBE / float(np.linalg.norm(g))), False
 
-    The starting point is left open by the iteration itself, and the SCA
-    descent is path dependent, so by default two initializations are tried:
-    the geometric heuristic, and position_only's answer (the heuristic's
-    placement refined at the initial resource split).  The better converged
-    run is reported.  The BCD trace never falls, so the second run, and with
-    it the result, is never below position_only.  An explicit initial_state
-    suppresses the restart.
+
+def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
+    """Ascend the reduced objective J*(q_obs) (subproblems.reduced_point)
+    from the observation UAV's position in result, by BFGS on q_obs with
+    Armijo backtracking on J* itself.
+
+    BCD stalls where P5 and P7 are each optimal given the other while a
+    joint move of the split and the UAVs still gains; J* re-solves P5 at
+    every q_obs, so its ascent makes that joint move.  A point enters the
+    trace, as its own lower bound, only if it strictly raises the last
+    recorded objective, so the trace never falls and the result is never
+    below result.  The ascent stops after a step that gains less than
+    sca_tol * |J*|, when the line search fails, after max_bcd_iters steps,
+    or when the trace holds max_bcd_iters records past its start.
+    """
+    cfg = scenario.config
+    trace = result.trace
+    extent = placement_extent(cfg)
+
+    def evaluate(q):
+        if not np.abs(q).max() < extent:
+            return None
+        try:
+            return reduced_point(scenario, budget, q)
+        except InfeasibleProblem:    # a zero-length hop
+            return None
+
+    state, best = result.state, trace.exact_objectives[-1]
+    point, inverse, last = evaluate(state.placement.q_obs), None, False
+    for step in range(cfg.max_bcd_iters + 1):
+        if point is None:
+            break
+        if point.objective > best and len(trace.records) <= cfg.max_bcd_iters:
+            state, best = point.state, point.objective
+            trace.add(trace.records[-1].iteration + 1, best, best)
+        g = point.gradient
+        if (last or step == cfg.max_bcd_iters or len(trace.records) > cfg.max_bcd_iters
+                or not np.any(g)):
+            break
+        if inverse is None:
+            inverse, scaled = _first_inverse(point, evaluate)
+        direction = inverse @ g
+        slope = float(g @ direction)
+        floor = cfg.sca_tol * abs(point.objective)
+        alpha = 1.0
+        while alpha * slope > floor:     # a shorter step could not gain floor
+            trial = evaluate(point.state.placement.q_obs + alpha * direction)
+            if trial is not None and trial.objective >= point.objective + _ARMIJO * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break
+        last = trial.objective - point.objective < floor
+        # BFGS update of the inverse Hessian of -J*, whose gradient is -g.
+        s, y = alpha * direction, g - trial.gradient
+        ys = float(y @ s)
+        if ys > 0.0:
+            if not scaled:
+                inverse, scaled = np.eye(2) * (ys / float(y @ y)), True
+            left = np.eye(2) - np.outer(s, y) / ys
+            inverse = left @ inverse @ left.T + np.outer(s, s) / ys
+        point = trial
+    return dataclasses.replace(result, state=state, avg_utility=best)
+
+
+def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = None) -> SchemeResult:
+    """Joint placement and resource optimization: block coordinate descent,
+    then an ascent in the reduced space of the observation UAV.
+
+    BCD starts from initial_state, or by default from position_only's answer
+    (the heuristic placement refined at the equal split).  It stalls where P5
+    and P7 are each optimal given the other; the reduced-space stage
+    (_reduced_ascent), an addition to the paper's Algorithm 1, then moves
+    the split and both UAVs together.
+
+    The result is never below position_only: BCD's trace starts at the
+    exact objective of position_only's final state and never falls (P5
+    keeps its start split unless its own split gains, and P7 returns only
+    strict ascents), the stage records only strict gains, and the result is
+    the last record.
     """
     budget = make_link_budget(scenario.config)
-    if initial_state is not None:
-        return _bcd(scenario, budget, initial_state.copy(), "joint")
-
-    base = initialize_state(scenario, budget)
-    first = _bcd(scenario, budget, base, "joint")
-    warmed = _bcd(scenario, budget, base, "position_only").state
-    second = _bcd(scenario, budget, warmed, "joint")
-    return second if second.avg_utility > first.avg_utility else first
+    if initial_state is None:
+        base = initialize_state(scenario, budget)
+        initial_state = _bcd(scenario, budget, base, "position_only").state
+    return _reduced_ascent(scenario, budget, _bcd(scenario, budget, initial_state.copy(), "joint"))
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,

@@ -9,7 +9,9 @@ surrogate's optimum.  Both steps serve either chain
 (observation -> relay -> GBS, or observation -> GBS when the placement has no
 relay).  The resource step is solved in closed form, from its optimality
 conditions; the placement step reduces to a ConcaveProgram for the barrier
-solver.
+solver.  The reduced problem fixes the observation UAV alone: the relay then
+sits at its equal-hop point and P5 is solved there, which gives the
+objective J*(q_obs) and its gradient.
 """
 
 from __future__ import annotations
@@ -346,9 +348,11 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
     the bandwidth: the flat case (_flat_face_centre), or a face too thin for
     it, whose least shares are returned.  Otherwise lam > 0, and D is
     minimized by damped Newton with nu projected onto nu >= 0 (a zero nu
-    whose partial derivative is positive stays there) and lam kept above a
+    whose partial derivative is positive stays there) and lam floored at a
     hundredth of its value, since D is singular at lam = 0 when some user
-    cannot reach 1/nu; Armijo backtracks along the projected step.
+    cannot reach 1/nu; Armijo backtracks along the projected step.  The
+    floor acts on lam alone: scaling the whole step to respect it would
+    freeze nu while lam falls a hundredfold per step.
     """
     if link_cap <= 0.0 or np.any(c <= 0.0):
         raise InfeasibleProblem("no positive rate available for some user")
@@ -379,12 +383,13 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
         hess[np.diag_indices(2)] *= 1.0 + 1e-12   # all slopes equal: H has rank one
         step = np.zeros(2)
         step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
-        alpha = 1.0 if step[0] >= 0.0 else min(1.0, -0.99 * prices[0] / step[0])
+        floor = np.array([0.01 * prices[0], 0.0])
         # Within rounding of the optimum Armijo can no longer tell the values
         # apart; Newton's quadratic phase takes the full step.
         rounding = float(-grad @ step) <= 1e-12 * np.abs(np.log(cap)).sum()
+        alpha = 1.0
         while alpha > 1e-12:
-            trial_prices = np.maximum(prices + alpha * step, 0.0)
+            trial_prices = np.maximum(prices + alpha * step, floor)
             trial = dual(trial_prices, x)
             if rounding or trial[0] <= value + 0.25 * float(grad @ (trial_prices - prices)):
                 break
@@ -393,6 +398,25 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
             raise NumericError("P5's price search stalled")
         prices, current = trial_prices, trial
     raise NumericError(f"P5's price search did not converge in {_PRICE_STEPS} steps")
+
+
+def _p5_split(scenario, budget, placement):
+    """P5's optimal split at full power, and its prices: (x, lam, nu), the
+    multipliers of sum x <= 1 and of the backhaul cap in the objective's
+    units.  A flat P5 returns its face's centre, with lam = 0 and
+    nu = theta / link_cap; any other, _price_split's answer."""
+    cfg = scenario.config
+    U = cfg.num_users_U
+    c, link_cap = _p5_constants(scenario, budget, placement)
+    one_m_rho = 1.0 - cfg.outage_target_rho
+    x = _flat_face_centre(c, link_cap / U, one_m_rho)
+    if x is None:
+        x, lam, nu = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / U)
+    else:
+        lam, nu = 0.0, cfg.utility_theta / link_cap
+    # Objective and caps are non-decreasing in every share, so the whole
+    # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
+    return x / x.sum(), lam, nu
 
 
 def solve_p5(scenario: Scenario, placement: UavPlacement,
@@ -410,15 +434,7 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     U = cfg.num_users_U
-    c, link_cap = _p5_constants(scenario, budget, placement)
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    x_opt = _flat_face_centre(c, link_cap / U, one_m_rho)
-    if x_opt is None:
-        x_opt = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / U)[0]
-
-    # Objective and caps are non-decreasing in every share, so the whole
-    # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
-    x_opt = x_opt / x_opt.sum()
+    x_opt = _p5_split(scenario, budget, placement)[0]
     p_user = np.full(U, cfg.p_max_user)
     obj, r_fill = exact_fill_objective(scenario, budget, x_opt, p_user,
                                        cfg.p_max_obs, cfg.p_max_relay, placement)
@@ -430,6 +446,88 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
         x_opt, r_fill = start.x.copy(), r_start
     return DecisionState(x=x_opt, p_user=p_user, p_obs=cfg.p_max_obs,
                          p_relay=cfg.p_max_relay, placement=placement, r_tilde=r_fill)
+
+
+# --- the reduced problem: the observation UAV alone -------------------------
+
+def equal_hop_placement(scenario: Scenario, q_obs):
+    """The placement with the relay that maximizes the backhaul cap for an
+    observation UAV at q_obs, and the slope dD/dl of the observation hop's
+    squared length D in l = |gbs - q_obs|, the cap's one dependence on q_obs.
+
+    Moving the relay onto the segment from q_obs to the GBS shortens both
+    hops, so the best relay lies on it, at the fraction t where the two FSPL
+    hop rates are equal: p_obs d_rb^2 = p_relay d_or^2, with
+    d_or^2 = b^2 + t^2 l^2, d_rb^2 = a^2 + (1-t)^2 l^2 and a, b the height
+    gaps.  The difference f(t) = p_obs d_rb^2 - p_relay d_or^2 is a quadratic
+    that falls on [0, 1]; its root there is taken in the form free of
+    cancellation, which also holds for equal powers.  Where f keeps one sign
+    one hop is the weaker at every t, and the relay goes to the end where
+    that hop spans its height gap alone: the cap is then constant, D' = 0.
+    """
+    cfg = scenario.config
+    p_o, p_r = cfg.p_max_obs, cfg.p_max_relay
+    a2 = (cfg.height_gbs_Hb - cfg.height_relay_Hr) ** 2
+    b2 = (cfg.height_relay_Hr - cfg.height_obs_Ho) ** 2
+    q_obs = np.asarray(q_obs, dtype=float)
+    span = scenario.gbs_pos_wb - q_obs
+    l2 = float(span @ span)
+    f0, f1 = p_o * (a2 + l2) - p_r * b2, p_o * a2 - p_r * (b2 + l2)
+    if f0 <= 0.0:
+        return UavPlacement(q_obs, q_obs), 0.0
+    if f1 >= 0.0:
+        return UavPlacement(q_obs, q_obs + span), 0.0
+    t = f0 / (p_o * l2 + math.sqrt((p_o * l2) ** 2 - (p_o - p_r) * l2 * f0))
+    # s = t l solves p_obs (a^2 + (l - s)^2) = p_relay (b^2 + s^2), so
+    # ds/dl = p_obs (l - s) / (p_obs (l - s) + p_relay s), and dD/dl = 2 s ds/dl.
+    weight = (1.0 - t) * p_o
+    slope = 2.0 * t * math.sqrt(l2) * weight / (weight + t * p_r)
+    return UavPlacement(q_obs, q_obs + t * span), slope
+
+
+@dataclass
+class ReducedPoint:
+    """J*(q_obs), the state attaining it, and its gradient in q_obs."""
+
+    objective: float
+    state: DecisionState
+    gradient: np.ndarray
+
+
+def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs) -> ReducedPoint:
+    """The reduced objective J*(q_obs): the exact-fill objective with the
+    relay at its equal-hop point (equal_hop_placement) and P5 solved there.
+
+    Its gradient is Danskin's, P5's multipliers times the q_obs-gradients of
+    the caps they price: sum_u mu_u dcap_u/dq + nu dlink_cap/dq, with
+    mu_u = theta/(U r_u) - nu from stationarity in r_u.  Off a flat P5 every
+    user sits at its cap, r_u = cap_u; on a flat one r_u = link_cap/U and
+    nu = theta/link_cap, so mu = 0.
+    """
+    cfg = scenario.config
+    placement, dD_dl = equal_hop_placement(scenario, q_obs)
+    x, _, nu = _p5_split(scenario, budget, placement)
+    p_user = np.full(cfg.num_users_U, cfg.p_max_user)
+    obj, r = exact_fill_objective(scenario, budget, x, p_user, cfg.p_max_obs,
+                                  cfg.p_max_relay, placement)
+    state = DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay,
+                          placement=placement, r_tilde=r)
+
+    # cap_u = (1-rho) x log2(1 + c_u/x) with c_u proportional to 1/d2_u.
+    q_obs = placement.q_obs
+    offsets = q_obs - scenario.agu_pos_wu
+    d2 = cfg.height_obs_Ho ** 2 + np.sum(offsets ** 2, axis=1)
+    c = user_rate_coeffs(scenario, budget, q_obs) * cfg.p_max_user
+    dcap = (-2.0 * (1.0 - cfg.outage_target_rho) / LN2 * c * x / ((x + c) * d2))[:, None] * offsets
+    mu = cfg.utility_theta / (cfg.num_users_U * r) - nu
+    grad = mu @ dcap
+    if dD_dl:
+        # link_cap = log2(1 + P/D) on the observation hop, D a function of l.
+        P = cfg.p_max_obs * budget.mu0
+        D = hop_dist2(scenario, placement)[0]
+        away = q_obs - scenario.gbs_pos_wb
+        grad = grad - nu * P * dD_dl / (D * (D + P) * LN2 * math.hypot(*away)) * away
+    return ReducedPoint(obj, state, grad)
 
 
 # --- SCA linearization of the placement problem ----------------------------
@@ -503,7 +601,7 @@ class P7Result:
     exact_objective: float
 
 
-def _placement_extent(cfg: SystemConfig) -> float:
+def placement_extent(cfg: SystemConfig) -> float:
     """Half-side (metres) of the box P7 keeps every UAV coordinate in."""
     return 4.0 * max(cfg.network_size_D, cfg.area_side)
 
@@ -577,7 +675,7 @@ def _p7_program(scenario, coeffs, x):
         border = -(incidence.T * np.repeat(weights, 2)) @ incidence
         return BlockCurvature(diag, border=border)
 
-    extent = _placement_extent(cfg) / _POS_SCALE
+    extent = placement_extent(cfg) / _POS_SCALE
     lower = np.concatenate([np.full(nb, -extent), np.zeros(U)])
     upper = np.concatenate([np.full(nb, extent), base_u + 1.0])
     program = ConcaveProgram(n=n, objective=objective, gradient=gradient,
@@ -649,7 +747,7 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
 
     origin = np.concatenate(q_i.uavs)
     move = np.concatenate(new_placement.uavs) - origin
-    extent = _placement_extent(cfg)
+    extent = placement_extent(cfg)
     scale = 2.0
     while True:
         # The returned placement is the next P7's expansion point, which must

@@ -153,8 +153,9 @@ def test_criterion_5_scheme_dominance(user_count_table):
 
 
 def test_joint_never_below_position_only_per_cell(user_count_table):
-    # joint's second run starts from position_only's answer and its BCD trace
-    # never falls, so this holds cell by cell, with no tolerance.
+    # joint's BCD starts from position_only's answer, its trace never falls,
+    # and the reduced-space stage records only strict gains, so this holds
+    # cell by cell, with no tolerance.
     for users in (10, 20, 30):
         for s in range(20):
             joint = user_count_table[("joint", users, s)]

@@ -70,13 +70,10 @@ class TestRunAlgorithm1:
         res.state.validate(sc, budget)
 
     def test_newton_step_budget(self, monkeypatch):
-        # joint at table2, U=30, seed 0 makes 10 solves, all P7: every P5
-        # takes its split in closed form (the flat ones at the face's centre,
-        # the others from their two prices), and each accepted placement move
-        # is extrapolated, which saves 4 P7 solves.  On the 17 solves made
-        # before these, a fixed-schedule barrier method (t from 1, x10 per
-        # Newton-centred stage) took 914 Newton steps; the primal-dual steps
-        # must take at most half of that.
+        # joint at table2, U=30, seed 0 makes 5 solves, all P7, in 79 Newton
+        # steps: one BCD run from position_only's answer, every P5 in closed
+        # form, each accepted placement move extrapolated, and a
+        # reduced-space stage that solves no program.
         from uavstream import subproblems
         reports = []
         solve = subproblems.solve_concave
@@ -87,9 +84,9 @@ class TestRunAlgorithm1:
 
         monkeypatch.setattr(subproblems, "solve_concave", counted)
         run_benchmark(small_scenario(seed=0, users=30), "joint")
-        assert len(reports) == 10
+        assert len(reports) == 5
         assert all(r.status == "converged" for r in reports)
-        assert sum(r.barrier_iterations for r in reports) <= 457
+        assert sum(r.barrier_iterations for r in reports) <= 79
 
 
 class TestBenchmarks:
