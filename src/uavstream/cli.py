@@ -78,24 +78,44 @@ def apply_sweep_value(config: SystemConfig, variable: str, value: float) -> Syst
     return with_overrides(config, network_size_D=value)
 
 
-def _run_one(args):
-    """Worker entry: one (scheme, sweep value, seed) cell."""
-    base_config, variable, value, seed, scheme = args
-    row = {"scheme": scheme, "sweep_var": variable, "sweep_value": value, "seed": seed}
+def _run_scenario(args):
+    """Worker entry: one (sweep value, seed) scenario and a row for each
+    requested scheme on it.
+
+    position_only runs first, and joint starts from its answer: that is the
+    start joint's own warm-up would compute, so joint's row is the same
+    whether or not position_only is requested.  A position_only run that
+    raised hands nothing on.  Each row's wall_ms is what its scheme cost on
+    this scenario: generating the scenario, the scheme's run and, for a joint
+    run handed position_only's answer, that run too.
+    """
+    base_config, variable, value, seed, schemes = args
     t0 = time.perf_counter()
-    try:
-        cfg = apply_sweep_value(base_config, variable, value)
-        cfg = with_overrides(cfg, rng_seed=seed)
-        scenario = generate_scenario(cfg)
-        result = run_benchmark(scenario, scheme)
-        row.update(avg_utility=f"{result.avg_utility:.9f}", iters=result.iterations,
-                   status="ok" if result.converged else "max_iters")
-    except InfeasibleProblem:
-        row.update(avg_utility="nan", iters=0, status="infeasible")
-    except (NumericError, FloatingPointError) as exc:
-        row.update(avg_utility="nan", iters=0, status=f"numeric_error:{exc}")
-    row["wall_ms"] = f"{(time.perf_counter() - t0) * 1e3:.1f}"
-    return row
+    cfg = with_overrides(apply_sweep_value(base_config, variable, value), rng_seed=seed)
+    scenario = generate_scenario(cfg)
+    setup_s = time.perf_counter() - t0
+    start, start_s, rows = (), 0.0, []
+    for scheme in sorted(schemes, key=lambda s: s != "position_only"):
+        row = {"scheme": scheme, "sweep_var": variable, "sweep_value": value, "seed": seed}
+        extra = start if scheme == "joint" else ()
+        t0 = time.perf_counter()
+        try:
+            # One call per cell, the start passed positionally, so that a
+            # wrapper of (scenario, scheme, *args) put in run_benchmark's
+            # place sees every cell.
+            result = run_benchmark(scenario, scheme, *extra)
+            row.update(avg_utility=f"{result.avg_utility:.9f}", iters=result.iterations,
+                       status="ok" if result.converged else "max_iters")
+            if scheme == "position_only":
+                start, start_s = (result.state,), time.perf_counter() - t0
+        except InfeasibleProblem:
+            row.update(avg_utility="nan", iters=0, status="infeasible")
+        except (NumericError, FloatingPointError) as exc:
+            row.update(avg_utility="nan", iters=0, status=f"numeric_error:{exc}")
+        spent = setup_s + time.perf_counter() - t0 + (start_s if extra else 0.0)
+        row["wall_ms"] = f"{spent * 1e3:.1f}"
+        rows.append(row)
+    return rows
 
 
 def read_rows(path):
@@ -126,15 +146,15 @@ def cmd_converge(config: SystemConfig, seed: int, out_path: Path) -> int:
 
 def cmd_sweep(spec: SweepSpec, config: SystemConfig, base_seed: int,
               out_path: Path, workers: int = 1) -> int:
-    tasks = [(config, spec.variable, value, base_seed + k, scheme)
+    tasks = [(config, spec.variable, value, base_seed + k, spec.schemes)
              for value in spec.grid
-             for k in range(spec.seeds)
-             for scheme in spec.schemes]
+             for k in range(spec.seeds)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks, chunksize=1))
+            rows = [row for rows in pool.map(_run_scenario, tasks, chunksize=1)
+                    for row in rows]
     else:
-        rows = [_run_one(t) for t in tasks]
+        rows = [row for t in tasks for row in _run_scenario(t)]
     rows.sort(key=lambda r: (r["scheme"], r["sweep_value"], r["seed"]))
 
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

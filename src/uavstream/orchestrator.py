@@ -18,7 +18,8 @@ from .channel import LinkBudget
 from .scenario import Scenario, UavPlacement
 from .subproblems import (DecisionState, InfeasibleProblem, exact_fill_objective,
                           make_link_budget, placement_extent, reduced_point, solve_p5,
-                          solve_p7)
+                          solve_p7, utility_params)
+from .utility import average_utility
 
 _PROBE = 1.0           # metres between the points of the reduced ascent's first Hessian
 _ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
@@ -95,12 +96,12 @@ def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> De
 def _sca_descent(scenario, budget, state: DecisionState, max_steps):
     """Drive the placement block: up to max_steps linearized steps, stopping
     when one stalls or gains less than bcd_tol.  Returns the updated state,
-    the last linearized objective and the exact objective of the state."""
-    obj = lb = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
-                                    state.p_relay, state.placement)[0]
+    the last linearized objective and the exact objective of the state.
+    state.r_tilde must be the exact fill of state, as _bcd keeps it."""
+    obj = lb = average_utility(state.r_tilde, utility_params(scenario.config))
     for _ in range(max_steps):
-        p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs,
-                      state.p_relay, state.placement, budget)
+        p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,
+                      state.placement, budget, (obj, state.r_tilde))
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
         lb, gain, obj = p7.lb_objective, p7.exact_objective - obj, p7.exact_objective
         if p7.stalled or gain < scenario.config.bcd_tol:

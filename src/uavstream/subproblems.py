@@ -704,7 +704,8 @@ def _sanitize_expansion(scenario: Scenario, q_i: UavPlacement) -> UavPlacement:
 
 
 def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
-             q_i: UavPlacement, budget: LinkBudget | None = None) -> P7Result:
+             q_i: UavPlacement, budget: LinkBudget | None = None,
+             fill_at_qi: tuple | None = None) -> P7Result:
     """One SCA placement step from expansion point q_i at fixed resources.
 
     Moves the UAVs of q_i's chain.  Guarantees ascent of the exact-rate
@@ -720,14 +721,19 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
     trial is one O(U log U) rate fill where a P7 solve takes tens of Newton
     steps.  lb_objective stays the solve's surrogate value, which is below
     the exact objective at q* and hence at the returned placement.
+
+    fill_at_qi, if given, is exact_fill_objective's (objective, r_tilde) at
+    q_i, which the caller already holds; it is used unless q_i needs a nudge.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     x = np.asarray(x, dtype=float)
     p_user = np.asarray(p_user, dtype=float)
-    q_i = _sanitize_expansion(scenario, q_i)
-    obj_at_qi, r_at_qi = exact_fill_objective(scenario, budget, x, p_user,
-                                              p_obs, p_relay, q_i)
+    nudged = _sanitize_expansion(scenario, q_i)
+    if fill_at_qi is None or nudged is not q_i:
+        q_i = nudged
+        fill_at_qi = exact_fill_objective(scenario, budget, x, p_user, p_obs, p_relay, q_i)
+    obj_at_qi, r_at_qi = fill_at_qi
 
     coeffs = sca_coefficients(scenario, x, p_user, p_obs, p_relay, q_i, budget)
     try:

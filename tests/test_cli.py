@@ -1,5 +1,6 @@
 """CLI surface: presets, convergence traces, sweeps, exit codes, determinism."""
 
+import numpy as np
 import pytest
 
 from uavstream.cli import (DEFAULT_GRIDS, SweepSpec, apply_sweep_value, build_parser,
@@ -8,6 +9,11 @@ from uavstream.scenario import (ConfigError, format_config, load_config, table2_
 from uavstream.subproblems import InfeasibleProblem
 
 read_csv = read_rows    # every emitted CSV must round-trip through the harness reader
+
+
+def strip_wall(row):
+    """A sweep row without its timing, the one column that varies by run."""
+    return {k: v for k, v in row.items() if k != "wall_ms"}
 
 
 class TestPresets:
@@ -91,6 +97,91 @@ class TestSweep:
         u1 = [r["avg_utility"] for r in read_csv(out1)]
         u2 = [r["avg_utility"] for r in read_csv(out2)]
         assert u1 == u2
+
+    def test_joint_rows_do_not_depend_on_position_only_being_listed(self, tmp_path):
+        # joint handed position_only's answer computes what its own warm-up
+        # would have.
+        cfg = table2_config(num_users_U=3)
+        outputs = {}
+        for schemes in (("joint",), ("joint", "position_only")):
+            spec = SweepSpec(variable="num_users", grid=(2.0, 3.0), seeds=2, schemes=schemes)
+            out = tmp_path / f"{len(schemes)}.csv"
+            cmd_sweep(spec, cfg, 0, out)
+            outputs[schemes] = [strip_wall(r) for r in read_csv(out) if r["scheme"] == "joint"]
+        assert outputs[("joint",)] == outputs[("joint", "position_only")]
+        assert len(outputs[("joint",)]) == 4
+
+    def test_handoff_is_worker_independent(self, tmp_path):
+        cfg = table2_config(num_users_U=2)
+        spec = SweepSpec(variable="num_users", grid=(2.0, 3.0), seeds=2,
+                         schemes=("joint", "position_only"))
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        cmd_sweep(spec, cfg, 0, out1, workers=1)
+        cmd_sweep(spec, cfg, 0, out2, workers=2)
+        rows1 = [strip_wall(r) for r in read_csv(out1)]
+        assert rows1 == [strip_wall(r) for r in read_csv(out2)]
+        assert len(rows1) == 8 and {r["status"] for r in rows1} == {"ok"}
+        assert ((tmp_path / "w1_summary.csv").read_bytes()
+                == (tmp_path / "w2_summary.csv").read_bytes())
+
+    def test_each_cell_is_one_positional_call(self, tmp_path, monkeypatch):
+        # A recorder of (scenario, scheme, *args) sees every cell once, and
+        # joint receives position_only's returned state positionally; joint
+        # leaves that state and the shared scenario as they were.
+        import uavstream.cli as cli_mod
+        real = cli_mod.run_benchmark
+        calls = []
+
+        def recorded(scenario, scheme, *args):
+            snapshot = [(a.x.copy(), a.r_tilde.copy(), a.placement.q_obs.copy(),
+                         a.placement.q_relay.copy()) for a in args]
+            users = scenario.agu_pos_wu.copy()
+            result = real(scenario, scheme, *args)
+            calls.append((scenario, scheme, args, result))
+            for a, before in zip(args, snapshot):
+                after = (a.x, a.r_tilde, a.placement.q_obs, a.placement.q_relay)
+                assert all(np.array_equal(u, v) for u, v in zip(before, after))
+            assert np.array_equal(scenario.agu_pos_wu, users)
+            return result
+
+        monkeypatch.setattr(cli_mod, "run_benchmark", recorded)
+        spec = SweepSpec(variable="num_users", grid=(2.0, 3.0), seeds=2,
+                         schemes=("joint", "resource_only", "position_only"))
+        cmd_sweep(spec, table2_config(), 0, tmp_path / "r.csv")
+        cells = [(s.config.num_users_U, s.config.rng_seed, scheme)
+                 for s, scheme, _, _ in calls]
+        assert sorted(cells) == sorted({(u, k, scheme) for u in (2, 3) for k in (0, 1)
+                                        for scheme in spec.schemes})
+        position_only = {(s.config.num_users_U, s.config.rng_seed): (s, result)
+                         for s, scheme, _, result in calls if scheme == "position_only"}
+        for scenario, scheme, args, _ in calls:
+            key = (scenario.config.num_users_U, scenario.config.rng_seed)
+            if scheme == "joint":
+                shared, result = position_only[key]
+                assert scenario is shared
+                assert len(args) == 1 and args[0] is result.state
+            else:
+                assert args == ()
+
+    def test_failed_position_only_hands_nothing_on(self, tmp_path, monkeypatch):
+        import uavstream.cli as cli_mod
+        real = cli_mod.run_benchmark
+        joint_args = []
+
+        def position_only_fails(scenario, scheme, *args):
+            if scheme == "position_only":
+                raise InfeasibleProblem("forced for test")
+            joint_args.append(args)
+            return real(scenario, scheme, *args)
+
+        monkeypatch.setattr(cli_mod, "run_benchmark", position_only_fails)
+        spec = SweepSpec(variable="num_users", grid=(2.0,), seeds=1,
+                         schemes=("joint", "position_only"))
+        out = tmp_path / "f.csv"
+        cmd_sweep(spec, table2_config(), 0, out)
+        statuses = {r["scheme"]: r["status"] for r in read_csv(out)}
+        assert statuses == {"joint": "ok", "position_only": "infeasible"}
+        assert joint_args == [()]
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -88,6 +88,24 @@ class TestRunAlgorithm1:
         assert all(r.status == "converged" for r in reports)
         assert sum(r.barrier_iterations for r in reports) <= 79
 
+    @pytest.mark.parametrize("scheme, fills", [("joint", 22), ("resource_only", 4)])
+    def test_exact_fill_budget(self, monkeypatch, scheme, fills):
+        # At table2, U=30, seed 0.  Each P7 step takes the fill at its
+        # expansion point from the caller (the previous step's answer, or
+        # the state _bcd or P5 just filled) instead of recomputing it.
+        from uavstream import orchestrator, subproblems
+        calls = []
+        fill = subproblems.exact_fill_objective
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+
+        for module in (orchestrator, subproblems):
+            monkeypatch.setattr(module, "exact_fill_objective", counted)
+        run_benchmark(small_scenario(seed=0, users=30), scheme)
+        assert len(calls) == fills
+
 
 class TestBenchmarks:
     def test_unknown_scheme_rejected(self):
