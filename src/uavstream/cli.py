@@ -62,6 +62,9 @@ class SweepSpec:
         bad = [s for s in self.schemes if s not in SCHEMES]
         if bad:
             raise ConfigError(f"unknown schemes: {bad}")
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"schemes listed more than once: {repeated}")
 
 
 def apply_sweep_value(config: SystemConfig, variable: str, value: float) -> SystemConfig:

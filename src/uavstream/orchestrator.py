@@ -23,6 +23,7 @@ from .utility import average_utility
 
 _PROBE = 1.0           # metres between the points of the reduced ascent's first Hessian
 _ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
+_SCA_KAPPA = 1e-4      # P7 tolerance per unit of the last accepted placement gain
 
 
 @dataclass(frozen=True)
@@ -93,20 +94,31 @@ def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> De
                          r_tilde=0.99 * r_fill)
 
 
-def _sca_descent(scenario, budget, state: DecisionState, max_steps):
+def _sca_descent(scenario, budget, state: DecisionState, max_steps, gain):
     """Drive the placement block: up to max_steps linearized steps, stopping
     when one stalls or gains less than bcd_tol.  Returns the updated state,
-    the last linearized objective and the exact objective of the state.
-    state.r_tilde must be the exact fill of state, as _bcd keeps it."""
-    obj = lb = average_utility(state.r_tilde, utility_params(scenario.config))
+    the last linearized objective, the exact objective of the state and the
+    gain of the last accepted step.
+    state.r_tilde must be the exact fill of state, as _bcd keeps it.
+
+    Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
+    exact-objective gain of the run's last accepted step (None before the
+    first, where |objective| stands in): a surrogate needs solving only as
+    tightly as the steps still gain, and late steps are solved tightly."""
+    cfg = scenario.config
+    obj = lb = average_utility(state.r_tilde, utility_params(cfg))
     for _ in range(max_steps):
+        scale = abs(obj) if gain is None else gain
         p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,
-                      state.placement, budget, (obj, state.r_tilde))
+                      state.placement, budget, (obj, state.r_tilde),
+                      max(cfg.sca_tol, _SCA_KAPPA * scale))
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
-        lb, gain, obj = p7.lb_objective, p7.exact_objective - obj, p7.exact_objective
-        if p7.stalled or gain < scenario.config.bcd_tol:
+        if not p7.stalled:
+            gain = p7.exact_objective - obj
+        lb, obj = p7.lb_objective, p7.exact_objective
+        if p7.stalled or gain < cfg.bcd_tol:
             break
-    return state, lb, obj
+    return state, lb, obj, gain
 
 
 def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
@@ -121,13 +133,13 @@ def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
     trace = IterationTrace()
     trace.add(0, prev, prev)
 
-    iterations = 0
+    iterations, gain = 0, None
     converged = not (spec.p5 or sca_steps)
     while not converged and iterations < cfg.max_bcd_iters:
         iterations += 1
         if spec.p5:
-            state = solve_p5(scenario, state.placement, state, budget)
-        state, lb, obj = _sca_descent(scenario, budget, state, sca_steps)
+            state = solve_p5(scenario, state.placement, state, budget, (prev, state.r_tilde))
+        state, lb, obj, gain = _sca_descent(scenario, budget, state, sca_steps, gain)
         trace.add(iterations, obj, lb)
         converged = obj - prev < cfg.bcd_tol
         prev = obj

@@ -420,7 +420,8 @@ def _p5_split(scenario, budget, placement):
 
 
 def solve_p5(scenario: Scenario, placement: UavPlacement,
-             start: DecisionState, budget: LinkBudget | None = None) -> DecisionState:
+             start: DecisionState, budget: LinkBudget | None = None,
+             fill_at_start: tuple | None = None) -> DecisionState:
     """Optimal bandwidth shares for pinned UAV positions.
 
     The returned powers sit exactly at their budgets: the objective and every
@@ -430,6 +431,10 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     centre in closed form; otherwise it solves P5's optimality conditions in
     their two prices (_price_split).  Effective rates are then re-filled
     against the exact rate caps.
+
+    fill_at_start, if given, is exact_fill_objective's (objective, r_tilde)
+    at start's split and powers and at placement, which the caller already
+    holds; it is used where start's powers sit at their budgets, as P5's do.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
@@ -440,10 +445,13 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
                                        cfg.p_max_obs, cfg.p_max_relay, placement)
 
     # Fall back to the start's bandwidth split if the solve regressed.
-    obj_start, r_start = exact_fill_objective(
-        scenario, budget, start.x, p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
+    if (fill_at_start is None or np.any(start.p_user != cfg.p_max_user)
+            or start.p_obs != cfg.p_max_obs or start.p_relay != cfg.p_max_relay):
+        fill_at_start = exact_fill_objective(
+            scenario, budget, start.x, p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
+    obj_start, r_start = fill_at_start
     if obj_start > obj:
-        x_opt, r_fill = start.x.copy(), r_start
+        x_opt, r_fill = start.x.copy(), r_start.copy()
     return DecisionState(x=x_opt, p_user=p_user, p_obs=cfg.p_max_obs,
                          p_relay=cfg.p_max_relay, placement=placement, r_tilde=r_fill)
 
@@ -705,7 +713,7 @@ def _sanitize_expansion(scenario: Scenario, q_i: UavPlacement) -> UavPlacement:
 
 def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
              q_i: UavPlacement, budget: LinkBudget | None = None,
-             fill_at_qi: tuple | None = None) -> P7Result:
+             fill_at_qi: tuple | None = None, tol: float | None = None) -> P7Result:
     """One SCA placement step from expansion point q_i at fixed resources.
 
     Moves the UAVs of q_i's chain.  Guarantees ascent of the exact-rate
@@ -724,6 +732,7 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
 
     fill_at_qi, if given, is exact_fill_objective's (objective, r_tilde) at
     q_i, which the caller already holds; it is used unless q_i needs a nudge.
+    tol is the surrogate solve's gap tolerance, sca_tol by default.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
@@ -740,7 +749,7 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
         program, v0 = _p7_program(scenario, coeffs, x)
     except InfeasibleProblem:
         return P7Result(q_i, r_at_qi, True, obj_at_qi, obj_at_qi)
-    report = solve_concave(program, v0, cfg.sca_tol)
+    report = solve_concave(program, v0, cfg.sca_tol if tol is None else tol)
 
     uav_coords = report.solution[:2 * len(q_i.uavs)] * _POS_SCALE
     new_placement = _sanitize_expansion(scenario, UavPlacement(*uav_coords.reshape(-1, 2)))

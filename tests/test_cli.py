@@ -192,6 +192,9 @@ class TestSweep:
             SweepSpec(variable="rho", grid=(0.1, 0.5), seeds=0, schemes=("joint",))
         with pytest.raises(ConfigError):
             SweepSpec(variable="rho", grid=(0.1, 0.5), seeds=1, schemes=("sorcery",))
+        with pytest.raises(ConfigError, match="more than once"):
+            SweepSpec(variable="rho", grid=(0.1, 0.5), seeds=1,
+                      schemes=("relay_baseline", "joint", "relay_baseline"))
 
     def test_power_budget_scales_all_three(self):
         cfg = apply_sweep_value(table2_config(), "power_budget", 0.4)
@@ -273,6 +276,17 @@ class TestMainEntry:
         code = main(["sweep", "--grid", "3,2,1", "--seeds", "1",
                      "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])
         assert code == 1
+
+    def test_repeated_scheme_exit_1(self, tmp_path, capsys):
+        # A repeated scheme would write each of its rows twice and average
+        # them as if there were twice the seeds.
+        out = tmp_path / "r.csv"
+        code = main(["sweep", "--grid", "2", "--seeds", "2",
+                     "--schemes", "relay_baseline,relay_baseline", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_infeasible_maps_to_exit_2(self, tmp_path, monkeypatch):
         import uavstream.orchestrator as orch
