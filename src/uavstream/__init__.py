@@ -3,9 +3,9 @@
 An observation UAV collects video from ground users over a Rician fading
 uplink and forwards it through a relay UAV to a distant ground base station.
 The library jointly optimizes both UAV positions, per-user bandwidth shares,
-and transmit powers to maximize the average logarithmic streaming utility,
-alternating an exact convex resource step with successive convex
-approximation of the placement step.
+and transmit powers to maximize the average logarithmic streaming utility:
+successive convex approximation of the placement, then an ascent over the
+observation UAV's position with the exact resource step solved at each point.
 """
 
 from .channel import (LinkBudget, marcum_q1, outage_probability, rate_agu,

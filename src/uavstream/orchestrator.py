@@ -1,10 +1,11 @@
-"""Block-coordinate-descent driver and the benchmark schemes.
+"""The benchmark schemes, each a straight run of stages from the heuristic start.
 
-Every scheme runs the same loop over the two blocks: the exact resource
-subproblem (P5) and SCA placement steps (P7), until the exact-rate objective
-stops improving.  A scheme fixes which blocks run and on which backhaul
-chain, so every scheme reports the same exact-rate objective.  joint then
-ascends the reduced objective over the observation UAV alone.
+relay_baseline keeps the start, and resource_only solves the resource
+subproblem (P5) there once.  position_only takes SCA placement steps (P7) at
+the equal split until they stall.  joint then ascends the reduced objective
+J*(q_obs) over the observation UAV, with P5 solved and the relay at its
+equal-hop point at every q_obs; no_relay runs both stages on the one-hop
+chain.  Every scheme reports the same exact-rate objective.
 """
 
 from __future__ import annotations
@@ -25,22 +26,7 @@ _PROBE = 1.0           # metres between the points of the reduced ascent's first
 _ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
 _SCA_KAPPA = 1e-4      # P7 tolerance per unit of the last accepted placement gain
 
-
-@dataclass(frozen=True)
-class _Scheme:
-    p5: bool                 # run the resource block each iteration
-    sca_steps: int | None    # SCA steps per iteration; None: until they stall
-    relay: bool = True       # False: the observation UAV reaches the GBS directly
-
-
-_SCHEMES = {
-    "joint": _Scheme(p5=True, sca_steps=None),
-    "resource_only": _Scheme(p5=True, sca_steps=0),
-    "position_only": _Scheme(p5=False, sca_steps=1),
-    "relay_baseline": _Scheme(p5=False, sca_steps=0),
-    "no_relay": _Scheme(p5=True, sca_steps=None, relay=False),
-}
-SCHEMES = tuple(_SCHEMES)
+SCHEMES = ("joint", "resource_only", "position_only", "relay_baseline", "no_relay")
 
 
 @dataclass
@@ -94,57 +80,44 @@ def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> De
                          r_tilde=0.99 * r_fill)
 
 
-def _sca_descent(scenario, budget, state: DecisionState, max_steps, gain):
-    """Drive the placement block: up to max_steps linearized steps, stopping
-    when one stalls or gains less than bcd_tol.  Returns the updated state,
-    the last linearized objective, the exact objective of the state and the
-    gain of the last accepted step.
-    state.r_tilde must be the exact fill of state, as _bcd keeps it.
+def _start(scenario, budget, state: DecisionState, scheme: str, fill=None) -> SchemeResult:
+    """A zero-iteration result at state, with its exact fill: fill, the
+    (objective, r_tilde) the caller already holds, or else computed here
+    (a caller's state need not hold it; initialize_state's holds 0.99 of it)."""
+    obj, r_fill = fill if fill is not None else exact_fill_objective(
+        scenario, budget, state.x, state.p_user, state.p_obs, state.p_relay, state.placement)
+    trace = IterationTrace()
+    trace.add(0, obj, obj)
+    return SchemeResult(scheme, dataclasses.replace(state, r_tilde=r_fill), obj, trace, 0, True)
+
+
+def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
+    """A trace record at state, then SCA placement steps (P7) at its split,
+    one record each, until a step stalls or gains less than bcd_tol;
+    unconverged after max_bcd_iters steps.
 
     Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
-    exact-objective gain of the run's last accepted step (None before the
-    first, where |objective| stands in): a surrogate needs solving only as
-    tightly as the steps still gain, and late steps are solved tightly."""
+    exact-objective gain of the run's last accepted step (|objective| before
+    the first): a surrogate needs solving only as tightly as the steps still
+    gain, and late steps are solved tightly."""
     cfg = scenario.config
-    obj = lb = average_utility(state.r_tilde, utility_params(cfg))
-    for _ in range(max_steps):
+    result = _start(scenario, budget, state, scheme)
+    state, obj, gain = result.state, result.avg_utility, None
+    for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
         p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,
                       state.placement, budget, (obj, state.r_tilde),
                       max(cfg.sca_tol, _SCA_KAPPA * scale))
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
+        result.trace.add(step, p7.exact_objective, p7.lb_objective)
+        converged = p7.exact_objective - obj < cfg.bcd_tol
         if not p7.stalled:
             gain = p7.exact_objective - obj
-        lb, obj = p7.lb_objective, p7.exact_objective
-        if p7.stalled or gain < cfg.bcd_tol:
+        obj = p7.exact_objective
+        if converged:
             break
-    return state, lb, obj, gain
-
-
-def _bcd(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
-    """Alternate the scheme's blocks from state until the exact objective
-    gains less than bcd_tol.  A scheme with no block returns its start."""
-    cfg = scenario.config
-    spec = _SCHEMES[scheme]
-    sca_steps = cfg.max_bcd_iters if spec.sca_steps is None else spec.sca_steps
-    prev, r_fill = exact_fill_objective(scenario, budget, state.x, state.p_user,
-                                        state.p_obs, state.p_relay, state.placement)
-    state = dataclasses.replace(state, r_tilde=r_fill)
-    trace = IterationTrace()
-    trace.add(0, prev, prev)
-
-    iterations, gain = 0, None
-    converged = not (spec.p5 or sca_steps)
-    while not converged and iterations < cfg.max_bcd_iters:
-        iterations += 1
-        if spec.p5:
-            state = solve_p5(scenario, state.placement, state, budget, (prev, state.r_tilde))
-        state, lb, obj, gain = _sca_descent(scenario, budget, state, sca_steps, gain)
-        trace.add(iterations, obj, lb)
-        converged = obj - prev < cfg.bcd_tol
-        prev = obj
-    return SchemeResult(scheme, state, trace.exact_objectives[-1], trace,
-                        iterations, converged)
+    return dataclasses.replace(result, state=state, avg_utility=obj, iterations=step,
+                               converged=converged)
 
 
 def _first_inverse(point, evaluate):
@@ -167,31 +140,32 @@ def _first_inverse(point, evaluate):
 def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
     """Ascend the reduced objective J*(q_obs) (subproblems.reduced_point)
     from the observation UAV's position in result, by BFGS on q_obs with
-    Armijo backtracking on J* itself.
+    Armijo backtracking on J* itself, on the chain of result's placement.
 
-    BCD stalls where P5 and P7 are each optimal given the other while a
-    joint move of the split and the UAVs still gains; J* re-solves P5 at
-    every q_obs, so its ascent makes that joint move.  A point enters the
-    trace, as its own lower bound, only if it strictly raises the last
-    recorded objective, so the trace never falls and the result is never
-    below result.  The ascent stops after a step that gains less than
-    sca_tol * |J*|, when the line search fails, after max_bcd_iters steps,
-    or when the trace holds max_bcd_iters records past its start.
+    J* re-solves P5 at every q_obs, so its ascent moves the split and the
+    UAVs together, where SCA steps move the UAVs alone at a fixed split.  A
+    point enters result's trace, as its own lower bound, only if it strictly
+    raises the last recorded objective, so the trace never falls and the
+    result is never below result.  The ascent stops after a step that gains
+    less than sca_tol * |J*|, or when the line search fails; it stops
+    unconverged after max_bcd_iters steps, or when the trace holds
+    max_bcd_iters records past its start.
     """
     cfg = scenario.config
     trace = result.trace
     extent = placement_extent(cfg)
+    relay = result.state.placement.q_relay is not None
 
     def evaluate(q):
         if not np.abs(q).max() < extent:
             return None
         try:
-            return reduced_point(scenario, budget, q)
+            return reduced_point(scenario, budget, q, relay)
         except InfeasibleProblem:    # a zero-length hop
             return None
 
     state, best = result.state, trace.exact_objectives[-1]
-    point, inverse, last = evaluate(state.placement.q_obs), None, False
+    point, inverse, last, converged = evaluate(state.placement.q_obs), None, False, True
     for step in range(cfg.max_bcd_iters + 1):
         if point is None:
             break
@@ -199,8 +173,10 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
             state, best = point.state, point.objective
             trace.add(trace.records[-1].iteration + 1, best, best)
         g = point.gradient
-        if (last or step == cfg.max_bcd_iters or len(trace.records) > cfg.max_bcd_iters
-                or not np.any(g)):
+        if last or not np.any(g):
+            break
+        if step == cfg.max_bcd_iters or len(trace.records) > cfg.max_bcd_iters:
+            converged = False
             break
         if inverse is None:
             inverse, scaled = _first_inverse(point, evaluate)
@@ -225,41 +201,52 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
             left = np.eye(2) - np.outer(s, y) / ys
             inverse = left @ inverse @ left.T + np.outer(s, s) / ys
         point = trial
-    return dataclasses.replace(result, state=state, avg_utility=best)
+    return dataclasses.replace(result, state=state, avg_utility=best,
+                               iterations=trace.records[-1].iteration,
+                               converged=result.converged and converged)
 
 
 def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = None) -> SchemeResult:
-    """Joint placement and resource optimization: block coordinate descent,
-    then an ascent in the reduced space of the observation UAV.
+    """Joint placement and resource optimization: the reduced-space ascent
+    (_reduced_ascent) from initial_state, by default position_only's answer
+    (the heuristic placement refined at the equal split).
 
-    BCD starts from initial_state, or by default from position_only's answer
-    (the heuristic placement refined at the equal split).  It stalls where P5
-    and P7 are each optimal given the other; the reduced-space stage
-    (_reduced_ascent), an addition to the paper's Algorithm 1, then moves
-    the split and both UAVs together.
-
-    The result is never below position_only: BCD's trace starts at the
-    exact objective of position_only's final state and never falls (P5
-    keeps its start split unless its own split gains, and P7 returns only
-    strict ascents), the stage records only strict gains, and the result is
-    the last record.
+    The paper's Algorithm 1 alternates P5 and P7 (block coordinate descent)
+    and stalls where each is optimal given the other; the ascent moves the
+    split and the UAVs together.  The result starts as a zero-iteration one
+    at initial_state, so its trace is that state's exact objective, then the
+    ascent's records, which iterations counts.  It is never below its start:
+    the ascent records only strict gains, and the result is the last record.
     """
     budget = make_link_budget(scenario.config)
     if initial_state is None:
-        base = initialize_state(scenario, budget)
-        initial_state = _bcd(scenario, budget, base, "position_only").state
-    return _reduced_ascent(scenario, budget, _bcd(scenario, budget, initial_state.copy(), "joint"))
+        base = _placement_run(scenario, budget, initialize_state(scenario, budget), "joint")
+        start = _start(scenario, budget, base.state, "joint", (base.avg_utility, base.state.r_tilde))
+    else:
+        start = _start(scenario, budget, initial_state.copy(), "joint")
+    return _reduced_ascent(scenario, budget, start)
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,
                   initial_state: DecisionState | None = None) -> SchemeResult:
-    """Run one scheme; 'joint' dispatches to the full BCD algorithm."""
+    """Run one scheme from initial_state, by default the heuristic start;
+    'joint' dispatches to run_algorithm1."""
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {SCHEMES}")
     if scheme_id == "joint":
         return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
     state = initial_state.copy() if initial_state is not None else initialize_state(scenario, budget)
-    if not _SCHEMES[scheme_id].relay:
+    if scheme_id == "position_only":
+        return _placement_run(scenario, budget, state, scheme_id)
+    if scheme_id == "no_relay":
         state.placement = UavPlacement(state.placement.q_obs)
-    return _bcd(scenario, budget, state, scheme_id)
+        return _reduced_ascent(scenario, budget, _placement_run(scenario, budget, state, scheme_id))
+    result = _start(scenario, budget, state, scheme_id)
+    if scheme_id == "resource_only":
+        state = solve_p5(scenario, state.placement, result.state, budget,
+                         (result.avg_utility, result.state.r_tilde))
+        obj = average_utility(state.r_tilde, utility_params(scenario.config))
+        result.trace.add(1, obj, obj)
+        result = dataclasses.replace(result, state=state, avg_utility=obj, iterations=1)
+    return result

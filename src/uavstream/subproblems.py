@@ -9,9 +9,9 @@ surrogate's optimum.  Both steps serve either chain
 (observation -> relay -> GBS, or observation -> GBS when the placement has no
 relay).  The resource step is solved in closed form, from its optimality
 conditions; the placement step reduces to a ConcaveProgram for the barrier
-solver.  The reduced problem fixes the observation UAV alone: the relay then
-sits at its equal-hop point and P5 is solved there, which gives the
-objective J*(q_obs) and its gradient.
+solver.  The reduced problem fixes the observation UAV alone: the relay, if
+the chain has one, then sits at its equal-hop point and P5 is solved there,
+which gives the objective J*(q_obs) and its gradient.
 """
 
 from __future__ import annotations
@@ -502,9 +502,11 @@ class ReducedPoint:
     gradient: np.ndarray
 
 
-def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs) -> ReducedPoint:
+def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
+                  relay: bool = True) -> ReducedPoint:
     """The reduced objective J*(q_obs): the exact-fill objective with the
-    relay at its equal-hop point (equal_hop_placement) and P5 solved there.
+    relay at its equal-hop point (equal_hop_placement), or with no relay
+    when relay is False, and P5 solved there.
 
     Its gradient is Danskin's, P5's multipliers times the q_obs-gradients of
     the caps they price: sum_u mu_u dcap_u/dq + nu dlink_cap/dq, with
@@ -513,7 +515,11 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs) -> ReducedPoint
     nu = theta/link_cap, so mu = 0.
     """
     cfg = scenario.config
-    placement, dD_dl = equal_hop_placement(scenario, q_obs)
+    if relay:
+        placement, dD_dl = equal_hop_placement(scenario, q_obs)
+    else:    # the direct hop: D = (Hb - Ho)^2 + l^2
+        placement = UavPlacement(q_obs)
+        dD_dl = 2.0 * math.hypot(*(placement.q_obs - scenario.gbs_pos_wb))
     x, _, nu = _p5_split(scenario, budget, placement)
     p_user = np.full(cfg.num_users_U, cfg.p_max_user)
     obj, r = exact_fill_objective(scenario, budget, x, p_user, cfg.p_max_obs,
@@ -530,7 +536,8 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs) -> ReducedPoint
     mu = cfg.utility_theta / (cfg.num_users_U * r) - nu
     grad = mu @ dcap
     if dD_dl:
-        # link_cap = log2(1 + P/D) on the observation hop, D a function of l.
+        # link_cap = log2(1 + P/D) on the observation hop (to the relay or
+        # the GBS), D a function of l.
         P = cfg.p_max_obs * budget.mu0
         D = hop_dist2(scenario, placement)[0]
         away = q_obs - scenario.gbs_pos_wb

@@ -104,8 +104,8 @@ def test_every_scheme_keeps_the_bcd_invariants(cfg, scheme):
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=config_strategy(max_users=8))
 def test_joint_is_never_below_position_only(cfg):
-    # joint's BCD starts from position_only's answer, its trace never falls,
-    # and the reduced-space stage records only strict gains: no tolerance.
+    # joint's reduced-space stage starts from position_only's answer and
+    # records only strict gains: no tolerance.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sc = generate_scenario(cfg)

@@ -1,5 +1,6 @@
 """The reduced problem over the observation UAV: the equal-hop relay, the
-gradient of J*, and joint's answer against the brute-force oracle."""
+gradient of J* on either chain, and joint's answer against the brute-force
+oracle."""
 
 import warnings
 
@@ -73,23 +74,26 @@ def test_equal_hop_relay_clamps_where_one_hop_is_always_weaker():
 
 
 @pytest.mark.parametrize("num_users", [1, 5, 8])
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", [*CONFIGS, "one_hop"])
 def test_reduced_gradient_matches_central_differences(config, num_users):
     # Danskin's gradient of J*, on flat and non-flat P5s; a stencil whose
-    # ends differ in flatness straddles J*'s kink and is skipped.
+    # ends differ in flatness straddles J*'s kink and is skipped.  one_hop
+    # is table2 with no relay: the observation UAV sends straight to the GBS.
+    relay = config != "one_hop"
     sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=num_users,
-                                         **CONFIGS[config]))
+                                         **CONFIGS.get(config, {})))
     budget = make_link_budget(sc.config)
     h = 1e-3
     checked = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for q_obs in random_points(sc, np.random.default_rng(num_users), 8):
-            point = reduced_point(sc, budget, q_obs)
+            point = reduced_point(sc, budget, q_obs, relay)
             fd = np.empty(2)
             flat = {_p5_split(sc, budget, point.state.placement)[1] == 0.0}
             for i, e in enumerate(np.eye(2)):
-                ends = [reduced_point(sc, budget, q_obs + sign * h * e) for sign in (1, -1)]
+                ends = [reduced_point(sc, budget, q_obs + sign * h * e, relay)
+                        for sign in (1, -1)]
                 flat |= {_p5_split(sc, budget, p.state.placement)[1] == 0.0 for p in ends}
                 fd[i] = (ends[0].objective - ends[1].objective) / (2 * h)
             if len(flat) > 1:
