@@ -5,7 +5,8 @@ Subcommands
     sweep     -- grid x seeds x schemes, emit raw rows plus a seed-averaged summary
     presets   -- write the built-in config files
 
-Exit codes: 0 success, 1 config error, 2 infeasible instance, 3 numeric failure.
+Exit codes: 0 success, 1 config error, 2 infeasible instance (or a converge run
+that stops at the iteration cap), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -149,6 +150,8 @@ def cmd_converge(config: SystemConfig, seed: int, out_path: Path) -> int:
 
 def cmd_sweep(spec: SweepSpec, config: SystemConfig, base_seed: int,
               out_path: Path, workers: int = 1) -> int:
+    if workers < 1:
+        raise ConfigError(f"need at least one worker, got {workers}")
     tasks = [(config, spec.variable, value, base_seed + k, spec.schemes)
              for value in spec.grid
              for k in range(spec.seeds)]

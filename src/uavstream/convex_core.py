@@ -7,16 +7,16 @@ own log term.  The method carries multipliers for the constraint rows and the
 box sides.  t starts at 1 and, after every step the line search did not
 shorten, becomes 10 m / eta for the surrogate gap eta (multipliers times
 slacks), never falling and capped at m/tol.  Each iteration takes one Newton
-step on the barrier at t whose constraint weights are the multipliers,
-updates the multipliers along their own Newton direction (kept positive by a
-fraction-to-boundary rule), and backtracks both by Armijo on the barrier
-value at t.  With the multipliers on the central path this step is the
-log-barrier Newton step; a failed line search returns them there.  The solve
-stops once t is at its cap and the Newton decrement is below tolerance.  The
-caller supplies a strictly interior start with a finite objective.
-
-Every program supplies an exact combined-curvature callback, so each step is
-a Newton step.
+step on the barrier at t whose constraint weights are the multipliers (every
+program supplies its exact combined curvature), updates the multipliers along
+their own Newton direction (kept positive by a fraction-to-boundary rule), and
+backtracks both by Armijo on the barrier value at t.  With the multipliers on
+the central path this step is the log-barrier Newton step; a failed line
+search returns them there.  The solve stops once t is at its cap and the
+Newton decrement is below tolerance.  The caller supplies a strictly interior
+start with a finite objective.  Each line-search trial builds every slack in
+one vector and takes one log over it; each accepted point keeps that vector
+and derives its gradients once, from the slacks' reciprocals.
 
 Every program declares the shape of its Hessian (BlockStructure): every
 variable is a one-variable block or lies in a dense border coupled to every
@@ -25,12 +25,16 @@ dense coupling rows follow.  Its Jacobian and curvature callbacks answer in
 block form (the curvature is a diagonal plus a border matrix), and each Newton
 step is solved by block elimination of the border plus a
 Sherman-Morrison-Woodbury correction for the coupling rows, in O(n) time and
-memory.  A generic program declares no blocks: every variable in the border
-and every row a coupling row.
+memory, split into a factor (the blocks' pivots and the inverse of one small
+system in the border and the coupling rows) and a solve (a few
+matrix-vector products), so one factor serves several right-hand sides.  A
+generic program declares no blocks: every variable in the border and every
+row a coupling row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,6 +77,14 @@ class BlockStructure:
         used = np.concatenate([self.blocks, self.border])
         if not np.array_equal(np.sort(used), np.arange(n)):
             raise ValueError("every variable must lie in exactly one block or in the border")
+        self.at_blocks, self.at_border = _as_slice(self.blocks), _as_slice(self.border)
+
+
+def _as_slice(index):
+    """index as a slice if it is a range (cheaper to index with), else index."""
+    start = int(index[0]) if len(index) else 0
+    stop = start + len(index)
+    return slice(start, stop) if np.array_equal(index, np.arange(start, stop)) else index
 
 
 @dataclass
@@ -91,8 +103,8 @@ class BlockJacobian:
     def matvec(self, d):
         """J d."""
         st = self.structure
-        local = self.local * d[st.blocks]
-        local += self.border_part @ d[st.border]
+        local = self.local * d[st.at_blocks]
+        local += self.border_part @ d[st.at_border]
         return np.concatenate([local, self.coupling @ d])
 
     def rmatvec(self, y):
@@ -100,13 +112,9 @@ class BlockJacobian:
         st = self.structure
         nb = len(st.blocks)
         out = self.coupling.T @ y[nb:]
-        out[st.blocks] += self.local * y[:nb]
-        out[st.border] += y[:nb] @ self.border_part
+        out[st.at_blocks] += self.local * y[:nb]
+        out[st.at_border] += y[:nb] @ self.border_part
         return out
-
-    def all_finite(self):
-        return bool(np.isfinite(self.local).all() and np.isfinite(self.coupling).all()
-                    and np.isfinite(self.border_part).all())
 
 
 @dataclass
@@ -172,64 +180,69 @@ class SolveReport:
 # which give the Hessian of the barrier -f - (1/t) sum ln.
 
 def _terms(p: ConcaveProgram, v):
-    """(f, sum of the log slacks, g) at v, or None outside the domain."""
+    """(f, sum of the log slacks, s) at v, or None outside the domain.  s
+    holds every slack: the constraint rows g, then v - lower, then upper - v.
+    The box is checked before the constraints are evaluated."""
     dlo, dhi = v - p.lower, p.upper - v
-    if (dlo <= 0).any() or (dhi <= 0).any():
+    if dlo.min() <= 0 or dhi.min() <= 0:
         return None
-    g = np.atleast_1d(p.constraints(v))
-    if (g <= 0).any():
+    s = np.concatenate((p.constraints(v), dlo, dhi))
+    if s.min() <= 0:
         return None
     f = p.objective(v)
-    if not np.isfinite(f):
-        return None
-    logs = float(np.log(g).sum()) + float(np.log(dlo).sum()) + float(np.log(dhi).sum())
-    return f, logs, g
+    return (f, float(np.log(s).sum()), s) if math.isfinite(f) else None
 
 
-def _pieces(p: ConcaveProgram, v, g):
-    """(grad f, grad of minus the log terms, J) at v, given the constraints g
-    there (as _terms returns them); the barrier's gradient at t is the second
-    over t minus the first."""
+def _pieces(p: ConcaveProgram, v, inv_s):
+    """(grad f, grad of minus the log terms, J) at v, given 1/s there (s as
+    _terms returns it); the barrier's gradient at t is the second over t
+    minus the first.  A non-finite J or grad f makes their sum non-finite."""
+    k, n = inv_s.size - 2 * p.n, p.n
     J = p.constraint_jac(v)
     grad_f = np.asarray(p.gradient(v), dtype=float)
-    if not (np.isfinite(grad_f).all() and np.isfinite(g).all() and J.all_finite()):
+    log_grad = inv_s[k + n:] - inv_s[k:k + n]
+    log_grad -= J.rmatvec(inv_s[:k])
+    if not np.isfinite(log_grad + grad_f).all():
         raise NumericError("non-finite objective/constraint derivatives", v)
-    log_grad = 1.0 / (p.upper - v) - 1.0 / (v - p.lower)
-    log_grad -= J.rmatvec(1.0 / g)
     return grad_f, log_grad, J
 
 
-def _block_hessian(p: ConcaveProgram, v, g, J, w, box):
-    """The Newton matrix (the Gauss-Newton part of the constraint terms, the
-    box diagonal, and minus the program's curvature) in block form: the
-    blocks, the border, the block-border entries and the coupling rows scaled
-    by the square roots of their Gauss-Newton weights w/g."""
+def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
+    """The Newton matrix (the Gauss-Newton part of the constraint terms with
+    weights gn = w/g, the box diagonal, and minus the program's curvature at
+    the multipliers w) as a _BlockHessian; Uc is the coupling rows' J^T sqrt(gn)."""
     st = p.structure
-    nb = len(st.blocks)
+    nb, b, k = len(st.blocks), len(st.border), len(J.coupling)
     curv = p.curvature(v, w)
-    root_gn = np.sqrt(w / g)
+    root_gn = np.sqrt(gn)
     diag = box - curv.diag
     a = J.local * root_gn[:nb]
-    blocks = a * a + diag[st.blocks]
     c = J.border_part * root_gn[:nb, None]
-    border = c.T @ c
-    border.flat[::len(st.border) + 1] += diag[st.border]
-    border -= curv.border
-    cross = a[:, None] * c
     coupling = J.coupling.T * root_gn[nb:]
-    return _BlockHessian(st, blocks, border, cross, coupling)
+    system = np.zeros((b + k, b + k))
+    system[:b, :b] = c.T @ c - curv.border
+    system.flat[:b * (b + k + 1):b + k + 1] += diag[st.at_border]
+    system[:b, b:] = coupling[st.at_border]
+    system[b:, :b] = system[:b, b:].T
+    system.flat[b * (b + k + 1)::b + k + 1] = -1.0
+    blocks = a * a + diag[st.at_blocks]
+    # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
+    diagonal = gn[nb:] @ np.square(J.coupling)
+    diagonal[st.at_blocks] += blocks
+    diagonal[st.at_border] += system.diagonal()[:b]
+    columns = np.concatenate((a[:, None] * c, coupling[st.at_blocks]), axis=1)
+    return _BlockHessian(st, blocks, columns, system, float(np.abs(diagonal).max()))
 
 
 def _solve_spd(H, rhs):
-    """(H + ridge I)^{-1} rhs for a _BlockHessian H.
-
+    """(H + ridge I)^{-1} rhs for a _BlockHessian H, which stays factored.
     The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
-    grows 100-fold while the factorization fails.
-    """
-    ridge = _RIDGE0 * max(1.0, H.max_diag())
+    grows 100-fold while the factorization fails."""
+    ridge = _RIDGE0 * max(1.0, H.scale)
     for _ in range(12):
         try:
-            return H.solve(rhs, ridge)
+            H.factor(ridge)
+            return H.solve(rhs)
         except np.linalg.LinAlgError:
             ridge *= 100.0
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
@@ -238,58 +251,46 @@ def _solve_spd(H, rhs):
 @dataclass
 class _BlockHessian:
     """H = M + Uc Uc^T, where M is diagonal over the blocks except for a
-    dense border coupled to every block."""
+    dense border coupled to every block, and Uc has k columns.
+
+    With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
+    [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one small
+    system in the border step and y, of size b + k: the border's Schur
+    complement and the Sherman-Morrison-Woodbury capacitance in one matrix,
+    which factor(ridge) inverts and every solve(rhs) reuses.
+    """
 
     structure: BlockStructure
-    blocks: np.ndarray      # (nb,) the blocks' diagonal entries
-    border: np.ndarray      # (b, b)
-    cross: np.ndarray       # (nb, b) block-border entries
-    coupling: np.ndarray    # (n, k)
+    blocks: np.ndarray      # (nb,) M's diagonal over the blocks
+    columns: np.ndarray     # (nb, b + k) M's block-border entries, then Uc on the blocks
+    system: np.ndarray      # (b + k, b + k) [[M's border, Uc on the border], [its transpose, -I]]
+    scale: float            # the largest |H_ii|
 
-    def max_diag(self):
-        """Largest |H_ii|."""
-        st = self.structure
-        diag = np.square(self.coupling).sum(axis=1)
-        diag[st.blocks] += self.blocks
-        diag[st.border] += self.border.diagonal()
-        return float(np.abs(diag).max())
-
-    def solve(self, rhs, ridge):
-        """(H + ridge I)^{-1} rhs.
-
-        With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
-        [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one
-        small system in the border step and y, of size b + k: the border's
-        Schur complement and the Sherman-Morrison-Woodbury capacitance in one
-        matrix.  Raises LinAlgError unless the block pivots are positive and
-        the border's Schur complement is positive definite.
-        """
-        st = self.structure
-        b, k = len(st.border), self.coupling.shape[1]
-        # Columns: the right-hand side, the border coupling, the coupling rows.
-        Zb = np.concatenate([rhs[st.blocks][:, None], self.cross,
-                             self.coupling[st.blocks]], axis=1)
-        pivots = self.blocks + ridge
-        if (pivots <= 0).any():
+    def factor(self, ridge):
+        """Factor H + ridge I.  Raises LinAlgError unless the block pivots
+        are positive and the border's Schur complement is positive definite."""
+        b, size = len(self.structure.border), len(self.system)
+        self.pivots = self.blocks + ridge
+        if self.pivots.size and self.pivots.min() <= 0:
             raise np.linalg.LinAlgError("block not positive definite")
-        Yb = Zb / pivots[:, None]
-        P = Zb[:, 1:].T @ Yb
-        Ub = self.coupling[st.border]
-        K = -P[:, 1:]
-        K[:b, :b] += self.border
-        K[:b, b:] += Ub
-        K[b:, :b] += Ub.T
-        diag = K.reshape(-1)[::b + k + 1]
-        diag[:b] += ridge
-        diag[b:] -= 1.0
+        self.scaled = self.columns / self.pivots[:, None]
+        K = self.system - self.columns.T @ self.scaled
+        K.flat[:b * (size + 1):size + 1] += ridge
         if b:
             np.linalg.cholesky(K[:b, :b])
-        small_rhs = -P[:, 0]
-        small_rhs[:b] += rhs[st.border]
-        border_and_y = np.linalg.solve(K, small_rhs)
+        self.inverse = np.linalg.inv(K)
+
+    def solve(self, rhs):
+        """(H + ridge I)^{-1} rhs at the last factor's ridge."""
+        st = self.structure
+        b = len(st.border)
+        q = rhs[st.at_blocks] / self.pivots
+        small = -(self.columns.T @ q)
+        small[:b] += rhs[st.at_border]
+        border_and_y = self.inverse @ small
         d = np.empty_like(rhs)
-        d[st.border] = border_and_y[:b]
-        d[st.blocks] = Yb[:, 0] - Yb[:, 1:] @ border_and_y
+        d[st.at_border] = border_and_y[:b]
+        d[st.at_blocks] = q - self.scaled @ border_and_y
         return d
 
 
@@ -300,22 +301,21 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     """
     v = np.asarray(start, dtype=float).copy()
     current = _terms(program, v)
-    if current is None or not np.isfinite(current[2]).all():
+    if current is None or not math.isfinite(current[1]):
         raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
-    f, logs, g = current
-    grad_f, log_grad, J = _pieces(program, v, g)
-    s = np.concatenate([g, v - program.lower, program.upper - v])
-    k, m = g.size, s.size       # m >= 2n: the rows, then both box sides
+    f, logs, s = current
+    inv_s = 1.0 / s
+    grad_f, log_grad, J = _pieces(program, v, inv_s)
+    m, k = s.size, s.size - 2 * program.n      # m >= 2n: the k rows, then both box sides
     lo, hi = slice(k, k + program.n), slice(k + program.n, m)
     # gap = m/t, floored at tol (t at its cap).  The multipliers y start on
     # the central path at t = 1.  gap follows the surrogate gap eta / 10, but
     # only after a step the line search did not shorten: while steps are
     # damped, t stays and the iterates centre as in a barrier stage.
     gap = float(m)
-    y = 1.0 / s
+    y = inv_s
     central, undamped = True, False
     stage_objectives, recorded_gap = [], gap
-    decrement = np.inf
     steps = 0
     while steps < _MAX_NEWTON:
         if undamped:
@@ -324,24 +324,22 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
             stage_objectives.append(float(f))
             recorded_gap = gap
         t = m / gap
-        grad = log_grad / t - grad_f
-        weight = y / s
-        d = _solve_spd(_block_hessian(program, v, g, J, y[:k], weight[lo] + weight[hi]), -grad)
+        descent = grad_f - log_grad / t      # minus the barrier's gradient
+        weight = y * inv_s
+        H = _block_hessian(program, v, J, y[:k], weight[:k], weight[lo] + weight[hi])
+        d = _solve_spd(H, descent)
         steps += 1
-        decrement = float(-grad @ d)
+        decrement = float(descent @ d)
         if decrement < 0:        # model not PD enough; fall back to steepest descent
-            d = -grad
-            decrement = float(grad @ grad)
+            d = descent
+            decrement = float(descent @ descent)
         if gap <= tol and decrement <= tol:
             break
-        # The multipliers' Newton step, and the largest step keeping them
-        # a fraction _TO_BOUNDARY away from zero.
-        slack_step = np.concatenate([J.matvec(d), d, -d])
-        dy = 1.0 / (t * s) - y - weight * slack_step
-        shrinking = dy < 0
-        with np.errstate(over="ignore"):     # a subnormal dy allows any step: inf
-            alpha = alpha_max = 1.0 if not shrinking.any() else \
-                min(1.0, _TO_BOUNDARY * float(np.min(-y[shrinking] / dy[shrinking])))
+        # The multipliers' Newton step, and the largest step that moves each
+        # at most _TO_BOUNDARY of the way to zero: the least dy_j / y_j.
+        dy = inv_s / t - y - weight * np.concatenate((J.matvec(d), d, -d))
+        lowest = float((dy / y).min())
+        alpha = alpha_max = -_TO_BOUNDARY / lowest if lowest < -_TO_BOUNDARY else 1.0
         phi = -f - logs / t
         while alpha > 1e-14:
             trial = v + alpha * d
@@ -357,13 +355,15 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
                 if gap <= tol:
                     break
                 gap = max(tol, gap / _GAP_SHRINK)
-            y = gap / (m * s)
+            y = (gap / m) * inv_s
             central, undamped = True, False
             continue
         v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
-        f, logs, g = terms
-        grad_f, log_grad, J = _pieces(program, v, g)
-        s = np.concatenate([g, v - program.lower, program.upper - v])
+        f, logs, s = terms
+        if not math.isfinite(logs):      # a g of +inf, which 1/s would hide
+            raise NumericError("non-finite constraint value", v)
+        inv_s = 1.0 / s
+        grad_f, log_grad, J = _pieces(program, v, inv_s)
     stage_objectives.append(float(f))
 
     # Every accepted iterate is strictly interior (the line search rejects

@@ -65,19 +65,25 @@ class SchemeResult:
 def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> DecisionState:
     """Heuristic start: observation UAV at the user centroid, relay midway to
     the GBS, equal bandwidth, all powers at their budgets."""
+    budget = budget if budget is not None else make_link_budget(scenario.config)
+    return _heuristic_start(scenario, budget)[0]
+
+
+def _heuristic_start(scenario: Scenario, budget: LinkBudget):
+    """initialize_state's state (whose r_tilde is 0.99 of the exact fill),
+    and the exact fill (objective, r_tilde) there."""
     cfg = scenario.config
-    budget = budget if budget is not None else make_link_budget(cfg)
     q_obs = scenario.agu_pos_wu.mean(axis=0)
     q_relay = 0.5 * (q_obs + scenario.gbs_pos_wb)
     placement = UavPlacement(q_obs=q_obs, q_relay=q_relay)
     U = cfg.num_users_U
     x = np.full(U, 1.0 / U)
     p_user = np.full(U, cfg.p_max_user)
-    _, r_fill = exact_fill_objective(scenario, budget, x, p_user,
-                                     cfg.p_max_obs, cfg.p_max_relay, placement)
+    fill = exact_fill_objective(scenario, budget, x, p_user,
+                                cfg.p_max_obs, cfg.p_max_relay, placement)
     return DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs,
                          p_relay=cfg.p_max_relay, placement=placement,
-                         r_tilde=0.99 * r_fill)
+                         r_tilde=0.99 * fill[1]), fill
 
 
 def _start(scenario, budget, state: DecisionState, scheme: str, fill=None) -> SchemeResult:
@@ -91,8 +97,10 @@ def _start(scenario, budget, state: DecisionState, scheme: str, fill=None) -> Sc
     return SchemeResult(scheme, dataclasses.replace(state, r_tilde=r_fill), obj, trace, 0, True)
 
 
-def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
-    """A trace record at state, then SCA placement steps (P7) at its split,
+def _placement_run(scenario, budget, state: DecisionState, scheme: str,
+                   fill=None) -> SchemeResult:
+    """A trace record at state (with its exact fill: fill, as in _start),
+    then SCA placement steps (P7) at its split,
     one record each, until a step stalls or gains less than bcd_tol;
     unconverged after max_bcd_iters steps.
 
@@ -101,7 +109,7 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
     the first): a surrogate needs solving only as tightly as the steps still
     gain, and late steps are solved tightly."""
     cfg = scenario.config
-    result = _start(scenario, budget, state, scheme)
+    result = _start(scenario, budget, state, scheme, fill)
     state, obj, gain = result.state, result.avg_utility, None
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
@@ -220,7 +228,8 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
     """
     budget = make_link_budget(scenario.config)
     if initial_state is None:
-        base = _placement_run(scenario, budget, initialize_state(scenario, budget), "joint")
+        state, fill = _heuristic_start(scenario, budget)
+        base = _placement_run(scenario, budget, state, "joint", fill)
         start = _start(scenario, budget, base.state, "joint", (base.avg_utility, base.state.r_tilde))
     else:
         start = _start(scenario, budget, initial_state.copy(), "joint")
@@ -236,13 +245,14 @@ def run_benchmark(scenario: Scenario, scheme_id: str,
     if scheme_id == "joint":
         return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
-    state = initial_state.copy() if initial_state is not None else initialize_state(scenario, budget)
+    state, fill = ((initial_state.copy(), None) if initial_state is not None
+                   else _heuristic_start(scenario, budget))
     if scheme_id == "position_only":
-        return _placement_run(scenario, budget, state, scheme_id)
-    if scheme_id == "no_relay":
+        return _placement_run(scenario, budget, state, scheme_id, fill)
+    if scheme_id == "no_relay":     # the one-hop chain: a new placement, a new fill
         state.placement = UavPlacement(state.placement.q_obs)
         return _reduced_ascent(scenario, budget, _placement_run(scenario, budget, state, scheme_id))
-    result = _start(scenario, budget, state, scheme_id)
+    result = _start(scenario, budget, state, scheme_id, fill)
     if scheme_id == "resource_only":
         state = solve_p5(scenario, state.placement, result.state, budget,
                          (result.avg_utility, result.state.r_tilde))

@@ -188,8 +188,8 @@ def _log_utility(scenario, sr):
     theta_over_U = cfg.utility_theta / cfg.num_users_U
 
     def objective(v):
-        return theta_over_U * float(np.sum(np.log(cfg.utility_beta * v[sr]
-                                                  / cfg.playback_rate_rbar)))
+        return theta_over_U * float(np.log(cfg.utility_beta * v[sr]
+                                           / cfg.playback_rate_rbar).sum())
 
     def gradient(v):
         g = np.zeros(len(v))
@@ -643,30 +643,40 @@ def _p7_program(scenario, coeffs, x):
     theta_over_U = cfg.utility_theta / U
     objective, gradient = _log_utility(scenario, sr)
 
-    ku = one_m_rho * x * coeffs.d_user * S2              # quadratic weights
+    ku = one_m_rho * x * coeffs.d_user * S2
     base_u = one_m_rho * x * (coeffs.c_user + coeffs.d_user * coeffs.dist2_user)
     kh = coeffs.d_hop * S2
     base_h = coeffs.c_hop + coeffs.d_hop * coeffs.dist2_hop
 
-    ends = np.empty((K + 1, 2))                          # the chain's nodes
-    ends[K] = w_gbs
+    # Each row's offset is linear in the UAV coordinates: a user row's is the
+    # observation UAV minus the user, hop k's the node it feeds (UAV k+1, or
+    # the fixed GBS after the last UAV) minus UAV k.  moves holds each row's
+    # signs on the UAVs, which give its gradient on the border and its
+    # Hessian there, a constant: -2 quad times the outer product of its signs,
+    # on each coordinate (entry (2a + c, 2b + c) for UAVs a, b).
+    moves = np.zeros((U + K, K))
+    moves[:U, 0] = 1.0
+    moves[U:] = np.eye(K, k=1) - np.eye(K)
+    anchors = np.concatenate([w_users, np.zeros((K, 2))])
+    anchors[-1] = -w_gbs
+    base = np.concatenate([base_u, base_h])
+    quad = np.concatenate([ku, kh])                      # quadratic weights
+    slopes = -2.0 * quad[:, None]
+    signs = moves[:, :, None, None, None] * moves[:, None, None, :, None] * np.eye(2)[:, None, :]
+    row_hessians = slopes * signs.reshape(U + K, nb * nb)
 
     def offsets(v):
-        """hop_offsets of the chain at v, in solver units."""
-        ends[:K] = v[:nb].reshape(K, 2)
-        return ends[1:] - ends[:-1]
+        """Every row's offset at v, (U + K, 2), in solver units."""
+        return moves @ v[:nb].reshape(K, 2) - anchors
 
     def constraints(v):
-        g = np.empty(U + K)
-        g[:U] = base_u - ku * np.sum((v[:2] - w_users) ** 2, axis=1) - v[sr]
-        g[U:] = base_h - kh * np.sum(offsets(v) ** 2, axis=1) - v[sr].sum()
+        squares = offsets(v)
+        squares *= squares
+        g = base - quad * (squares[:, 0] + squares[:, 1])
+        r = v[sr]
+        g[:U] -= r
+        g[U:] -= r.sum()
         return g
-
-    # Incidence of the rows on the chain's UAVs: a user row moves with the
-    # observation UAV, and hop k's row with UAV k (+1) and the UAV it feeds
-    # (-1; the last hop feeds the fixed GBS).
-    hop_incidence = np.eye(K) - np.eye(K, k=1)
-    incidence = np.kron(np.vstack([np.eye(1, K), hop_incidence]), np.eye(2))
 
     # Local rows: user u's link touches the observation UAV (the border) and
     # r_u.  Coupling rows: the hops against sum r.
@@ -676,19 +686,16 @@ def _p7_program(scenario, coeffs, x):
     coupling0[:, sr] = -1.0
 
     def constraint_jac(v):
-        border = np.zeros((U, nb))
-        border[:, :2] = -2.0 * ku[:, None] * (v[:2] - w_users)
-        slope = 2.0 * kh[:, None] * offsets(v)
+        on_border = (moves[:, :, None] * (slopes * offsets(v))[:, None, :]).reshape(U + K, nb)
         coupling = coupling0.copy()
-        coupling[:, :nb] = (hop_incidence[:, :, None] * slope[:, None, :]).reshape(K, nb)
-        return BlockJacobian(structure, local, coupling, border)
+        coupling[:, :nb] = on_border[U:]
+        return BlockJacobian(structure, local, coupling, on_border[:U])
 
     def curvature(v, w):
         diag = np.zeros(n)
-        diag[sr] = -theta_over_U / v[sr] ** 2
-        weights = np.concatenate([[2.0 * float(np.sum(w[:U] * ku))], 2.0 * w[U:] * kh])
-        border = -(incidence.T * np.repeat(weights, 2)) @ incidence
-        return BlockCurvature(diag, border=border)
+        r = v[sr]
+        diag[sr] = -theta_over_U / (r * r)
+        return BlockCurvature(diag, border=(w @ row_hessians).reshape(nb, nb))
 
     extent = placement_extent(cfg) / _POS_SCALE
     lower = np.concatenate([np.full(nb, -extent), np.zeros(U)])

@@ -288,6 +288,17 @@ class TestMainEntry:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_too_few_workers_exit_1(self, workers, tmp_path, capsys):
+        # Fewer than one worker used to run the sweep serially, silently.
+        out = tmp_path / "w.csv"
+        code = main(["sweep", "--grid", "2", "--seeds", "1", "--schemes", "relay_baseline",
+                     "--workers", workers, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "worker" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_infeasible_maps_to_exit_2(self, tmp_path, monkeypatch):
         import uavstream.orchestrator as orch
 

@@ -1,6 +1,10 @@
 """Barrier solver behaviour against closed forms and brute-force grid search."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,15 +260,37 @@ class TestStructuredPrograms:
     @pytest.mark.parametrize("coupled", [True, False])
     def test_block_step_solves_the_newton_system(self, coupled):
         program, v, t = block_program(coupled), self.START, 10.0
-        g = _terms(program, v)[2]
-        grad_f, log_grad, J = _pieces(program, v, g)
+        s = _terms(program, v)[2]
+        g = s[:-2 * program.n]
+        grad_f, log_grad, J = _pieces(program, v, 1.0 / s)
         grad = log_grad / t - grad_f
         # The central-path weights at t: the barrier's own Hessian.
         w = 1.0 / (t * g)
         box = 1.0 / (t * (v - program.lower) ** 2) + 1.0 / (t * (program.upper - v) ** 2)
-        d = _solve_spd(_block_hessian(program, v, g, J, w, box), -grad)
+        d = _solve_spd(_block_hessian(program, v, J, w, w / g, box), -grad)
         H = dense_newton_matrix(program, v, g, w, box)
         assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_one_factor_solves_two_right_hand_sides(self, coupled):
+        # Off the central path (row and box weights scaled apart), as in a
+        # primal-dual step; a second solve reuses the first one's factor.
+        program, v, t = block_program(coupled), self.START, 10.0
+        s = _terms(program, v)[2]
+        g = s[:-2 * program.n]
+        J = _pieces(program, v, 1.0 / s)[2]
+        w = 0.7 / (t * g)
+        box = 1.3 / (t * (v - program.lower) ** 2) + 0.6 / (t * (program.upper - v) ** 2)
+        H = _block_hessian(program, v, J, w, w / g, box)
+        ridge = _RIDGE0 * max(1.0, H.scale)
+        H.factor(ridge)
+        dense = dense_newton_matrix(program, v, g, w, box)
+        assert H.scale == pytest.approx(np.abs(np.diag(dense)).max(), rel=1e-12)
+        dense += ridge * np.eye(program.n)
+        rng = np.random.default_rng(int(coupled))
+        for rhs in rng.standard_normal((2, program.n)):
+            expected = np.linalg.solve(dense, rhs)
+            assert np.linalg.norm(H.solve(rhs) - expected) <= 1e-9 * np.linalg.norm(expected)
 
     def test_gradient_checker_reads_block_jacobians(self):
         err = check_gradients(block_program(), self.START, np.random.default_rng(0), n_points=20)
@@ -298,6 +324,17 @@ class TestStructuredPrograms:
         assert calls == []
 
 
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # The Newton step is numpy only.  Importing scipy.linalg would add tens
+    # of milliseconds to every fresh interpreter that imports uavstream.
+    code = "import sys, uavstream; print('scipy.linalg' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 class TestLastResortStep:
     """When every ridge fails, the Newton step is rhs / ridge: a scaled
     steepest-descent step.  The off-diagonal entries here exceed the largest
@@ -310,6 +347,6 @@ class TestLastResortStep:
 
     def test_structured_path(self):
         structure = BlockStructure(2, [], border=[0, 1])
-        H = _BlockHessian(structure, np.zeros(0), self.H, np.zeros((0, 2)), np.zeros((2, 0)))
+        H = _BlockHessian(structure, np.zeros(0), np.zeros((0, 2)), self.H, 0.0)
         assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)

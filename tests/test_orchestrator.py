@@ -91,13 +91,15 @@ class TestRunAlgorithm1:
         assert all(r.status == "converged" for r in reports)
         assert sum(r.barrier_iterations for r in reports) <= 47
 
-    @pytest.mark.parametrize("scheme, fills", [("joint", 18), ("resource_only", 3)])
+    @pytest.mark.parametrize("scheme, fills", [("joint", 17), ("resource_only", 2),
+                                               ("position_only", 11), ("relay_baseline", 1)])
     def test_exact_fill_budget(self, monkeypatch, scheme, fills):
-        # At table2, U=30, seed 0.  Each P7 step takes the fill at its
-        # expansion point from the caller (the previous step's answer, or
-        # the start's fill) instead of recomputing it, P5 takes the fill of
-        # its start split from the start, and joint's stage starts from
-        # position_only's answer with the fill that run ended on.
+        # At table2, U=30, seed 0.  The heuristic start is filled once, and
+        # its exact fill is handed to the scheme's start.  Each P7 step takes
+        # the fill at its expansion point from the caller (the previous
+        # step's answer, or the start's fill) instead of recomputing it, P5
+        # takes the fill of its start split from the start, and joint's stage
+        # starts from position_only's answer with the fill that run ended on.
         from uavstream import orchestrator, subproblems
         calls = []
         fill = subproblems.exact_fill_objective

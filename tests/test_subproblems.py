@@ -1,5 +1,6 @@
 """Resource and placement subproblems: exactness, bounds, and solver quality."""
 
+import dataclasses
 import math
 import warnings
 
@@ -761,12 +762,13 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     rounding of its Woodbury correction, at most 1%.
     """
     program, v = builder_program(name, num_users, seed=17)
-    g = _terms(program, v)[2]
-    grad_f, log_grad, J = _pieces(program, v, g)
+    s = _terms(program, v)[2]
+    g = s[:-2 * program.n]
+    grad_f, log_grad, J = _pieces(program, v, 1.0 / s)
     grad = log_grad / t - grad_f
     rng = np.random.default_rng(num_users) if duals == "off_path" else None
     w, box = off_path_weights(program, v, g, t, rng)
-    d_block = _solve_spd(_block_hessian(program, v, g, J, w, box), -grad)
+    d_block = _solve_spd(_block_hessian(program, v, J, w, w / g, box), -grad)
 
     H = dense_newton_matrix(program, v, g, w, box)
     d_dense = dense_step(H, -grad)
@@ -805,3 +807,50 @@ def test_structured_and_dense_solves_agree(name, num_users):
     dense = solve_concave(border_only_twin(program), start=v0, tol=tol)
     assert block.status == dense.status == "converged"
     assert abs(block.objective - dense.objective) <= 1e-8 * abs(dense.objective)
+
+
+@pytest.mark.parametrize("num_users", [4, 30])
+@pytest.mark.parametrize("name", ["p7", "p7_no_relay"])
+def test_newton_steps_evaluate_each_point_once(name, num_users):
+    # The work per Newton step: the constraints once at the start and at
+    # each line-search trial, never again at a point already evaluated; the
+    # Jacobian and the gradient once at each accepted point (the start, or
+    # the trial just evaluated); the curvature once per Newton step, at the
+    # current point.
+    program, v0 = builder_program(name, num_users, seed=17)
+    log = []
+
+    def logged(callback):
+        inner = getattr(program, callback)
+
+        def call(v, *rest):
+            log.append((callback, v.copy()))
+            return inner(v, *rest)
+
+        return call
+
+    callbacks = ("objective", "gradient", "constraints", "constraint_jac", "curvature")
+    report = solve_concave(dataclasses.replace(program, **{cb: logged(cb) for cb in callbacks}),
+                           v0, 1e-9)
+    assert report.status == "converged"
+
+    def points(callback):
+        return [v.tobytes() for cb, v in log if cb == callback]
+
+    trials = points("constraints")
+    assert len(set(trials)) == len(trials)
+    assert set(points("objective")) <= set(trials)
+    accepted = points("gradient")
+    assert points("constraint_jac") == accepted and len(set(accepted)) == len(accepted)
+    assert accepted[0] == v0.tobytes()
+    current, evaluated = None, None
+    for callback, v in log:
+        if callback == "constraints":
+            evaluated = v.tobytes()
+        elif callback == "gradient":
+            assert v.tobytes() == evaluated     # the trial just evaluated
+            current = evaluated
+        elif callback == "curvature":
+            assert v.tobytes() == current
+    assert len(points("curvature")) == report.barrier_iterations
+    assert len(accepted) <= report.barrier_iterations + 1
