@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +57,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.variable not in SWEEP_VARS:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ConfigError(f"grid values must be finite: {self.grid}")
         if len(self.grid) == 0 or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("grid must be non-empty and strictly increasing")
         if self.seeds < 1:

@@ -18,18 +18,18 @@ start with a finite objective.  Each line-search trial builds every slack in
 one vector and takes one log over it; each accepted point keeps that vector
 and derives its gradients once, from the slacks' reciprocals.
 
-Every program declares the shape of its Hessian (BlockStructure): every
-variable is a one-variable block or lies in a dense border coupled to every
-block; each local constraint row touches one block and the border, and a few
-dense coupling rows follow.  Its Jacobian and curvature callbacks answer in
-block form (the curvature is a diagonal plus a border matrix), and each Newton
-step is solved by block elimination of the border plus a
-Sherman-Morrison-Woodbury correction for the coupling rows, in O(n) time and
-memory, split into a factor (the blocks' pivots and the inverse of one small
-system in the border and the coupling rows) and a solve (a few
-matrix-vector products), so one factor serves several right-hand sides.  A
-generic program declares no blocks: every variable in the border and every
-row a coupling row.
+Every program declares the shape of its Hessian by its border, a count b:
+the first b variables form a dense border coupled to every block, and each
+variable b + j is the one-variable block of local constraint row j, which
+touches that block and the border; a few dense coupling rows follow the
+local ones.  Its Jacobian and curvature callbacks answer in block form (the
+curvature is a diagonal plus a border matrix), and each Newton step is
+solved by block elimination of the border plus a Sherman-Morrison-Woodbury
+correction for the coupling rows, in O(n) time and memory, split into a
+factor (the blocks' pivots and the inverse of one small system in the
+border and the coupling rows) and a solve (a few matrix-vector products),
+so one factor serves several right-hand sides.  A generic program declares
+border = n: no blocks, and every row a coupling row.
 """
 
 from __future__ import annotations
@@ -56,64 +56,32 @@ class NumericError(RuntimeError):
         self.point = None if point is None else np.array(point)
 
 
-class BlockStructure:
-    """Declared shape of a program's constraints and curvature.
-
-    blocks: (nb,) variable indices, one variable per block.  Constraint row
-    j < nb is local: it touches only the variable blocks[j] and the border.
-    The remaining k = m - nb rows couple everything and must be few.
-    blocks may be empty, which leaves every row a coupling row.
-    border: (b,) variable indices shared by every local row (may be empty).
-    Every variable is in exactly one block or in the border.  Curvature is
-    diagonal except within the border.
-    """
-
-    def __init__(self, n: int, blocks, border=()):
-        self.blocks = np.asarray(blocks, dtype=np.intp)
-        if self.blocks.ndim != 1:
-            raise ValueError("blocks must be a 1-D index array: one variable per block")
-        self.border = np.asarray(border, dtype=np.intp).reshape(-1)
-        self.n = n
-        used = np.concatenate([self.blocks, self.border])
-        if not np.array_equal(np.sort(used), np.arange(n)):
-            raise ValueError("every variable must lie in exactly one block or in the border")
-        self.at_blocks, self.at_border = _as_slice(self.blocks), _as_slice(self.border)
-
-
-def _as_slice(index):
-    """index as a slice if it is a range (cheaper to index with), else index."""
-    start = int(index[0]) if len(index) else 0
-    stop = start + len(index)
-    return slice(start, stop) if np.array_equal(index, np.arange(start, stop)) else index
-
-
 @dataclass
 class BlockJacobian:
     """Constraint Jacobian of a structured program, in block form.
 
-    local[j] holds row j on blocks[j], border_part[j] row j on the border,
-    and coupling the dense rows that follow the local ones.
+    local[j] holds row j on its block (variable b + j), border_part[j] row j
+    on the border (the first b variables), and coupling the dense rows that
+    follow the local ones.
     """
 
-    structure: BlockStructure
     local: np.ndarray           # (nb,)
     coupling: np.ndarray        # (k, n)
     border_part: np.ndarray     # (nb, b)
 
     def matvec(self, d):
         """J d."""
-        st = self.structure
-        local = self.local * d[st.at_blocks]
-        local += self.border_part @ d[st.at_border]
+        b = self.border_part.shape[1]
+        local = self.local * d[b:]
+        local += self.border_part @ d[:b]
         return np.concatenate([local, self.coupling @ d])
 
     def rmatvec(self, y):
         """J^T y."""
-        st = self.structure
-        nb = len(st.blocks)
+        nb, b = self.border_part.shape
         out = self.coupling.T @ y[nb:]
-        out[st.at_blocks] += self.local * y[:nb]
-        out[st.at_border] += y[:nb] @ self.border_part
+        out[b:] += self.local * y[:nb]
+        out[:b] += y[:nb] @ self.border_part
         return out
 
 
@@ -136,7 +104,8 @@ class ConcaveProgram:
     lower/upper: finite box bounds.
     curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), as a
     BlockCurvature, for the Newton steps.
-    structure: the BlockStructure both callbacks answer in.
+    border: b, the number of leading border variables both callbacks answer
+    in; variable b + j is the one-variable block of local row j.
     """
 
     n: int
@@ -147,7 +116,7 @@ class ConcaveProgram:
     lower: np.ndarray
     upper: np.ndarray
     curvature: Callable[[np.ndarray, np.ndarray], BlockCurvature]
-    structure: BlockStructure
+    border: int
     name: str = ""
 
     def __post_init__(self):
@@ -159,8 +128,8 @@ class ConcaveProgram:
             raise ValueError("box bounds must be finite")
         if np.any(self.lower >= self.upper):
             raise ValueError("need lower < upper on every coordinate")
-        if self.structure.n != self.n:
-            raise ValueError("a program's BlockStructure must have the same n")
+        if not 0 <= self.border <= self.n:
+            raise ValueError("a program's border must lie in [0, n]")
 
 
 @dataclass
@@ -211,8 +180,8 @@ def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
     """The Newton matrix (the Gauss-Newton part of the constraint terms with
     weights gn = w/g, the box diagonal, and minus the program's curvature at
     the multipliers w) as a _BlockHessian; Uc is the coupling rows' J^T sqrt(gn)."""
-    st = p.structure
-    nb, b, k = len(st.blocks), len(st.border), len(J.coupling)
+    b, k = p.border, len(J.coupling)
+    nb = p.n - b
     curv = p.curvature(v, w)
     root_gn = np.sqrt(gn)
     diag = box - curv.diag
@@ -221,17 +190,17 @@ def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
     coupling = J.coupling.T * root_gn[nb:]
     system = np.zeros((b + k, b + k))
     system[:b, :b] = c.T @ c - curv.border
-    system.flat[:b * (b + k + 1):b + k + 1] += diag[st.at_border]
-    system[:b, b:] = coupling[st.at_border]
+    system.flat[:b * (b + k + 1):b + k + 1] += diag[:b]
+    system[:b, b:] = coupling[:b]
     system[b:, :b] = system[:b, b:].T
     system.flat[b * (b + k + 1)::b + k + 1] = -1.0
-    blocks = a * a + diag[st.at_blocks]
+    blocks = a * a + diag[b:]
     # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
     diagonal = gn[nb:] @ np.square(J.coupling)
-    diagonal[st.at_blocks] += blocks
-    diagonal[st.at_border] += system.diagonal()[:b]
-    columns = np.concatenate((a[:, None] * c, coupling[st.at_blocks]), axis=1)
-    return _BlockHessian(st, blocks, columns, system, float(np.abs(diagonal).max()))
+    diagonal[b:] += blocks
+    diagonal[:b] += system.diagonal()[:b]
+    columns = np.concatenate((a[:, None] * c, coupling[b:]), axis=1)
+    return _BlockHessian(b, blocks, columns, system, float(np.abs(diagonal).max()))
 
 
 def _solve_spd(H, rhs):
@@ -251,7 +220,8 @@ def _solve_spd(H, rhs):
 @dataclass
 class _BlockHessian:
     """H = M + Uc Uc^T, where M is diagonal over the blocks except for a
-    dense border coupled to every block, and Uc has k columns.
+    dense border (the first b variables) coupled to every block, and Uc has
+    k columns.
 
     With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
     [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one small
@@ -260,7 +230,7 @@ class _BlockHessian:
     which factor(ridge) inverts and every solve(rhs) reuses.
     """
 
-    structure: BlockStructure
+    border: int             # b
     blocks: np.ndarray      # (nb,) M's diagonal over the blocks
     columns: np.ndarray     # (nb, b + k) M's block-border entries, then Uc on the blocks
     system: np.ndarray      # (b + k, b + k) [[M's border, Uc on the border], [its transpose, -I]]
@@ -269,7 +239,7 @@ class _BlockHessian:
     def factor(self, ridge):
         """Factor H + ridge I.  Raises LinAlgError unless the block pivots
         are positive and the border's Schur complement is positive definite."""
-        b, size = len(self.structure.border), len(self.system)
+        b, size = self.border, len(self.system)
         self.pivots = self.blocks + ridge
         if self.pivots.size and self.pivots.min() <= 0:
             raise np.linalg.LinAlgError("block not positive definite")
@@ -282,16 +252,12 @@ class _BlockHessian:
 
     def solve(self, rhs):
         """(H + ridge I)^{-1} rhs at the last factor's ridge."""
-        st = self.structure
-        b = len(st.border)
-        q = rhs[st.at_blocks] / self.pivots
+        b = self.border
+        q = rhs[b:] / self.pivots
         small = -(self.columns.T @ q)
-        small[:b] += rhs[st.at_border]
+        small[:b] += rhs[:b]
         border_and_y = self.inverse @ small
-        d = np.empty_like(rhs)
-        d[st.at_border] = border_and_y[:b]
-        d[st.at_blocks] = q - self.scaled @ border_and_y
-        return d
+        return np.concatenate((border_and_y[:b], q - self.scaled @ border_and_y))
 
 
 def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:

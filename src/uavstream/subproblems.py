@@ -23,18 +23,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import lambertw
 
-from .channel import LinkBudget, _persp_rate, _persp_ratio, fspl_rate, rician_cdf_inverse
-from .convex_core import (BlockCurvature, BlockJacobian, BlockStructure, ConcaveProgram,
-                          NumericError, solve_concave)
+from .channel import LinkBudget, _persp_rate, fspl_rate, rician_cdf_inverse
+from .convex_core import (BlockCurvature, BlockJacobian, ConcaveProgram, NumericError,
+                          solve_concave)
 from .scenario import (Scenario, SystemConfig, UavPlacement, backhaul_chain, hop_dist2,
                        hop_offsets)
 from .utility import UtilityParams, average_utility
 
 LN2 = math.log(2.0)
 _POS_SCALE = 1000.0      # metres per solver position unit
-_FLAT_SPARE = 1e-9       # least spare bandwidth of a non-degenerate flat P5 face
-_CENTRE_STEPS = 50       # Newton steps for the flat face's centre
-_CENTRE_TOL = 1e-12      # Newton decrement over |barrier value| ending the damped phase
 _PRICE_STEPS = 50        # projected Newton steps on P5's two prices
 _PRICE_TOL = 1e-12       # |1 - sum x| and |link_cap - sum cap| / link_cap at P5's optimum
 _SHARE_STEPS = 100       # bracketed Newton steps for the shares at given prices
@@ -96,25 +93,6 @@ class DecisionState:
             raise ValueError("effective rate exceeds outage-constrained user rate")
         if self.r_tilde.sum() > link_cap + tol:
             raise ValueError("total effective rate exceeds a backhaul link rate")
-
-
-# --- derivatives of the perspective rate x*log2(1 + c/x) in x -------------
-
-def _persp_dx(x, c):
-    """First derivative of the perspective rate in x."""
-    x = np.asarray(x, dtype=float)
-    s, big = _persp_ratio(x, c)
-    log_term = np.where(big, np.log(np.where(big, c, 1.0)) - np.log(x),
-                        np.log1p(np.where(big, 0.0, s)))
-    frac = np.where(big, 1.0, s / (1.0 + s))
-    return (log_term - frac) / LN2
-
-
-def _persp_dxx(x, c):
-    """Second derivative of the perspective rate in x."""
-    s, big = _persp_ratio(x, c)
-    s = np.where(big, 1e280, s)
-    return -(s * s) / (x * (1.0 + s) ** 2 * LN2)
 
 
 def _fspl_taylor(mu, den):
@@ -228,71 +206,6 @@ def _level_shares(c, level, one_m_rho):
     return a / (-lambertw(-k * np.exp(-k), -1).real - k)
 
 
-def _flat_face_centre(c, level, one_m_rho):
-    """The split P5 returns when it is flat, or None when it is not.
-
-    P5 is flat when every user's cap reaches the equal level link_cap/U
-    within the bandwidth: r_u = level is then optimal for every split whose
-    caps all reach it, and those splits form the optimal face.  P5 is flat
-    iff the least shares reaching the level (_level_shares) sum below one (a
-    face thinner than _FLAT_SPARE counts as degenerate, and goes to
-    _price_split).
-
-    The face's analytic centre maximizes the x-terms of P5's log barrier,
-    sum_u [ln(cap_u - level) + ln x_u + ln(1 - x_u)] + ln(1 - sum x): it is
-    where the central path's split converges (Boyd & Vandenberghe, Convex
-    Optimization, 8.5.3 and 11.2).  Damped Newton from the minimal shares
-    plus an equal part of the spare bandwidth; the Hessian is a diagonal
-    plus rank one, so each step is O(U) by Sherman-Morrison.
-    """
-    x_min = _level_shares(c, level, one_m_rho)
-    if x_min is None:
-        return None
-    spare = 1.0 - x_min.sum()
-    if not (np.all(x_min < 1.0) and spare > _FLAT_SPARE):
-        return None
-
-    def barrier(x):
-        """(value, cap slacks, bandwidth slack), or None off the face."""
-        left = 1.0 - x.sum()
-        if not ((x > 0.0).all() and (x < 1.0).all() and left > 0.0):
-            return None
-        slack = one_m_rho * _persp_rate(x, c) - level
-        if not (slack > 0.0).all():
-            return None
-        value = np.log(slack).sum() + np.log(x).sum() + np.log1p(-x).sum() + math.log(left)
-        return value, slack, left
-
-    x = x_min + spare / (len(c) + 1)
-    current = barrier(x)
-    if current is None:       # rounding left the minimal shares on the face's edge
-        return None
-    for _ in range(_CENTRE_STEPS):
-        value, slack, left = current
-        dlog = one_m_rho * _persp_dx(x, c) / slack
-        grad = dlog + 1.0 / x - 1.0 / (1.0 - x) - 1.0 / left
-        inv_diag = 1.0 / (dlog ** 2 - one_m_rho * _persp_dxx(x, c) / slack
-                          + 1.0 / x ** 2 + 1.0 / (1.0 - x) ** 2)
-        step = inv_diag * (grad - (grad @ inv_diag) / (left ** 2 + inv_diag.sum()))
-        decrement = float(grad @ step)
-        if decrement <= _CENTRE_TOL * abs(value):
-            # Newton's quadratic phase: one full step reaches rounding level,
-            # where Armijo could no longer tell the values apart.
-            if barrier(x + step) is not None:
-                x = x + step
-            break
-        alpha = 1.0
-        while alpha > 1e-12:
-            trial = barrier(x + alpha * step)
-            if trial is not None and trial[0] >= value + 0.25 * alpha * decrement:
-                break
-            alpha *= 0.5
-        else:
-            break
-        x, current = x + alpha * step, trial
-    return x
-
-
 def _share_terms(x, c, one_m_rho, nu):
     """(cap, cap', h'' + lam) at the shares x > 0 for the price nu: the caps
     (1-rho) x log2(1 + c/x), their slopes, and the second derivative of
@@ -344,9 +257,10 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
     minimum every user sits at its cap (r_u = cap_u' / (lam + nu cap_u')),
     the bandwidth is used up, and nu (link_cap - sum cap) = 0.
 
-    lam = 0 only where every user reaches the equal level link_cap/U within
-    the bandwidth: the flat case (_flat_face_centre), or a face too thin for
-    it, whose least shares are returned.  Otherwise lam > 0, and D is
+    lam = 0 only where P5 is flat: every user's cap reaches the equal level
+    link_cap/U within the bandwidth, so r_u = link_cap/U is optimal for every
+    split whose caps all reach it, and the least such shares
+    (_level_shares) are returned.  Otherwise lam > 0, and D is
     minimized by damped Newton with nu projected onto nu >= 0 (a zero nu
     whose partial derivative is positive stays there) and lam floored at a
     hundredth of its value, since D is singular at lam = 0 when some user
@@ -403,17 +317,11 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
 def _p5_split(scenario, budget, placement):
     """P5's optimal split at full power, and its prices: (x, lam, nu), the
     multipliers of sum x <= 1 and of the backhaul cap in the objective's
-    units.  A flat P5 returns its face's centre, with lam = 0 and
-    nu = theta / link_cap; any other, _price_split's answer."""
+    units (_price_split; lam = 0 where P5 is flat)."""
     cfg = scenario.config
-    U = cfg.num_users_U
     c, link_cap = _p5_constants(scenario, budget, placement)
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    x = _flat_face_centre(c, link_cap / U, one_m_rho)
-    if x is None:
-        x, lam, nu = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / U)
-    else:
-        lam, nu = 0.0, cfg.utility_theta / link_cap
+    x, lam, nu = _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
+                              cfg.utility_theta / cfg.num_users_U)
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
     return x / x.sum(), lam, nu
@@ -426,11 +334,12 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
 
     The returned powers sit exactly at their budgets: the objective and every
     constraint are non-decreasing in each power, so P5 fixes them there and
-    optimizes the split alone.  When P5 is flat (every user can reach the
-    equal share of the backhaul), the split is the optimal face's analytic
-    centre in closed form; otherwise it solves P5's optimality conditions in
-    their two prices (_price_split).  Effective rates are then re-filled
-    against the exact rate caps.
+    optimizes the split alone, from P5's optimality conditions in its two
+    prices (_price_split).  When P5 is flat (every user can reach the equal
+    share of the backhaul) every split whose caps reach that share is
+    optimal, and the least such shares, rescaled onto the whole bandwidth,
+    are returned in closed form.  Effective rates are then re-filled against
+    the exact rate caps.
 
     fill_at_start, if given, is exact_fill_objective's (objective, r_tilde)
     at start's split and powers and at placement, which the caller already
@@ -679,8 +588,7 @@ def _p7_program(scenario, coeffs, x):
         return g
 
     # Local rows: user u's link touches the observation UAV (the border) and
-    # r_u.  Coupling rows: the hops against sum r.
-    structure = BlockStructure(n, np.arange(nb, n), border=np.arange(nb))
+    # r_u, its block.  Coupling rows: the hops against sum r.
     local = np.full(U, -1.0)
     coupling0 = np.zeros((K, n))
     coupling0[:, sr] = -1.0
@@ -689,7 +597,7 @@ def _p7_program(scenario, coeffs, x):
         on_border = (moves[:, :, None] * (slopes * offsets(v))[:, None, :]).reshape(U + K, nb)
         coupling = coupling0.copy()
         coupling[:, :nb] = on_border[U:]
-        return BlockJacobian(structure, local, coupling, on_border[:U])
+        return BlockJacobian(local, coupling, on_border[:U])
 
     def curvature(v, w):
         diag = np.zeros(n)
@@ -702,8 +610,8 @@ def _p7_program(scenario, coeffs, x):
     upper = np.concatenate([np.full(nb, extent), base_u + 1.0])
     program = ConcaveProgram(n=n, objective=objective, gradient=gradient,
                              constraints=constraints, constraint_jac=constraint_jac,
-                             lower=lower, upper=upper, curvature=curvature, name="p7",
-                             structure=structure)
+                             lower=lower, upper=upper, curvature=curvature, border=nb,
+                             name="p7")
     r_user0, r_hop0 = lower_bound_rates(coeffs, coeffs.expansion, scenario, x)
     r0 = 0.9 * capped_fill(one_m_rho * r_user0, float(np.min(r_hop0)))
     return program, np.concatenate([np.concatenate(coeffs.expansion.uavs) / _POS_SCALE, r0])

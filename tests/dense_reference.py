@@ -4,8 +4,8 @@ and an interior-point reference for P5.
 The solver takes every Newton step in block form.  The tests check those
 steps, and the block-form callbacks, against the dense matrices built here,
 with no call into the block solve.  Generic programs written with dense
-callbacks declare a border-only structure: no blocks, every variable in the
-border and every row a coupling row (border_only).
+callbacks declare border = n: no blocks, every variable in the border and
+every row a coupling row (border_only).
 
 p5_program states the resource step P5 as such a program, so that
 convex_core's solve checks subproblems' closed-form P5 independently.
@@ -16,30 +16,44 @@ from unittest import mock
 import numpy as np
 
 from uavstream import subproblems
-from uavstream.channel import _persp_rate
-from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram, solve_concave)
-from uavstream.subproblems import (_flat_face_centre, _log_utility, _p5_constants,
-                                   _persp_dx, _persp_dxx, _price_split, capped_fill,
-                                   exact_fill_objective, solve_p5)
+from uavstream.channel import _persp_rate, _persp_ratio
+from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
+                                   solve_concave)
+from uavstream.subproblems import (LN2, _log_utility, _p5_constants, _price_split,
+                                   capped_fill, exact_fill_objective, solve_p5)
 
 
 def border_only(n, constraint_jac, curvature, **fields):
     """A ConcaveProgram from dense callbacks: constraint_jac(v) -> (m, n) and
     curvature(v, w) -> (n, n).  fields are the remaining ConcaveProgram
     fields."""
-    structure = BlockStructure(n, [], border=np.arange(n))
     no_local, no_border_part, zero_diag = np.zeros(0), np.zeros((0, n)), np.zeros(n)
 
     def jac(v):
         J = np.asarray(constraint_jac(v), dtype=float).reshape(-1, n)
-        return BlockJacobian(structure, no_local, J, no_border_part)
+        return BlockJacobian(no_local, J, no_border_part)
 
     def curv(v, w):
         return BlockCurvature(zero_diag, np.asarray(curvature(v, w), dtype=float))
 
-    return ConcaveProgram(n=n, constraint_jac=jac, curvature=curv, structure=structure,
-                          **fields)
+    return ConcaveProgram(n=n, constraint_jac=jac, curvature=curv, border=n, **fields)
+
+
+def _persp_dx(x, c):
+    """First derivative of the perspective rate x*log2(1 + c/x) in x."""
+    x = np.asarray(x, dtype=float)
+    s, big = _persp_ratio(x, c)
+    log_term = np.where(big, np.log(np.where(big, c, 1.0)) - np.log(x),
+                        np.log1p(np.where(big, 0.0, s)))
+    frac = np.where(big, 1.0, s / (1.0 + s))
+    return (log_term - frac) / LN2
+
+
+def _persp_dxx(x, c):
+    """Second derivative of the perspective rate x*log2(1 + c/x) in x."""
+    s, big = _persp_ratio(x, c)
+    s = np.where(big, 1e280, s)
+    return -(s * s) / (x * (1.0 + s) ** 2 * LN2)
 
 
 def p5_program(scenario, budget, placement, x_start):
@@ -121,10 +135,10 @@ def check_p5_closed_form(scenario, budget, placement, start):
 
     c, link_cap = _p5_constants(scenario, budget, placement)
     one_m_rho = 1.0 - cfg.outage_target_rho
-    if _flat_face_centre(c, link_cap / U, one_m_rho) is not None:
-        return
     theta_over_U = cfg.utility_theta / U
     x, lam, nu = _price_split(c, link_cap, one_m_rho, theta_over_U)
+    if lam == 0.0:
+        return
     cap = one_m_rho * _persp_rate(x, c)
     slope = one_m_rho * _persp_dx(x, c)
     assert lam > 0.0 and nu >= 0.0
@@ -136,27 +150,27 @@ def check_p5_closed_form(scenario, budget, placement, start):
 
 def dense_jacobian(J):
     """The (m, n) matrix of a BlockJacobian."""
-    st = J.structure
-    nb = len(st.blocks)
-    D = np.zeros((nb + len(J.coupling), st.n))
-    D[np.arange(nb), st.blocks] = J.local
-    D[:nb, st.border] = J.border_part
+    nb, b = J.border_part.shape
+    D = np.zeros((nb + len(J.coupling), b + nb))
+    D[np.arange(nb), b + np.arange(nb)] = J.local
+    D[:nb, :b] = J.border_part
     D[nb:] = J.coupling
     return D
 
 
-def dense_curvature(structure, C):
-    """The (n, n) matrix of a BlockCurvature declared in structure."""
+def dense_curvature(border, C):
+    """The (n, n) matrix of a BlockCurvature whose border is the first
+    border variables."""
     H = np.diag(C.diag)
-    H[np.ix_(structure.border, structure.border)] += C.border
+    H[:border, :border] += C.border
     return H
 
 
 def border_only_twin(program):
     """The same program through dense callbacks, as a border-only program."""
-    jac, curvature, st = program.constraint_jac, program.curvature, program.structure
+    jac, curvature, b = program.constraint_jac, program.curvature, program.border
     return border_only(program.n, lambda v: dense_jacobian(jac(v)),
-                       lambda v, w: dense_curvature(st, curvature(v, w)),
+                       lambda v, w: dense_curvature(b, curvature(v, w)),
                        objective=program.objective, gradient=program.gradient,
                        constraints=program.constraints, lower=program.lower,
                        upper=program.upper, name=program.name)
@@ -168,7 +182,7 @@ def dense_newton_matrix(program, v, g, w, box):
     J = dense_jacobian(program.constraint_jac(v))
     H = (J.T * (w / g)) @ J
     H[np.diag_indices_from(H)] += box
-    H -= dense_curvature(program.structure, program.curvature(v, w))
+    H -= dense_curvature(program.border, program.curvature(v, w))
     return H
 
 

@@ -273,9 +273,14 @@ class TestMainEntry:
         assert "config error" in err and "rician_K" in err and "Traceback" not in err
 
     def test_bad_grid_exit_1(self, tmp_path, capsys):
-        code = main(["sweep", "--grid", "3,2,1", "--seeds", "1",
-                     "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])
-        assert code == 1
+        # A non-finite value would reach int(round(value)) in
+        # apply_sweep_value, and NaN passes the increasing-order check.
+        for grid in ("3,2,1", "nan", "inf", "10,nan"):
+            code = main(["sweep", "--grid", grid, "--seeds", "1",
+                         "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])
+            assert code == 1, grid
+            err = capsys.readouterr().err
+            assert "config error" in err and "Traceback" not in err, grid
 
     def test_repeated_scheme_exit_1(self, tmp_path, capsys):
         # A repeated scheme would write each of its rows twice and average

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, BlockStructure,
-                                   ConcaveProgram, _BlockHessian, _block_hessian, _pieces,
-                                   _solve_spd, _terms, solve_concave)
+from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
+                                   _BlockHessian, _block_hessian, _pieces, _solve_spd, _terms,
+                                   solve_concave)
 
 from dense_reference import border_only, border_only_twin, check_gradients, dense_newton_matrix
 
@@ -69,36 +69,35 @@ def block_program(coupled=True):
     """maximize sum_j ln y_j - |z - c|^2 - (s - 0.3)^2 subject to
     1 + a_j.z - x_j^2 - y_j >= 0 for three one-variable blocks y_j, a border
     (z, x_1, x_2, x_3, s) with z in R^2 (no local row touches s, and row j
-    touches x_j alone of the x) and, when coupled, 1.5 - sum_j y_j - s >= 0."""
+    touches x_j alone of the x) and, when coupled, 1.5 - sum_j y_j - s >= 0.
+    Variables: the border, then y_1, y_2, y_3."""
     a = np.array([[0.5, -0.2], [0.1, 0.3], [-0.4, 0.2]])
     c = np.array([0.2, -0.1])
-    n = 9
-    xs, ys = np.arange(2, 8, 2), np.arange(3, 9, 2)
-    border = np.array([0, 1, 2, 4, 6, 8])
-    structure = BlockStructure(n, ys, border=border)
+    n, b = 9, 6
+    xs, ys = slice(2, 5), slice(b, n)
     coupling = np.zeros((1 if coupled else 0, n))
     coupling[:, ys] = -1.0
-    coupling[:, 8] = -1.0
+    coupling[:, 5] = -1.0
 
     def objective(v):
-        return float(np.sum(np.log(v[ys])) - np.sum((v[:2] - c) ** 2) - (v[8] - 0.3) ** 2)
+        return float(np.sum(np.log(v[ys])) - np.sum((v[:2] - c) ** 2) - (v[5] - 0.3) ** 2)
 
     def gradient(v):
         out = np.zeros(n)
         out[ys] = 1.0 / v[ys]
         out[:2] = -2.0 * (v[:2] - c)
-        out[8] = -2.0 * (v[8] - 0.3)
+        out[5] = -2.0 * (v[5] - 0.3)
         return out
 
     def constraints(v):
         local = 1.0 + a @ v[:2] - v[xs] ** 2 - v[ys]
-        return np.append(local, 1.5 - v[ys].sum() - v[8]) if coupled else local
+        return np.append(local, 1.5 - v[ys].sum() - v[5]) if coupled else local
 
     def constraint_jac(v):
-        border_part = np.zeros((3, len(border)))
+        border_part = np.zeros((3, b))
         border_part[:, :2] = a
         border_part[np.arange(3), 2 + np.arange(3)] = -2.0 * v[xs]
-        return BlockJacobian(structure, -np.ones(3), coupling, border_part)
+        return BlockJacobian(-np.ones(3), coupling, border_part)
 
     def curvature(v, w):
         diag = np.zeros(n)
@@ -106,11 +105,10 @@ def block_program(coupled=True):
         diag[ys] = -1.0 / v[ys] ** 2
         return BlockCurvature(diag, border=np.diag([-2.0, -2.0, 0.0, 0.0, 0.0, -2.0]))
 
-    lower = np.array([-2.0, -2.0, -2.0, 0.0, -2.0, 0.0, -2.0, 0.0, -2.0])
+    lower = np.concatenate([np.full(b, -2.0), np.zeros(n - b)])
     return ConcaveProgram(n=n, objective=objective, gradient=gradient,
                           constraints=constraints, constraint_jac=constraint_jac,
-                          lower=lower, upper=np.full(n, 2.0), curvature=curvature,
-                          structure=structure)
+                          lower=lower, upper=np.full(n, 2.0), curvature=curvature, border=b)
 
 
 def grid_search_3d(quad, cap, coarse=0.04, fine=0.001):
@@ -193,16 +191,17 @@ class TestBoxContract:
         with pytest.raises(ValueError, match="n >= 1"):
             dataclasses.replace(quadratic_program(), n=0, lower=np.zeros(0), upper=np.zeros(0))
 
-    def test_requires_a_structure(self):
+    def test_requires_a_border(self):
         fields = {f.name: getattr(waterfill_program(), f.name)
-                  for f in dataclasses.fields(ConcaveProgram) if f.name != "structure"}
-        with pytest.raises(TypeError, match="structure"):
+                  for f in dataclasses.fields(ConcaveProgram) if f.name != "border"}
+        with pytest.raises(TypeError, match="border"):
             ConcaveProgram(**fields)
 
-    def test_rejects_structure_of_another_size(self):
-        with pytest.raises(ValueError, match="same n"):
-            dataclasses.replace(waterfill_program(),
-                                structure=BlockStructure(3, [], border=range(3)))
+    @pytest.mark.parametrize("border", [-1, 3])
+    def test_rejects_border_outside_the_program(self, border):
+        with pytest.raises(ValueError, match=r"\[0, n\]"):
+            dataclasses.replace(waterfill_program(), border=border)
+        dataclasses.replace(waterfill_program(), border=0)     # both ends are allowed
 
 
 class TestStartContract:
@@ -246,7 +245,7 @@ class TestGradientChecker:
 
 
 class TestStructuredPrograms:
-    START = np.array([0.1, 0.1, 0.2, 0.2, -0.1, 0.2, 0.0, 0.2, 0.1])
+    START = np.array([0.1, 0.1, 0.2, -0.1, 0.0, 0.1, 0.2, 0.2, 0.2])
 
     @pytest.mark.parametrize("coupled", [True, False])
     def test_block_solve_matches_dense_solve(self, coupled):
@@ -296,25 +295,6 @@ class TestStructuredPrograms:
         err = check_gradients(block_program(), self.START, np.random.default_rng(0), n_points=20)
         assert err <= 1e-6
 
-    def test_rejects_overlapping_blocks(self):
-        with pytest.raises(ValueError):
-            BlockStructure(4, [0, 1, 1], border=[2, 3])
-        with pytest.raises(ValueError):
-            BlockStructure(4, [0, 1], border=[1, 2, 3])
-
-    def test_rejects_variables_outside_blocks_and_border(self):
-        with pytest.raises(ValueError):
-            BlockStructure(4, [0, 1], border=[2])
-        with pytest.raises(ValueError):
-            BlockStructure(3, [0, 1], border=[3])
-        BlockStructure(4, [0, 1], border=[2, 3])
-        # No blocks, as the generic programs above declare (and solve).
-        assert BlockStructure(4, [], border=range(4)).blocks.shape == (0,)
-
-    def test_rejects_a_block_of_two_variables(self):
-        with pytest.raises(ValueError, match="one variable per block"):
-            BlockStructure(4, [[0, 1]], border=[2, 3])
-
     def test_barrier_value_checks_box_before_constraints(self):
         calls = []
         program = waterfill_program()
@@ -346,7 +326,6 @@ class TestLastResortStep:
     LAST_RIDGE = _RIDGE0 * 100.0 ** 12
 
     def test_structured_path(self):
-        structure = BlockStructure(2, [], border=[0, 1])
-        H = _BlockHessian(structure, np.zeros(0), np.zeros((0, 2)), self.H, 0.0)
+        H = _BlockHessian(2, np.zeros(0), np.zeros((0, 2)), self.H, 0.0)
         assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)

@@ -2,14 +2,15 @@
 
 import warnings
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uavstream.convex_core import NumericError
 from uavstream.orchestrator import SCHEMES, initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
-                                   solve_p5, solve_p7)
+from uavstream.subproblems import (InfeasibleProblem, _p5_split, backhaul_cap,
+                                   exact_fill_objective, make_link_budget, solve_p5, solve_p7)
 
 from dense_reference import check_p5_closed_form
 
@@ -39,7 +40,8 @@ configs = config_strategy(max_users=12)
 @given(cfg=configs, relay=st.booleans())
 def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
     # Flat or not, P5's answer must validate, must not lose to its start
-    # split, and must leak no warning.
+    # split, and must leak no warning.  A flat answer (lam = 0) must lie on
+    # the optimal face: the whole bandwidth, every user at link_cap/U.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sc = generate_scenario(cfg)
@@ -54,6 +56,10 @@ def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
         args = (out.p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
         before, _ = exact_fill_objective(sc, budget, start.x, *args)
         after, _ = exact_fill_objective(sc, budget, out.x, *args)
+        if _p5_split(sc, budget, placement)[1] == 0.0:
+            link_cap = backhaul_cap(sc, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
+            assert np.all(out.r_tilde == link_cap / cfg.num_users_U)
+            assert abs(out.x.sum() - 1.0) <= 1e-12
     assert after >= before > -float("inf")
 
 

@@ -16,9 +16,8 @@ from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2
 from uavstream import subproblems
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_cap,
                                    capped_fill, exact_fill_objective, lower_bound_rates,
-                                   make_link_budget, sca_coefficients, solve_p5,
-                                   solve_p7, _flat_face_centre, _p5_constants, _p7_program,
-                                   _price_split)
+                                   make_link_budget, rate_caps, sca_coefficients, solve_p5,
+                                   solve_p7, _p5_constants, _p7_program, _price_split)
 
 from dense_reference import (border_only_twin, check_gradients, check_p5_closed_form,
                              dense_curvature, dense_jacobian, dense_newton_matrix, dense_step,
@@ -270,31 +269,12 @@ class TestSolveP5:
 
 class TestFlatP5:
     """P5 is flat when every user can reach the equal level link_cap/U within
-    the bandwidth; solve_p5 then returns the optimal face's analytic centre
-    without a solve."""
+    the bandwidth; solve_p5 then returns the least shares that reach it,
+    rescaled onto the whole bandwidth, without a solve."""
 
     @staticmethod
     def chain(state, relay):
         return state.placement if relay else UavPlacement(state.placement.q_obs)
-
-    @staticmethod
-    def centre_residual(x, c, level, one_m_rho):
-        """Largest relative stationarity residual of the face's barrier
-        sum ln(cap - level) + ln x + ln(1 - x) + ln(1 - sum x), from the
-        closed-form derivative of cap = (1-rho) x log2(1 + c/x)."""
-        s = c / x
-        cap = one_m_rho * x * np.log1p(s) / LN2
-        dcap = one_m_rho * (np.log1p(s) - s / (1.0 + s)) / LN2
-        terms = np.stack([dcap / (cap - level), 1.0 / x, -1.0 / (1.0 - x),
-                          np.full_like(x, -1.0 / (1.0 - x.sum()))])
-        return float(np.max(np.abs(terms.sum(axis=0)) / np.abs(terms).sum(axis=0)))
-
-    @staticmethod
-    def solved_split(sc, budget, placement, start_x):
-        program, v0 = p5_program(sc, budget, placement, start_x)
-        x = np.clip(solve_concave(program, v0, sc.config.sca_tol).solution[:len(start_x)],
-                    1e-12, 1.0)
-        return x / x.sum()
 
     @pytest.mark.parametrize("relay", [True, False])
     @pytest.mark.parametrize("num_users", [10, 30, 200])
@@ -316,19 +296,13 @@ class TestFlatP5:
         assert np.all(out.r_tilde == link_cap / num_users)
         assert out.x.sum() == pytest.approx(1.0, abs=1e-12)
 
+        # On the optimal face: lam = 0, and every cap reaches the equal level.
         c, link_cap = _p5_constants(sc, budget, placement)
         one_m_rho = 1.0 - cfg.outage_target_rho
-        centre = _flat_face_centre(c, link_cap / num_users, one_m_rho)
-        assert self.centre_residual(centre, c, link_cap / num_users, one_m_rho) <= 1e-8
-
-    @pytest.mark.parametrize("num_users", [30, 100, 200])
-    def test_centre_is_where_the_solver_split_converges(self, num_users):
-        sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=0))
-        budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
-        out = solve_p5(sc, state.placement, state, budget)
-        solved = self.solved_split(sc, budget, state.placement, state.x)
-        assert np.max(np.abs(out.x - solved)) <= 1e-5
+        assert _price_split(c, link_cap, one_m_rho, cfg.utility_theta / num_users)[1] == 0.0
+        caps, _ = rate_caps(sc, budget, out.x, out.p_user, cfg.p_max_obs, cfg.p_max_relay,
+                            placement)
+        assert np.all(caps >= link_cap / num_users)
 
     def test_user_limited_instance_is_solved(self, monkeypatch):
         # At p_max_user = 0.002 some user cannot reach the equal level: P5 is
@@ -339,7 +313,8 @@ class TestFlatP5:
         budget = make_link_budget(cfg)
         state = heuristic_state(sc)
         c, link_cap = _p5_constants(sc, budget, state.placement)
-        assert _flat_face_centre(c, link_cap / 20, 1.0 - cfg.outage_target_rho) is None
+        assert _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
+                            cfg.utility_theta / 20)[1] > 0.0
 
         calls = []
         solve = subproblems.solve_concave
@@ -362,10 +337,10 @@ class TestFlatP5:
             warnings.simplefilter("error")
             # c = 1: no share reaches the level (k >= 1).
             assert level > sup * 1.0
-            assert _flat_face_centre(np.array([50.0, 1.0]), level, one_m_rho) is None
+            assert _price_split(np.array([50.0, 1.0]), 2.0 * level, one_m_rho, 0.5)[1] > 0.0
             # c = 3: the cap reaches the level only past the full band.
             assert one_m_rho * np.log2(1.0 + 3.0) < level < sup * 3.0
-            assert _flat_face_centre(np.array([50.0, 3.0]), level, one_m_rho) is None
+            assert _price_split(np.array([50.0, 3.0]), 2.0 * level, one_m_rho, 0.5)[1] > 0.0
             # Both are answered by the two prices, the weak user at its cap.
             for c in (np.array([50.0, 1.0]), np.array([50.0, 3.0])):
                 x, lam, nu = _price_split(c, 2.0 * level, one_m_rho, 0.5)
@@ -376,17 +351,14 @@ class TestFlatP5:
 
     def test_degenerate_face_is_solved(self):
         # Two equal users whose caps reach the level exactly at x = 1/2 leave
-        # no spare bandwidth: the face is a point, and P5 is not flat.  The
-        # price solve answers it and the face 1e-12 thinner with x = 1/2 and
-        # prices meeting stationarity (both rows bind at that point, so the
-        # prices need not be unique).
+        # no spare bandwidth: the face is a point.  The price solve answers
+        # it, and the face at a level 1e-12 lower, with x = 1/2 and prices
+        # meeting stationarity (both rows bind at that point, so the prices
+        # need not be unique).
         one_m_rho, c = 0.99, np.array([20.0, 20.0])
         level = one_m_rho * 0.5 * np.log2(1.0 + 40.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _flat_face_centre(c, level, one_m_rho) is None
-            assert _flat_face_centre(c, level * (1.0 - 1e-12), one_m_rho) is None
-            assert _flat_face_centre(c, 0.9 * level, one_m_rho) is not None
             for lvl in (level, level * (1.0 - 1e-12)):
                 x, lam, nu = _price_split(c, 2.0 * lvl, one_m_rho, 0.5)
                 assert np.allclose(x, 0.5, rtol=0.0, atol=1e-9)
@@ -434,23 +406,23 @@ REGIMES = {"table2": {}, "p_max_user_0.002": {"p_max_user": 0.002},
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("regime", REGIMES)
 def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
-    # As in joint's loop: P5, then placement steps.  After two of them P5 is
-    # not flat in any of these regimes; the closed form must match the
-    # interior-point reference and meet KKT.
+    # As in position_only's run: placement steps at the equal split.  After
+    # two of them P5 is not flat in any of these regimes; the closed form
+    # must match the interior-point reference and meet KKT.
     sc = generate_scenario(table2_config(num_users_U=20, rng_seed=seed, **REGIMES[regime]))
     cfg = sc.config
     budget = make_link_budget(cfg)
     start = heuristic_state(sc)
-    state = solve_p5(sc, start.placement, start, budget)
-    placement = state.placement
+    placement = start.placement
     for _ in range(2):
-        placement = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+        placement = solve_p7(sc, start.x, start.p_user, start.p_obs, start.p_relay,
                              placement, budget).placement
     c, link_cap = _p5_constants(sc, budget, placement)
-    assert _flat_face_centre(c, link_cap / 20, 1.0 - cfg.outage_target_rho) is None
+    assert _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
+                        cfg.utility_theta / 20)[1] > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        check_p5_closed_form(sc, budget, placement, state)
+        check_p5_closed_form(sc, budget, placement, start)
 
 
 @pytest.mark.parametrize("overrides, q_obs, q_relay", [
@@ -705,7 +677,7 @@ def test_one_builder_per_block_sizes_its_program_by_the_chain(name):
     program, v0 = builder_program(name, num_users=U, seed=2)
     border = {"p5": 2 * U, "p7": 4, "p5_no_relay": 2 * U, "p7_no_relay": 2}[name]
     assert program.n == v0.size == (2 * U if name.startswith("p5") else U + border)
-    assert len(program.structure.border) == border
+    assert program.border == border
 
 
 @pytest.mark.parametrize("name", BUILDERS)
@@ -721,7 +693,7 @@ def test_curvature_matches_central_differences(name):
         def lagrangian_grad(u):
             return program.gradient(u) + dense_jacobian(program.constraint_jac(u)).T @ w
 
-        C = dense_curvature(program.structure, program.curvature(v, w))
+        C = dense_curvature(program.border, program.curvature(v, w))
         for i in range(program.n):
             h = 1e-6 * max(abs(v[i]), 1e-3)
             step = np.zeros(program.n)
