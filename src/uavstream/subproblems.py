@@ -32,10 +32,8 @@ from .utility import UtilityParams, average_utility
 
 LN2 = math.log(2.0)
 _POS_SCALE = 1000.0      # metres per solver position unit
-_PRICE_STEPS = 50        # projected Newton steps on P5's two prices
-_PRICE_TOL = 1e-12       # |1 - sum x| and |link_cap - sum cap| / link_cap at P5's optimum
-_SHARE_STEPS = 100       # bracketed Newton steps for the shares at given prices
-_SHARE_TOL = 1e-13       # relative share step ending that search
+_KKT_STEPS = 50          # Newton steps on P5's optimality conditions
+_KKT_TOL = 1e-12         # their residuals at P5's optimum (relative; see _price_split)
 
 
 class InfeasibleProblem(RuntimeError):
@@ -206,42 +204,40 @@ def _level_shares(c, level, one_m_rho):
     return a / (-lambertw(-k * np.exp(-k), -1).real - k)
 
 
-def _share_terms(x, c, one_m_rho, nu):
-    """(cap, cap', h'' + lam) at the shares x > 0 for the price nu: the caps
-    (1-rho) x log2(1 + c/x), their slopes, and the second derivative of
-    h = ln cap - lam x - nu cap."""
+def _share_terms(x, c, one_m_rho):
+    """(cap, cap', q') at the shares x > 0: the caps (1-rho) x log2(1 + c/x),
+    their slopes, and the slopes of q = cap/cap', which are at least one
+    since the caps are concave."""
     s = c / x
     log_term, frac = np.log1p(s), s / (1.0 + s)
     scale = one_m_rho / LN2
     cap = scale * x * log_term
     slope = scale * (log_term - frac)
-    curv = -scale * frac ** 2 / x * (1.0 / cap - nu) - (slope / cap) ** 2
-    return cap, slope, curv
+    return cap, slope, 1.0 + cap * scale * frac ** 2 / (x * slope ** 2)
 
 
-def _price_shares(c, one_m_rho, lam, nu, x):
-    """Each user's share maximizing h_u(x) = ln cap_u(x) - lam x - nu cap_u(x)
-    at the prices lam > 0, nu >= 0, with (cap_u, cap_u', -1/h_u'') there.
+def _positive_move(x, dx, alpha):
+    """x moved by alpha dx where that keeps at least half of each share; a
+    share cut further is scaled by -1/(4s), s = alpha dx/x, which continues
+    the move smoothly and stays positive."""
+    s = alpha * dx / x
+    return x * np.where(s < -0.5, -0.25 / np.minimum(s, -0.5), 1.0 + s)
 
-    h_u' = cap_u' (1/cap_u - nu) - lam decreases where cap_u < 1/nu, where
-    h_u is concave, and is below -lam beyond, so the maximizer is h_u's one
-    stationary point.  It lies below 1/lam (cap_u'/cap_u <= 1/x, since cap_u
-    is concave with cap_u(0) = 0): Newton from the warm start x, bisecting
-    whenever a step leaves the bracket or h_u'' >= 0.
-    """
-    lo, hi = np.zeros_like(x), np.full_like(x, 1.0 / lam)
-    x = np.where(x < hi, x, 0.5 * hi)
-    for _ in range(_SHARE_STEPS):
-        cap, slope, curv = _share_terms(x, c, one_m_rho, nu)
-        grad = slope * (1.0 / cap - nu) - lam
-        lo, hi = np.where(grad > 0.0, x, lo), np.where(grad < 0.0, x, hi)
-        newton = x - grad / curv
-        step = np.where((curv < 0.0) & (newton >= lo) & (newton <= hi),
-                        newton, 0.5 * (lo + hi)) - x
-        if np.all(np.abs(step) <= _SHARE_TOL * x):
-            return x, cap, slope, -1.0 / curv
-        x = x + step
-    raise NumericError("P5's share search did not converge")
+
+def _fit_prices(cap, q, with_nu):
+    """The prices (lam, nu) that fit R = 1 - nu cap - lam q best in least
+    squares, with nu >= 0 (nu = 0 unless with_nu), by Gram-Schmidt on the
+    columns q, cap so that nearly parallel columns lose no precision."""
+    qq = q @ q
+    if with_nu:
+        qc = q @ cap
+        perp = cap - qc / qq * q
+        pp = perp @ perp
+        if pp > 1e-24 * (cap @ cap):
+            nu = perp.sum() / pp
+            if nu > 0.0:
+                return (q.sum() - nu * qc) / qq, nu
+    return q.sum() / qq, 0.0
 
 
 def _price_split(c, link_cap, one_m_rho, theta_over_U):
@@ -249,24 +245,39 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
     the multipliers of sum x <= 1 and of the backhaul cap, in P5's units.
 
     P5 at full power maximizes (theta/U) sum ln(beta r_u / rbar) over
-    r_u <= cap_u(x_u), sum r <= link_cap and sum x <= 1.  Its dual in the
-    two prices, D(lam, nu) = sum_u max_x h_u(x) + lam + nu link_cap with
-    h_u = ln cap_u - lam x - nu cap_u (_price_shares; prices per unit of
-    sum ln r), is convex, with gradient (1 - sum x, link_cap - sum cap) and
-    Hessian sum_u w_u [1, cap_u'][1, cap_u']^T, w_u = -1/h_u''.  At its
-    minimum every user sits at its cap (r_u = cap_u' / (lam + nu cap_u')),
-    the bandwidth is used up, and nu (link_cap - sum cap) = 0.
+    r_u <= cap_u(x_u), sum r <= link_cap and sum x <= 1.  Where it is not
+    flat every user sits at its cap at the optimum, and with prices lam, nu
+    per unit of sum ln r its optimality conditions read
+        R_u = 1 - nu cap_u - lam q_u = 0,   q = cap/cap'
+              (stationarity cap_u'/cap_u = lam + nu cap_u', relative to the
+              user's marginal),
+        1 - sum x = 0,   link_cap - sum cap = 0 or nu = 0,   lam > 0, nu >= 0.
 
     lam = 0 only where P5 is flat: every user's cap reaches the equal level
     link_cap/U within the bandwidth, so r_u = link_cap/U is optimal for every
     split whose caps all reach it, and the least such shares
-    (_level_shares) are returned.  Otherwise lam > 0, and D is
-    minimized by damped Newton with nu projected onto nu >= 0 (a zero nu
-    whose partial derivative is positive stays there) and lam floored at a
-    hundredth of its value, since D is singular at lam = 0 when some user
-    cannot reach 1/nu; Armijo backtracks along the projected step.  The
-    floor acts on lam alone: scaling the whole step to respect it would
-    freeze nu while lam falls a hundredfold per step.
+    (_level_shares) are returned.
+
+    Otherwise one Newton loop solves the conditions in (x, lam, nu)
+    together, one _share_terms pass per trial point.  R_u falls in x_u at
+    the rate k_u = nu cap_u' + lam q_u' > 0, so a share's step is
+    dx_u = (R_u - q_u dlam - cap_u dnu)/k_u, and the two sums give the 2x2
+    system H (dlam, dnu) = (sum R/k, sum cap' R/k) - (1 - sum x,
+    link_cap - sum cap), H = sum_u w_u [1, cap_u'][1, cap_u']^T, w = q/k.
+    Where R = 0, w = -1/h_u'' for h_u = ln cap_u - lam x - nu cap_u, and
+    this is Newton's step on the dual in the two prices.  While nu = 0 the
+    backhaul row drops out if the cap has room or if its step would make nu
+    negative.
+
+    Globalization: the step is halved until the residual norm (R, and the
+    two sums relative to their totals) falls by a share of it.  Shares
+    move by _positive_move, nu is projected onto nu >= 0, and lam's step is
+    cut to -0.99 lam where it would go lower, with dnu then the
+    least-squares fit of the two linearized sums.  R is linear in the
+    prices, so each trial point takes the least-squares prices of its R
+    (_fit_prices) where they fit better than the stepped ones: where the
+    caps' slopes are nearly equal, H is nearly singular and the stepped
+    prices overshoot along its null direction.
     """
     if link_cap <= 0.0 or np.any(c <= 0.0):
         raise InfeasibleProblem("no positive rate available for some user")
@@ -274,44 +285,67 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
     x = _level_shares(c, link_cap / U, one_m_rho)
     if x is not None and x.sum() <= 1.0:
         return x, 0.0, theta_over_U * U / link_cap
-    # Start at nu = 0 and the lam at which sum x is about one: each user's
-    # share is about its cap elasticity x cap'/cap over lam, taken at 1/U.
-    x = np.full(U, 1.0 / U)
-    cap, slope, _ = _share_terms(x, c, one_m_rho, 0.0)
-    prices = np.array([float(np.sum(x * slope / cap)), 0.0])
-    total = np.array([1.0, link_cap])
 
-    def dual(p, x):
-        """(D, shares, caps, cap slopes, w) at the prices p."""
-        x, cap, slope, w = _price_shares(c, one_m_rho, p[0], p[1], x)
-        return float(np.log(cap).sum() + p @ (total - [x.sum(), cap.sum()])), x, cap, slope, w
+    def point(x, lam, nu, with_nu):
+        """(x, lam, nu, cap, cap', q, q', R, 1 - sum x, 1 - sum cap/link_cap)
+        at x, with the given prices or the fitted ones, whichever leave the
+        smaller R."""
+        cap, slope, dq = _share_terms(x, c, one_m_rho)
+        q = cap / slope
+        R = 1.0 - nu * cap - lam * q
+        fit_lam, fit_nu = _fit_prices(cap, q, with_nu)
+        fit_R = 1.0 - fit_nu * cap - fit_lam * q
+        if fit_lam > 0.0 and fit_R @ fit_R < R @ R:
+            lam, nu, R = fit_lam, fit_nu, fit_R
+        return x, lam, nu, cap, slope, q, dq, R, 1.0 - x.sum(), 1.0 - cap.sum() / link_cap
 
-    current = dual(prices, x)
-    for _ in range(_PRICE_STEPS):
-        value, x, cap, slope, w = current
-        grad = total - [x.sum(), cap.sum()]
-        free = np.array([True, prices[1] > 0.0 or grad[1] < 0.0])
-        if np.all(np.abs(grad[free]) <= _PRICE_TOL * total[free]):
-            return x, theta_over_U * prices[0], theta_over_U * prices[1]
-        hess = np.array([[w.sum(), w @ slope], [w @ slope, w @ slope ** 2]])
-        hess[np.diag_indices(2)] *= 1.0 + 1e-12   # all slopes equal: H has rank one
-        step = np.zeros(2)
-        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
-        floor = np.array([0.01 * prices[0], 0.0])
-        # Within rounding of the optimum Armijo can no longer tell the values
-        # apart; Newton's quadratic phase takes the full step.
-        rounding = float(-grad @ step) <= 1e-12 * np.abs(np.log(cap)).sum()
+    def merit(point, with_nu):
+        """The squared residual norm at a point."""
+        *_, R, gap_x, gap_cap = point
+        return R @ R + gap_x * gap_x + (gap_cap * gap_cap if with_nu else 0.0)
+
+    # Start at the equal split, nu = 0 and the lam fitted there.
+    current = point(np.full(U, 1.0 / U), 0.0, 0.0, False)
+    for _ in range(_KKT_STEPS):
+        x, lam, nu, cap, slope, q, dq, R, gap_x, gap_cap = current
+        with_nu = nu > 0.0 or gap_cap < 0.0
+        if max(np.abs(R).max(), abs(gap_x), abs(gap_cap) if with_nu else 0.0) <= _KKT_TOL:
+            return x, theta_over_U * lam, theta_over_U * nu
+        k = nu * slope + lam * dq
+        w = q / k
+        # All slopes equal: H has rank one, and its diagonal is raised by 1e-12.
+        h00, h01, h11 = w.sum() * (1.0 + 1e-12), w @ slope, (w @ slope ** 2) * (1.0 + 1e-12)
+        R_k = R / k
+        r0, r1 = R_k.sum() - gap_x, slope @ R_k - gap_cap * link_cap
+        dlam, dnu = r0 / h00, 0.0
+        if with_nu:
+            det = h00 * h11 - h01 * h01
+            dlam, dnu = (h11 * r0 - h01 * r1) / det, (h00 * r1 - h01 * r0) / det
+            if nu == 0.0 and dnu < 0.0:
+                # The cap's price would go negative: it stays at zero, and
+                # the cap's row leaves this step.
+                with_nu, dlam, dnu = False, r0 / h00, 0.0
+        if dlam < -0.99 * lam:
+            # Scaling the whole step to keep lam positive would freeze nu
+            # while lam falls; dnu is refitted to the two linearized sums.
+            dlam = -0.99 * lam
+            if with_nu:
+                L2 = link_cap * link_cap
+                dnu = -((h00 * dlam - r0) * h01 + (h01 * dlam - r1) * h11 / L2) / (
+                    h01 * h01 + h11 * h11 / L2)
+        dx = (R - q * dlam - cap * dnu) / k
+        current_merit = merit(current, with_nu)
         alpha = 1.0
         while alpha > 1e-12:
-            trial_prices = np.maximum(prices + alpha * step, floor)
-            trial = dual(trial_prices, x)
-            if rounding or trial[0] <= value + 0.25 * float(grad @ (trial_prices - prices)):
+            trial = point(_positive_move(x, dx, alpha), lam + alpha * dlam,
+                          max(nu + alpha * dnu, 0.0), with_nu)
+            if merit(trial, with_nu) <= (1.0 - 1e-4 * alpha) ** 2 * current_merit:
                 break
             alpha *= 0.5
         else:
-            raise NumericError("P5's price search stalled")
-        prices, current = trial_prices, trial
-    raise NumericError(f"P5's price search did not converge in {_PRICE_STEPS} steps")
+            raise NumericError("P5's Newton search stalled")
+        current = trial
+    raise NumericError(f"P5's Newton search did not converge in {_KKT_STEPS} steps")
 
 
 def _p5_split(scenario, budget, placement):

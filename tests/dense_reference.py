@@ -9,6 +9,9 @@ every row a coupling row (border_only).
 
 p5_program states the resource step P5 as such a program, so that
 convex_core's solve checks subproblems' closed-form P5 independently.
+nested_price_split is the earlier closed form of a non-flat P5, damped
+Newton on its two prices with every share solved exactly at each price
+pair, kept as a reference for the one Newton loop that replaced it.
 """
 
 from unittest import mock
@@ -18,7 +21,7 @@ import numpy as np
 from uavstream import subproblems
 from uavstream.channel import _persp_rate, _persp_ratio
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
-                                   solve_concave)
+                                   NumericError, solve_concave)
 from uavstream.subproblems import (LN2, _log_utility, _p5_constants, _price_split,
                                    capped_fill, exact_fill_objective, solve_p5)
 
@@ -120,9 +123,8 @@ def p5_reference_objective(scenario, budget, placement, x_start):
 def check_p5_closed_form(scenario, budget, placement, start):
     """Assert that solve_p5 answers P5 at placement with no convex_core solve,
     at least as well as the reference (to 1e-9 relative), and, unless P5 is
-    flat, that _price_split's answer meets P5's KKT conditions: lam > 0,
-    nu >= 0, sum x = 1, nu (C - sum cap) <= 1e-10 C, and each user's
-    stationarity (theta/U) cap'/cap = lam + nu cap' to 1e-10 relative."""
+    flat, that _price_split's answer meets P5's KKT conditions
+    (assert_p5_kkt)."""
     cfg = scenario.config
     U = cfg.num_users_U
     with mock.patch.object(subproblems, "solve_concave",
@@ -137,15 +139,98 @@ def check_p5_closed_form(scenario, budget, placement, start):
     one_m_rho = 1.0 - cfg.outage_target_rho
     theta_over_U = cfg.utility_theta / U
     x, lam, nu = _price_split(c, link_cap, one_m_rho, theta_over_U)
-    if lam == 0.0:
-        return
+    if lam > 0.0:
+        assert_p5_kkt(c, link_cap, one_m_rho, theta_over_U, x, lam, nu)
+
+
+def assert_p5_kkt(c, link_cap, one_m_rho, theta_over_U, x, lam, nu):
+    """Assert that a non-flat P5 answer (x, lam, nu) meets P5's KKT
+    conditions: lam > 0, nu >= 0, sum x = 1, the backhaul cap met and
+    nu (C - sum cap) <= 1e-10 C, and each user's stationarity
+    (theta/U) cap'/cap = lam + nu cap' to 1e-10 relative."""
     cap = one_m_rho * _persp_rate(x, c)
     slope = one_m_rho * _persp_dx(x, c)
     assert lam > 0.0 and nu >= 0.0
     assert abs(x.sum() - 1.0) <= 1e-10
+    assert cap.sum() <= link_cap * (1.0 + 1e-10)
     assert nu * abs(link_cap - cap.sum()) <= 1e-10 * link_cap
     marginal = theta_over_U * slope / cap
     assert np.max(np.abs(marginal - nu * slope - lam) / marginal) <= 1e-10
+
+
+def _nested_share_terms(x, c, one_m_rho, nu):
+    """(cap, cap', h'') at the shares x > 0 for the price nu, with
+    h = ln cap - lam x - nu cap."""
+    s = c / x
+    log_term, frac = np.log1p(s), s / (1.0 + s)
+    scale = one_m_rho / LN2
+    cap = scale * x * log_term
+    slope = scale * (log_term - frac)
+    curv = -scale * frac ** 2 / x * (1.0 / cap - nu) - (slope / cap) ** 2
+    return cap, slope, curv
+
+
+def _nested_shares(c, one_m_rho, lam, nu, x):
+    """Each user's share maximizing h_u(x) = ln cap_u(x) - lam x - nu cap_u(x)
+    at the prices lam > 0, nu >= 0, with (cap_u, cap_u', -1/h_u'') there:
+    Newton from the warm start x inside the bracket [0, 1/lam], bisecting
+    whenever a step leaves the bracket or h_u'' >= 0."""
+    lo, hi = np.zeros_like(x), np.full_like(x, 1.0 / lam)
+    x = np.where(x < hi, x, 0.5 * hi)
+    for _ in range(100):
+        cap, slope, curv = _nested_share_terms(x, c, one_m_rho, nu)
+        grad = slope * (1.0 / cap - nu) - lam
+        lo, hi = np.where(grad > 0.0, x, lo), np.where(grad < 0.0, x, hi)
+        newton = x - grad / curv
+        step = np.where((curv < 0.0) & (newton >= lo) & (newton <= hi),
+                        newton, 0.5 * (lo + hi)) - x
+        if np.all(np.abs(step) <= 1e-13 * x):
+            return x, cap, slope, -1.0 / curv
+        x = x + step
+    raise NumericError("P5's share search did not converge")
+
+
+def nested_price_split(c, link_cap, one_m_rho, theta_over_U):
+    """A non-flat P5's split and prices (x, lam, nu) as _price_split returns
+    them, by the nested loop: damped Newton on the convex dual
+    D(lam, nu) = sum_u max_x h_u(x) + lam + nu link_cap, each evaluation
+    solving every share exactly (_nested_shares), with nu projected onto
+    nu >= 0, lam floored at a hundredth of its value and Armijo on D.
+    Raises NumericError where the search stalls."""
+    U = len(c)
+    x = np.full(U, 1.0 / U)
+    cap, slope, _ = _nested_share_terms(x, c, one_m_rho, 0.0)
+    prices = np.array([float(np.sum(x * slope / cap)), 0.0])
+    total = np.array([1.0, link_cap])
+
+    def dual(p, x):
+        x, cap, slope, w = _nested_shares(c, one_m_rho, p[0], p[1], x)
+        return float(np.log(cap).sum() + p @ (total - [x.sum(), cap.sum()])), x, cap, slope, w
+
+    current = dual(prices, x)
+    for _ in range(50):
+        value, x, cap, slope, w = current
+        grad = total - [x.sum(), cap.sum()]
+        free = np.array([True, prices[1] > 0.0 or grad[1] < 0.0])
+        if np.all(np.abs(grad[free]) <= 1e-12 * total[free]):
+            return x, theta_over_U * prices[0], theta_over_U * prices[1]
+        hess = np.array([[w.sum(), w @ slope], [w @ slope, w @ slope ** 2]])
+        hess[np.diag_indices(2)] *= 1.0 + 1e-12
+        step = np.zeros(2)
+        step[free] = -np.linalg.solve(hess[np.ix_(free, free)], grad[free])
+        floor = np.array([0.01 * prices[0], 0.0])
+        rounding = float(-grad @ step) <= 1e-12 * np.abs(np.log(cap)).sum()
+        alpha = 1.0
+        while alpha > 1e-12:
+            trial_prices = np.maximum(prices + alpha * step, floor)
+            trial = dual(trial_prices, x)
+            if rounding or trial[0] <= value + 0.25 * float(grad @ (trial_prices - prices)):
+                break
+            alpha *= 0.5
+        else:
+            raise NumericError("P5's price search stalled")
+        prices, current = trial_prices, trial
+    raise NumericError("P5's price search did not converge in 50 steps")
 
 
 def dense_jacobian(J):

@@ -15,14 +15,15 @@ from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
 from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_cap,
-                                   capped_fill, exact_fill_objective, lower_bound_rates,
-                                   make_link_budget, rate_caps, sca_coefficients, solve_p5,
-                                   solve_p7, _p5_constants, _p7_program, _price_split)
+                                   capped_fill, equal_hop_placement, exact_fill_objective,
+                                   lower_bound_rates, make_link_budget, rate_caps,
+                                   reduced_point, sca_coefficients, solve_p5, solve_p7,
+                                   _p5_constants, _p7_program, _price_split)
 
-from dense_reference import (border_only_twin, check_gradients, check_p5_closed_form,
-                             dense_curvature, dense_jacobian, dense_newton_matrix, dense_step,
-                             interior, p5_program, p5_reference_objective,
-                             random_interior_points)
+from dense_reference import (assert_p5_kkt, border_only_twin, check_gradients,
+                             check_p5_closed_form, dense_curvature, dense_jacobian,
+                             dense_newton_matrix, dense_step, interior, nested_price_split,
+                             p5_program, p5_reference_objective, random_interior_points)
 
 LN2 = math.log(2.0)
 
@@ -368,12 +369,12 @@ class TestFlatP5:
                 assert np.allclose(0.5 * slope / cap, lam + nu * slope, rtol=1e-9, atol=0.0)
 
     def test_price_search_out_of_steps_is_an_error(self, monkeypatch):
-        # A non-flat P5 needs several price steps; with too few, solve_p5
+        # A non-flat P5 needs several Newton steps; with too few, solve_p5
         # raises instead of returning an unconverged split.
         sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
         state = heuristic_state(sc)
         budget = make_link_budget(sc.config)
-        monkeypatch.setattr(subproblems, "_PRICE_STEPS", 1)
+        monkeypatch.setattr(subproblems, "_KKT_STEPS", 1)
         with pytest.raises(NumericError, match="did not converge"):
             solve_p5(sc, state.placement, state, budget)
 
@@ -431,15 +432,126 @@ def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
 ], ids=["p_max_user_0.01", "area_3000"])
 def test_price_search_moves_nu_while_lam_sits_at_its_floor(overrides, q_obs, q_relay):
     # At these placements (U=20, seed 0) Newton's lam step falls below
-    # -0.99 lam on the first steps while both residuals, 1 - sum x and
-    # link_cap - sum cap, are negative.  Scaling the whole step to keep lam
-    # above its floor froze nu and stalled the search; the floor must bind
-    # lam alone.
+    # -0.99 lam on the first steps while the backhaul cap is exceeded.
+    # Scaling the whole step to keep lam above its floor froze nu and
+    # stalled the search; the floor must bind lam alone.
     sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, **overrides))
     budget = make_link_budget(sc.config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check_p5_closed_form(sc, budget, UavPlacement(q_obs, q_relay), heuristic_state(sc))
+
+
+def valid_domain_p5s(rng, num_configs):
+    """(c, link_cap, 1 - rho, theta/U) of P5s across the valid config domain:
+    configs over test_properties.config_strategy's ranges (the powers drawn
+    log-uniformly) with U in 1..120, each at three observation points, the
+    user centroid plus N(0, (500 j m)^2) for j = 1..3, on the equal-hop
+    chain and on the one-hop chain."""
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    for _ in range(num_configs):
+        cfg = table2_config(
+            num_users_U=int(rng.integers(1, 121)), rng_seed=int(rng.integers(0, 10_001)),
+            p_max_user=log_uniform(1e-4, 1.0), p_max_obs=log_uniform(1e-3, 1.0),
+            p_max_relay=log_uniform(1e-3, 1.0), rician_K=rng.uniform(0.0, 20.0),
+            outage_target_rho=rng.uniform(1e-3, 0.3), area_side=rng.uniform(0.0, 3000.0),
+            network_size_D=rng.uniform(200.0, 5000.0), height_obs_Ho=rng.uniform(20.0, 300.0),
+            height_relay_Hr=rng.uniform(20.0, 300.0))
+        sc = generate_scenario(cfg)
+        budget = make_link_budget(cfg)
+        centroid = sc.agu_pos_wu.mean(axis=0)
+        for spread in (500.0, 1000.0, 1500.0):
+            q_obs = centroid + rng.normal(0.0, spread, 2)
+            for placement in (equal_hop_placement(sc, q_obs)[0], UavPlacement(q_obs)):
+                yield (*_p5_constants(sc, budget, placement), 1.0 - cfg.outage_target_rho,
+                       cfg.utility_theta / cfg.num_users_U)
+
+
+def test_p5_across_the_valid_domain_meets_kkt():
+    # 300 P5s from 50 random valid configs: every non-flat answer meets the
+    # KKT conditions, none raises, and where the nested price loop (the
+    # earlier closed form) converges the two splits agree.
+    rng = np.random.default_rng(7)
+    non_flat = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, link_cap, one_m_rho, theta_over_U in valid_domain_p5s(rng, 50):
+            x, lam, nu = _price_split(c, link_cap, one_m_rho, theta_over_U)
+            if lam == 0.0:
+                continue
+            non_flat += 1
+            assert_p5_kkt(c, link_cap, one_m_rho, theta_over_U, x, lam, nu)
+            try:
+                x_ref = nested_price_split(c, link_cap, one_m_rho, theta_over_U)[0]
+            except NumericError:
+                continue
+            assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-8
+    assert non_flat >= 60
+
+
+def test_p5_that_stalled_the_nested_price_search_is_solved():
+    # At this valid config the nested loop's price search stalls: the floor
+    # cuts lam by a hundredth per step, down to 2.5e-15, with 1 - sum x =
+    # 0.72 unmet.  The one Newton loop answers it at least as well as the
+    # interior-point reference.
+    cfg = table2_config(num_users_U=79, rng_seed=7090, p_max_user=0.0006400543605863461,
+                        p_max_obs=0.001774783992856426, p_max_relay=0.021326673287467107,
+                        rician_K=9.4264255861967, outage_target_rho=0.1678718987162348,
+                        area_side=1399.4203849825747, network_size_D=1139.106453931435,
+                        height_obs_Ho=210.99808999904815, height_relay_Hr=94.50276635159256)
+    sc = generate_scenario(cfg)
+    budget = make_link_budget(cfg)
+    q_obs = (1176.2598671903004, -1060.2783330472214)
+    placement = equal_hop_placement(sc, q_obs)[0]
+    c, link_cap = _p5_constants(sc, budget, placement)
+    args = (c, link_cap, 1.0 - cfg.outage_target_rho, cfg.utility_theta / 79)
+    with pytest.raises(NumericError, match="stalled"):
+        nested_price_split(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = reduced_point(sc, budget, q_obs)
+        assert_p5_kkt(*args, *_price_split(*args))
+    ref = p5_reference_objective(sc, budget, placement, heuristic_state(sc).x)
+    assert point.objective >= ref - 1e-9 * abs(ref)
+
+
+def test_nearly_equal_cap_slopes_are_solved():
+    # Four users whose cap slopes differ by 3% at the optimum, and whose
+    # equal-level shares sum to 1.0003: the price system is nearly singular,
+    # and the prices must travel along its null direction (lam 1.8 -> 1.09,
+    # nu 0 -> 0.82) while the shares barely move.  Stepped prices overshoot
+    # there; the loop's least-squares prices reach the optimum.
+    c = np.array([0.71211702, 0.71296146, 0.69173259, 0.71593222])
+    args = (c, 1.918921377375887, 0.99, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_p5_kkt(*args, *_price_split(*args))
+
+
+def test_p5_takes_few_share_passes_in_a_joint_run(monkeypatch):
+    # Each Newton step of the one loop makes one _share_terms pass per trial
+    # point; the nested loop made about 23 per non-flat P5 in this run.
+    passes, per_call = [0], []
+    share_terms, price_split = subproblems._share_terms, subproblems._price_split
+
+    def counted_terms(*args):
+        passes[0] += 1
+        return share_terms(*args)
+
+    def counted_split(*args):
+        passes[0] = 0
+        out = price_split(*args)
+        if out[1] > 0.0:
+            per_call.append(passes[0])
+        return out
+
+    monkeypatch.setattr(subproblems, "_share_terms", counted_terms)
+    monkeypatch.setattr(subproblems, "_price_split", counted_split)
+    run_benchmark(generate_scenario(table2_config(num_users_U=30, rng_seed=0)), "joint")
+    assert per_call
+    assert sum(per_call) / len(per_call) <= 10.0
 
 
 class TestSolveP7:
