@@ -13,13 +13,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive
 
 LN2 = math.log(2.0)
 
-# Series terms below this size no longer move the double-precision sum.
-_SERIES_EPS = 1e-15
-_SERIES_MAX_TERMS = 100_000
+# Most terms of the Bessel recurrence in marcum_q1: enough for a*b up to
+# about 1e10 (K up to 1e9 in rician_cdf), and about 0.15 s at the cap.
+_MAX_TERMS = 1_000_000
 
 
 class DegenerateLinkWarning(UserWarning):
@@ -43,13 +42,24 @@ class LinkBudget:
 def marcum_q1(a: float, b: float) -> float:
     """First-order Marcum Q function Q1(a, b).
 
-    Evaluated by the Bessel series with exponentially scaled I_k terms so the
-    partial sums stay in range for large a*b.  For b >= a the direct series
+    Evaluated by the Bessel series with exponentially scaled terms
+    e^-x I_k(x), x = a*b, so the sums stay in range for large a*b.  For
+    b >= a the direct series
 
-        Q1(a,b) = exp(-(a-b)^2/2) * sum_k (a/b)^k ive(k, a*b)
+        Q1(a,b) = exp(-(a-b)^2/2) * sum_k (a/b)^k e^-x I_k(x)
 
-    converges with decreasing terms; for b < a the complementary series is
-    used, which keeps the truncation criterion sound on both branches.
+    converges with decreasing terms; for b < a the complementary series
+    Q1 = 1 - exp(-(a-b)^2/2) * sum_{k>=1} (b/a)^k e^-x I_k(x) is used, which
+    keeps the truncation sound on both branches.
+
+    Every e^-x I_k(x) comes from one backward recurrence (Miller's
+    algorithm), I_{k-1} = (2k/x) I_k + I_{k+1}, started at zero n terms out,
+    where I_n/I_0 no longer shows in double precision (about exp(-n^2/2x)
+    for large x, (x/2)^n/n! for small; n is capped at _MAX_TERMS).  It is run on the ratios
+    h_k = I_k/I_{k-1} = 1/(2k/x + h_{k+1}), which cannot overflow, and the
+    series is accumulated in the same pass, by Horner's rule in the powers
+    of the ratio r.  The identity e^-x (I_0 + 2 sum_{k>=1} I_k) = 1 fixes
+    the scale: with P_k = h_1...h_k = I_k/I_0, e^-x I_0 = 1/(1 + 2 sum P_k).
     """
     if a < 0 or b < 0:
         raise ValueError("marcum_q1 requires a >= 0 and b >= 0")
@@ -58,30 +68,29 @@ def marcum_q1(a: float, b: float) -> float:
     if a == 0.0:
         return math.exp(-0.5 * b * b)
 
-    ab = a * b
-    scale = math.exp(-0.5 * (a - b) ** 2)
+    d = b - a
+    if abs(d) > 40.0:
+        # exp(-d^2/2) underflows to zero, and Q1 is within it of 0 or 1.
+        return 0.0 if d > 0.0 else 1.0
+    x = a * b
+    if math.isinf(x):
+        # The normal limit as a, b grow with b - a fixed; its error, O(1/a),
+        # is below double precision here.
+        return 0.5 * math.erfc(d / math.sqrt(2.0))
+    ratio = a / b if b >= a else b / a
+    two_over_x = 2.0 / x
+    n = min(30 + int(9.0 * math.sqrt(x)), _MAX_TERMS)
+    # After the step at k: h = h_k, tail = sum_{j>=k} r^(j-k+1) P_j/P_{k-1},
+    # norm = sum_{j>=k} P_j/P_{k-1}; at k = 1 both sums are over P_j.
+    h = tail = norm = 0.0
+    for k in range(n, 0, -1):
+        h = 1.0 / (k * two_over_x + h)
+        tail = ratio * h * (1.0 + tail)
+        norm = h * (1.0 + norm)
+    scale = math.exp(-0.5 * d * d) / (1.0 + 2.0 * norm)
     if b >= a:
-        ratio = a / b
-        total = 0.0
-        term_factor = 1.0
-        for k in range(_SERIES_MAX_TERMS):
-            term = term_factor * ive(k, ab)
-            total += term
-            if term < _SERIES_EPS * max(1.0, total):
-                break
-            term_factor *= ratio
-        return float(min(1.0, scale * total))
-    # b < a: Q1 = 1 - scale * sum_{k>=1} (b/a)^k ive(k, ab)
-    ratio = b / a
-    total = 0.0
-    term_factor = ratio
-    for k in range(1, _SERIES_MAX_TERMS):
-        term = term_factor * ive(k, ab)
-        total += term
-        if term < _SERIES_EPS * max(1.0, total):
-            break
-        term_factor *= ratio
-    return float(max(0.0, 1.0 - scale * total))
+        return min(1.0, scale * (1.0 + tail))
+    return max(0.0, 1.0 - scale * tail)
 
 
 def rician_cdf(z: float, K: float) -> float:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import lambertw
 
 from .channel import LinkBudget, _persp_rate, fspl_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, ConcaveProgram, NumericError,
@@ -34,6 +33,11 @@ LN2 = math.log(2.0)
 _POS_SCALE = 1000.0      # metres per solver position unit
 _KKT_STEPS = 50          # Newton steps on P5's optimality conditions
 _KKT_TOL = 1e-12         # their residuals at P5's optimum (relative; see _price_split)
+_NEAR_ONE = 0.02         # 1 - k below which a least share is read off its series
+# t = 1/(2 eps) + these in powers of eps, highest first: t ln(1 + 1/t) = 1 - eps.
+_SHARE_SERIES = (32 / 18225, 116 / 42525, 8 / 1701, 4 / 405, 4 / 135, 1 / 9, -2 / 3)
+_SHARE_MARGIN = 1.0 + 2.0 ** -44   # raised target of the least-share Newton solve
+_SHARE_STEPS = 3
 
 
 class InfeasibleProblem(RuntimeError):
@@ -188,20 +192,67 @@ def _p5_constants(scenario, budget, placement):
     return c, backhaul_cap(scenario, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
 
 
+def _least_ratio(k):
+    """s = c/x > 0 at the least share: ln(1 + s) = k * _SHARE_MARGIN * s,
+    for 0 < k <= 1 - _NEAR_ONE.
+
+    With y = k (1 + s) the equation reads y - ln y = m, m = k - ln k, on
+    the root y > 1 (y = -W_{-1}(-k e^-k)).  The start is the larger of two
+    expansions of that root, both below it where the other is the closer:
+    m + ln m + ln(m)/m for small k, and 1 + p + p^2/3, p = sqrt(2 (m - 1)),
+    about y = 1; it is within 3e-2 of s.  G(s) = ln(1 + s) - k s is concave
+    and peaks at s = 1/k - 1, below every start, so each Newton step lands
+    at or above the root, and the steps after the first descend to it;
+    three steps end within 1e-14 of it, checked against mpmath for k from
+    1e-300 to 1 - _NEAR_ONE.
+    The target k is raised by _SHARE_MARGIN, more than the rounding of the
+    cap at the returned share can take back.
+    """
+    m = k - np.log(k)
+    log_m = np.log(m)
+    p = np.sqrt(2.0 * (m - 1.0))
+    s = np.maximum(m + log_m + log_m / m, 1.0 + p * (1.0 + p / 3.0)) / k - 1.0
+    k = k * _SHARE_MARGIN
+    for _ in range(_SHARE_STEPS):
+        s -= (np.log1p(s) - k * s) / (1.0 / (1.0 + s) - k)
+    return s
+
+
 def _level_shares(c, level, one_m_rho):
     """The least shares whose caps reach level, or None unless every user's
     cap reaches it at some share.
 
     The share solves x ln(1 + c/x) = a, a = level ln2/(1-rho); with k = a/c
-    it is a / (-W_{-1}(-k e^-k) - k), on the lower branch of Lambert's W,
-    and it exists iff level > 0 and k < 1 (the cap tends to level/k as x
-    grows).
+    and t = x/c it reads t ln(1 + 1/t) = k, and it exists iff level > 0 and
+    k < 1 (the cap tends to level/k as x grows).  Near k = 1, t is the
+    series 1/(2 eps) - 2/3 + eps/9 + ... in eps = 1 - k, exact to rounding
+    for eps < _NEAR_ONE, where the equation itself cannot resolve t (its
+    slope in ln t is about eps); elsewhere _least_ratio solves it.  Every
+    cap at the returned shares, as rate_caps evaluates it, reaches level:
+    _least_ratio aims above it, and near k = 1 a share whose cap rounds
+    below it is raised by 2^-52 of itself, then by twice as much at each
+    try, until it does.
     """
     a = level * LN2 / one_m_rho
     k = a / c
-    if not (level > 0.0 and np.all(k < 1.0)):
+    k_max = k.max()
+    if not (level > 0.0 and k_max < 1.0):
         return None
-    return a / (-lambertw(-k * np.exp(-k), -1).real - k)
+    if k_max < 1.0 - _NEAR_ONE:
+        return c / _least_ratio(k)
+    eps = 1.0 - k
+    t = np.polyval(_SHARE_SERIES, eps) + 0.5 / eps
+    far = eps >= _NEAR_ONE
+    t[far] = 1.0 / _least_ratio(k[far])
+    x = c * t
+    bump = 2.0 ** -52
+    while bump < 1.0:
+        short = one_m_rho * _persp_rate(x, c) < level
+        if not short.any():
+            break
+        x[short] *= 1.0 + bump
+        bump *= 2.0
+    return x
 
 
 def _share_terms(x, c, one_m_rho):
@@ -564,6 +615,33 @@ def placement_extent(cfg: SystemConfig) -> float:
     return 4.0 * max(cfg.network_size_D, cfg.area_side)
 
 
+@lru_cache(maxsize=16)
+def _p7_layout(U, K):
+    """The parts of P7 fixed by U and the chain's K UAVs, read-only:
+    (moves, signs, local, coupling0).
+
+    Each row's offset is linear in the UAV coordinates: a user row's is the
+    observation UAV minus the user, hop k's the node it feeds (UAV k+1, or
+    the fixed GBS after the last UAV) minus UAV k.  moves holds each row's
+    signs on the UAVs, which give its gradient on the border and its
+    Hessian there, a constant: -2 quad times the outer product of its signs,
+    on each coordinate (entry (2a + c, 2b + c) for UAVs a, b), whose
+    flattened pattern is signs.  local and coupling0 are the Jacobian's
+    entries on r: -1 for user u's r_u, -1 for every r on each hop's row.
+    """
+    nb = 2 * K
+    moves = np.zeros((U + K, K))
+    moves[:U, 0] = 1.0
+    moves[U:] = np.eye(K, k=1) - np.eye(K)
+    signs = moves[:, :, None, None, None] * moves[:, None, None, :, None] * np.eye(2)[:, None, :]
+    coupling0 = np.zeros((K, nb + U))
+    coupling0[:, nb:] = -1.0
+    layout = (moves, signs.reshape(U + K, nb * nb), np.full(U, -1.0), coupling0)
+    for part in layout:
+        part.flags.writeable = False
+    return layout
+
+
 def _p7_program(scenario, coeffs, x):
     """P7 around coeffs.expansion, and the strictly interior start there.
 
@@ -591,22 +669,13 @@ def _p7_program(scenario, coeffs, x):
     kh = coeffs.d_hop * S2
     base_h = coeffs.c_hop + coeffs.d_hop * coeffs.dist2_hop
 
-    # Each row's offset is linear in the UAV coordinates: a user row's is the
-    # observation UAV minus the user, hop k's the node it feeds (UAV k+1, or
-    # the fixed GBS after the last UAV) minus UAV k.  moves holds each row's
-    # signs on the UAVs, which give its gradient on the border and its
-    # Hessian there, a constant: -2 quad times the outer product of its signs,
-    # on each coordinate (entry (2a + c, 2b + c) for UAVs a, b).
-    moves = np.zeros((U + K, K))
-    moves[:U, 0] = 1.0
-    moves[U:] = np.eye(K, k=1) - np.eye(K)
+    moves, signs, local, coupling0 = _p7_layout(U, K)
     anchors = np.concatenate([w_users, np.zeros((K, 2))])
     anchors[-1] = -w_gbs
     base = np.concatenate([base_u, base_h])
     quad = np.concatenate([ku, kh])                      # quadratic weights
     slopes = -2.0 * quad[:, None]
-    signs = moves[:, :, None, None, None] * moves[:, None, None, :, None] * np.eye(2)[:, None, :]
-    row_hessians = slopes * signs.reshape(U + K, nb * nb)
+    row_hessians = slopes * signs
 
     def offsets(v):
         """Every row's offset at v, (U + K, 2), in solver units."""
@@ -623,10 +692,6 @@ def _p7_program(scenario, coeffs, x):
 
     # Local rows: user u's link touches the observation UAV (the border) and
     # r_u, its block.  Coupling rows: the hops against sum r.
-    local = np.full(U, -1.0)
-    coupling0 = np.zeros((K, n))
-    coupling0[:, sr] = -1.0
-
     def constraint_jac(v):
         on_border = (moves[:, :, None] * (slopes * offsets(v))[:, None, :]).reshape(U + K, nb)
         coupling = coupling0.copy()

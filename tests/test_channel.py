@@ -1,6 +1,7 @@
 """Fading statistics and rate formulas against independent numerical oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,33 @@ def marcum_q1_quadrature(a, b):
     upper = max(a, b) + 50.0
     val, _ = quad(integrand, b, upper, limit=500)
     return val
+
+
+def marcum_q1_ive_series(a, b):
+    """The Bessel series of Q1 term by term with scipy's ive (reference).
+
+    Direct series for b >= a, complementary one for b < a, each summed
+    until a term no longer moves the double-precision total.
+    """
+    if b == 0.0:
+        return 1.0
+    if a == 0.0:
+        return math.exp(-0.5 * b * b)
+    ab, scale = a * b, math.exp(-0.5 * (a - b) ** 2)
+    ratio, k, total = (a / b, 0, 0.0) if b >= a else (b / a, 1, 0.0)
+    factor = ratio ** k
+    while True:
+        term = factor * ive(k, ab)
+        total += term
+        if term < 1e-15 * max(1.0, total):
+            break
+        factor *= ratio
+        k += 1
+    return min(1.0, scale * total) if b >= a else max(0.0, 1.0 - scale * total)
+
+
+def rician_cdf_reference(z, K):
+    return 1.0 - marcum_q1_ive_series(math.sqrt(2.0 * K), math.sqrt(2.0 * (K + 1.0) * z))
 
 
 def rician_power_samples(K, n, seed):
@@ -56,9 +84,36 @@ class TestMarcumQ:
             v = marcum_q1(a, b)
             assert 0.0 <= v <= 1.0
 
+    def test_extreme_arguments(self):
+        # |b - a| > 40: exp(-(a-b)^2/2) underflows, and Q1 is 0 or 1 without
+        # summing a series of about 9 sqrt(a b) terms.  a*b overflowing:
+        # Q1(a, a) tends to 1/2.
+        assert marcum_q1(2.8, 1e150) == 0.0
+        assert marcum_q1(1e150, 2.8) == 1.0
+        assert marcum_q1(1e300, 1e300) == 0.5
+        assert rician_cdf(1e308, 4.0) == 1.0
+        assert marcum_q1(1e5, 1e5 + 1.0) == pytest.approx(0.5 * math.erfc(2 ** -0.5), abs=1e-5)
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             marcum_q1(-1.0, 1.0)
+
+    @pytest.mark.parametrize("ab", np.geomspace(1e-3, 2e4, 15))
+    def test_against_the_ive_series(self, ab):
+        # b/a from 1e-3 to 1e3: the direct series (b >= a) and the
+        # complementary one (b < a), with b near a where Q1 moves fastest.
+        for ratio in [1e-3, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 2.0, 10.0, 1e3]:
+            a, b = math.sqrt(ab / ratio), math.sqrt(ab * ratio)
+            assert marcum_q1(a, b) == pytest.approx(marcum_q1_ive_series(a, b), abs=1e-12)
+
+    def test_tiny_and_vanishing_products(self):
+        # a*b below the smallest normal double: 2/x overflows, every ratio
+        # I_k/I_{k-1} is zero, and Q1 is the leading term alone.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert marcum_q1(1e-160, 1e-160) == 1.0
+            assert marcum_q1(1e-320, 3.0) == pytest.approx(math.exp(-4.5), rel=1e-15)
+            assert marcum_q1(3.0, 1e-320) == 1.0
 
 
 class TestRicianCdf:
@@ -110,6 +165,18 @@ class TestRicianInverse:
         pdf = (rician_cdf(z + h, 4.0) - rician_cdf(z - h, 4.0)) / (2 * h)
         se = math.sqrt(0.01 * 0.99 / samples.size) / pdf
         assert abs(z - emp_quantile) <= 3.0 * se
+
+    @pytest.mark.parametrize("K", [0.0, 4.0, 20.0, 1e2, 1e4])
+    @pytest.mark.parametrize("rho", [1e-3, 0.01, 0.3])
+    def test_inverse_meets_the_reference_cdf(self, K, rho):
+        z = rician_cdf_inverse(rho, K)
+        assert abs(rician_cdf_reference(z, K) - rho) <= 1e-10
+
+    def test_round_trip_at_a_large_k_factor(self):
+        # K = 1e6: the recurrence runs about 13,000 terms per CDF value.
+        z = rician_cdf_inverse(0.01, 1e6)
+        assert rician_cdf(z, 1e6) == pytest.approx(0.01, abs=1e-10)
+        assert z == pytest.approx(1.0 - 2.326348 * math.sqrt(2.0 / 1e6), abs=1e-5)
 
     def test_domain_errors(self):
         for rho in [0.0, 1.0, -0.1, 1.5]:

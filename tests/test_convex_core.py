@@ -304,15 +304,39 @@ class TestStructuredPrograms:
         assert calls == []
 
 
-def test_package_import_leaves_scipy_linalg_unloaded():
-    # The Newton step is numpy only.  Importing scipy.linalg would add tens
-    # of milliseconds to every fresh interpreter that imports uavstream.
-    code = "import sys, uavstream; print('scipy.linalg' in sys.modules)"
+def _run_python(code, *args):
+    """Run code in a fresh interpreter that imports uavstream from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # The package is numpy only at run time.  Importing scipy.special or
+    # scipy.linalg would add tens to hundreds of milliseconds to every fresh
+    # interpreter that imports uavstream.
+    for module in ("uavstream", "uavstream.cli"):
+        code = (f"import sys, {module}; "
+                "print('scipy.linalg' in sys.modules, 'scipy' in sys.modules)")
+        assert _run_python(code).stdout.strip() == "False False", module
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # sys.modules["scipy"] = None makes every scipy import raise, so a sweep
+    # of all five schemes and a converge run exit 0 only if nothing on their
+    # paths needs scipy.
+    code = """\
+import sys
+sys.modules["scipy"] = None
+from uavstream import cli
+out = sys.argv[1]
+assert cli.main(["sweep", "--grid", "5,10", "--seeds", "1", "--out", out + "/sweep.csv",
+                 "--schemes", "joint,resource_only,position_only,relay_baseline,no_relay"]) == 0
+assert cli.main(["converge", "--out", out + "/converge.csv"]) == 0
+print("ok")
+"""
+    assert _run_python(code, str(tmp_path)).stdout.strip().endswith("ok")
 
 
 class TestLastResortStep:

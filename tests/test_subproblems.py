@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+from scipy.special import lambertw
 
-from uavstream.channel import rate_agu, rate_gbs, rate_relay
+from uavstream.channel import _persp_rate, rate_agu, rate_gbs, rate_relay
 from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve_spd, _terms,
                                    solve_concave)
 from uavstream.orchestrator import initialize_state, run_benchmark
@@ -18,7 +20,8 @@ from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_ca
                                    capped_fill, equal_hop_placement, exact_fill_objective,
                                    lower_bound_rates, make_link_budget, rate_caps,
                                    reduced_point, sca_coefficients, solve_p5, solve_p7,
-                                   _p5_constants, _p7_program, _price_split)
+                                   _level_shares, _p5_constants, _p7_program,
+                                   _price_split)
 
 from dense_reference import (assert_p5_kkt, border_only_twin, check_gradients,
                              check_p5_closed_form, dense_curvature, dense_jacobian,
@@ -398,6 +401,49 @@ class TestFlatP5:
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleProblem):
                 solve_p5(sc, UavPlacement(sc.gbs_pos_wb), state)
+
+
+def least_ratio_decimal(k):
+    """t with t ln(1 + 1/t) = k, by bisection on ln t in 60-digit arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k, lo, hi = Decimal(k), Decimal("1e-30"), Decimal("1e30")
+        for _ in range(100):
+            mid = (lo * hi).sqrt()
+            if mid * (1 + 1 / mid).ln() < k:
+                lo = mid
+            else:
+                hi = mid
+        return float(mid)
+
+
+def test_least_shares_near_and_away_from_k_one():
+    # Users with k = 1 - eps close to one, mixed with ordinary k in one
+    # vector.  References: scipy's Lambert-W formula where it is accurate
+    # (k <= 0.99), the expansion t = 1/(2 eps) - 2/3 (relative error 2 eps^2/9)
+    # for eps <= 1e-5, and a 60-digit bisection in between.  The cap's slope
+    # in ln x is about eps, so a share whose cap rounds 4 ulps below the
+    # level may have to move by 4 ulps / eps to reach it: that is the
+    # tolerance where it exceeds 1e-9 (eps = 1e-9).
+    one_m_rho, level = 0.99, 0.5
+    a = level * LN2 / one_m_rho
+    near = [1e-2, 1e-3, 1e-4, 3e-5, 1e-6, 1e-9]
+    ordinary = [1e-6, 1e-3, 0.1, 0.5, 0.9, 0.97]
+    c = np.array([a / (1.0 - e) for e in near] + [a / k for k in ordinary])[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _level_shares(c, level, one_m_rho)
+    k = a / c
+    eps = 1.0 - k
+    for ku, eu, cu, xu in zip(k, eps, c, x):
+        if eu >= 1e-2:
+            ref = cu * ku / (-lambertw(-ku * math.exp(-ku), -1).real - ku)
+        elif eu <= 1e-5:
+            ref = cu * (0.5 / eu - 2.0 / 3.0)
+        else:
+            ref = cu * least_ratio_decimal(ku)
+        assert xu == pytest.approx(ref, rel=max(1e-9, 4 * 2.0 ** -52 / eu), abs=0.0), eu
+    assert np.all(one_m_rho * _persp_rate(x, c) >= level)
 
 
 REGIMES = {"table2": {}, "p_max_user_0.002": {"p_max_user": 0.002},
