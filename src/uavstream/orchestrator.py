@@ -64,52 +64,47 @@ class SchemeResult:
 
 def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> DecisionState:
     """Heuristic start: observation UAV at the user centroid, relay midway to
-    the GBS, equal bandwidth, all powers at their budgets."""
+    the GBS, equal bandwidth, all powers at their budgets, and the exact fill
+    there in r_tilde."""
     budget = budget if budget is not None else make_link_budget(scenario.config)
-    return _heuristic_start(scenario, budget)[0]
-
-
-def _heuristic_start(scenario: Scenario, budget: LinkBudget):
-    """initialize_state's state (whose r_tilde is 0.99 of the exact fill),
-    and the exact fill (objective, r_tilde) there."""
     cfg = scenario.config
     q_obs = scenario.agu_pos_wu.mean(axis=0)
-    q_relay = 0.5 * (q_obs + scenario.gbs_pos_wb)
-    placement = UavPlacement(q_obs=q_obs, q_relay=q_relay)
+    placement = UavPlacement(q_obs=q_obs, q_relay=0.5 * (q_obs + scenario.gbs_pos_wb))
     U = cfg.num_users_U
-    x = np.full(U, 1.0 / U)
-    p_user = np.full(U, cfg.p_max_user)
-    fill = exact_fill_objective(scenario, budget, x, p_user,
-                                cfg.p_max_obs, cfg.p_max_relay, placement)
-    return DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs,
-                         p_relay=cfg.p_max_relay, placement=placement,
-                         r_tilde=0.99 * fill[1]), fill
+    x, p_user = np.full(U, 1.0 / U), np.full(U, cfg.p_max_user)
+    r_tilde = exact_fill_objective(scenario, budget, x, p_user, cfg.p_max_obs,
+                                   cfg.p_max_relay, placement)[1]
+    return DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay,
+                         placement=placement, r_tilde=r_tilde)
 
 
-def _start(scenario, budget, state: DecisionState, scheme: str, fill=None) -> SchemeResult:
-    """A zero-iteration result at state, with its exact fill: fill, the
-    (objective, r_tilde) the caller already holds, or else computed here
-    (a caller's state need not hold it; initialize_state's holds 0.99 of it)."""
-    obj, r_fill = fill if fill is not None else exact_fill_objective(
-        scenario, budget, state.x, state.p_user, state.p_obs, state.p_relay, state.placement)
+def _filled(scenario, budget, state: DecisionState) -> DecisionState:
+    """A copy of state with its exact fill in r_tilde: for a state the package
+    did not fill itself (a caller's, or one moved to another chain)."""
+    r_tilde = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
+                                   state.p_relay, state.placement)[1]
+    return dataclasses.replace(state.copy(), r_tilde=r_tilde)
+
+
+def _start(scenario, state: DecisionState, scheme: str) -> SchemeResult:
+    """A zero-iteration result at state, whose r_tilde holds its exact fill."""
+    obj = average_utility(state.r_tilde, utility_params(scenario.config))
     trace = IterationTrace()
     trace.add(0, obj, obj)
-    return SchemeResult(scheme, dataclasses.replace(state, r_tilde=r_fill), obj, trace, 0, True)
+    return SchemeResult(scheme, state, obj, trace, 0, True)
 
 
-def _placement_run(scenario, budget, state: DecisionState, scheme: str,
-                   fill=None) -> SchemeResult:
-    """A trace record at state (with its exact fill: fill, as in _start),
-    then SCA placement steps (P7) at its split,
-    one record each, until a step stalls or gains less than bcd_tol;
-    unconverged after max_bcd_iters steps.
+def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
+    """A trace record at state (exactly filled, as in _start), then SCA
+    placement steps (P7) at its split, one record each, until a step stalls
+    or gains less than bcd_tol; unconverged after max_bcd_iters steps.
 
     Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
     exact-objective gain of the run's last accepted step (|objective| before
     the first): a surrogate needs solving only as tightly as the steps still
     gain, and late steps are solved tightly."""
     cfg = scenario.config
-    result = _start(scenario, budget, state, scheme, fill)
+    result = _start(scenario, state, scheme)
     state, obj, gain = result.state, result.avg_utility, None
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
@@ -227,13 +222,9 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
     the ascent records only strict gains, and the result is the last record.
     """
     budget = make_link_budget(scenario.config)
-    if initial_state is None:
-        state, fill = _heuristic_start(scenario, budget)
-        base = _placement_run(scenario, budget, state, "joint", fill)
-        start = _start(scenario, budget, base.state, "joint", (base.avg_utility, base.state.r_tilde))
-    else:
-        start = _start(scenario, budget, initial_state.copy(), "joint")
-    return _reduced_ascent(scenario, budget, start)
+    state = (_filled(scenario, budget, initial_state) if initial_state is not None else
+             _placement_run(scenario, budget, initialize_state(scenario, budget), "joint").state)
+    return _reduced_ascent(scenario, budget, _start(scenario, state, "joint"))
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,
@@ -245,17 +236,18 @@ def run_benchmark(scenario: Scenario, scheme_id: str,
     if scheme_id == "joint":
         return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
-    state, fill = ((initial_state.copy(), None) if initial_state is not None
-                   else _heuristic_start(scenario, budget))
+    state = initial_state if initial_state is not None else initialize_state(scenario, budget)
+    if scheme_id == "no_relay":     # the one-hop chain: a new placement
+        state = dataclasses.replace(state, placement=UavPlacement(state.placement.q_obs))
+    if initial_state is not None or scheme_id == "no_relay":    # a new fill
+        state = _filled(scenario, budget, state)
     if scheme_id == "position_only":
-        return _placement_run(scenario, budget, state, scheme_id, fill)
-    if scheme_id == "no_relay":     # the one-hop chain: a new placement, a new fill
-        state.placement = UavPlacement(state.placement.q_obs)
+        return _placement_run(scenario, budget, state, scheme_id)
+    if scheme_id == "no_relay":
         return _reduced_ascent(scenario, budget, _placement_run(scenario, budget, state, scheme_id))
-    result = _start(scenario, budget, state, scheme_id, fill)
+    result = _start(scenario, state, scheme_id)
     if scheme_id == "resource_only":
-        state = solve_p5(scenario, state.placement, result.state, budget,
-                         (result.avg_utility, result.state.r_tilde))
+        state = solve_p5(scenario, state.placement, state, budget)
         obj = average_utility(state.r_tilde, utility_params(scenario.config))
         result.trace.add(1, obj, obj)
         result = dataclasses.replace(result, state=state, avg_utility=obj, iterations=1)

@@ -70,7 +70,7 @@ class DecisionState:
     p_obs: float
     p_relay: float
     placement: UavPlacement
-    r_tilde: np.ndarray      # U effective rates (b/s/Hz)
+    r_tilde: np.ndarray      # U effective rates (b/s/Hz), the exact fill in returned states
 
     def copy(self) -> "DecisionState":
         return DecisionState(x=self.x.copy(), p_user=self.p_user.copy(),
@@ -78,22 +78,23 @@ class DecisionState:
                              placement=self.placement, r_tilde=self.r_tilde.copy())
 
     def validate(self, scenario: Scenario, budget: LinkBudget, tol: float = 1e-9):
+        """Raise ValueError unless the state is feasible (a NaN fails every check)."""
         cfg = scenario.config
-        if np.any(self.x < -tol) or self.x.sum() > 1.0 + tol:
+        if not (np.all(self.x >= -tol) and self.x.sum() <= 1.0 + tol):
             raise ValueError(f"bandwidth shares invalid: sum={self.x.sum()}")
-        if np.any(self.p_user < -tol) or np.any(self.p_user > cfg.p_max_user + tol):
+        if not np.all((self.p_user >= -tol) & (self.p_user <= cfg.p_max_user + tol)):
             raise ValueError("user power outside budget")
         if not (-tol <= self.p_obs <= cfg.p_max_obs + tol):
             raise ValueError("observation UAV power outside budget")
         if not (-tol <= self.p_relay <= cfg.p_max_relay + tol):
             raise ValueError("relay UAV power outside budget")
-        if np.any(self.r_tilde < -tol):
+        if not np.all(self.r_tilde >= -tol):
             raise ValueError("negative effective rate")
         caps, link_cap = rate_caps(scenario, budget, self.x, self.p_user,
                                    self.p_obs, self.p_relay, self.placement)
-        if np.any(self.r_tilde > caps + tol):
+        if not np.all(self.r_tilde <= caps + tol):
             raise ValueError("effective rate exceeds outage-constrained user rate")
-        if self.r_tilde.sum() > link_cap + tol:
+        if not self.r_tilde.sum() <= link_cap + tol:
             raise ValueError("total effective rate exceeds a backhaul link rate")
 
 
@@ -413,8 +414,7 @@ def _p5_split(scenario, budget, placement):
 
 
 def solve_p5(scenario: Scenario, placement: UavPlacement,
-             start: DecisionState, budget: LinkBudget | None = None,
-             fill_at_start: tuple | None = None) -> DecisionState:
+             start: DecisionState, budget: LinkBudget | None = None) -> DecisionState:
     """Optimal bandwidth shares for pinned UAV positions.
 
     The returned powers sit exactly at their budgets: the objective and every
@@ -426,28 +426,17 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     are returned in closed form.  Effective rates are then re-filled against
     the exact rate caps.
 
-    fill_at_start, if given, is exact_fill_objective's (objective, r_tilde)
-    at start's split and powers and at placement, which the caller already
-    holds; it is used where start's powers sit at their budgets, as P5's do.
+    start is not read, as P5 is solved exactly; it stays for callers that bind
+    it by name (the benchmark's P5 gain ratio reads its split and powers).
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
-    U = cfg.num_users_U
-    x_opt = _p5_split(scenario, budget, placement)[0]
-    p_user = np.full(U, cfg.p_max_user)
-    obj, r_fill = exact_fill_objective(scenario, budget, x_opt, p_user,
-                                       cfg.p_max_obs, cfg.p_max_relay, placement)
-
-    # Fall back to the start's bandwidth split if the solve regressed.
-    if (fill_at_start is None or np.any(start.p_user != cfg.p_max_user)
-            or start.p_obs != cfg.p_max_obs or start.p_relay != cfg.p_max_relay):
-        fill_at_start = exact_fill_objective(
-            scenario, budget, start.x, p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
-    obj_start, r_start = fill_at_start
-    if obj_start > obj:
-        x_opt, r_fill = start.x.copy(), r_start.copy()
-    return DecisionState(x=x_opt, p_user=p_user, p_obs=cfg.p_max_obs,
-                         p_relay=cfg.p_max_relay, placement=placement, r_tilde=r_fill)
+    x = _p5_split(scenario, budget, placement)[0]
+    p_user = np.full(cfg.num_users_U, cfg.p_max_user)
+    r_tilde = exact_fill_objective(scenario, budget, x, p_user,
+                                   cfg.p_max_obs, cfg.p_max_relay, placement)[1]
+    return DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs,
+                         p_relay=cfg.p_max_relay, placement=placement, r_tilde=r_tilde)
 
 
 # --- the reduced problem: the observation UAV alone -------------------------

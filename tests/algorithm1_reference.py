@@ -23,14 +23,15 @@ def algorithm1(scenario, relay=True):
     cfg = scenario.config
     budget = make_link_budget(cfg)
     state = initialize_state(scenario, budget)
-    if not relay:
-        state.placement = UavPlacement(state.placement.q_obs)
-    obj, r_fill = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
-                                       state.p_relay, state.placement)
-    state = dataclasses.replace(state, r_tilde=r_fill)
+    if not relay:    # the one-hop chain: a new placement, a new fill
+        placement = UavPlacement(state.placement.q_obs)
+        r_fill = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
+                                      state.p_relay, placement)[1]
+        state = dataclasses.replace(state, placement=placement, r_tilde=r_fill)
+    obj = average_utility(state.r_tilde, utility_params(cfg))
     for _ in range(cfg.max_bcd_iters):
         before = obj
-        state = solve_p5(scenario, state.placement, state, budget, (obj, state.r_tilde))
+        state = solve_p5(scenario, state.placement, state, budget)
         obj = average_utility(state.r_tilde, utility_params(cfg))
         for _ in range(cfg.max_bcd_iters):
             p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,

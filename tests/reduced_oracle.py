@@ -54,8 +54,8 @@ def oracle_placement(scenario, q_obs):
 
 
 def oracle_value(scenario, budget, q_obs, start):
-    """J*(q_obs), or -inf where a hop has zero length; start is solve_p5's
-    fallback split."""
+    """J*(q_obs), or -inf where a hop has zero length; start is passed on to
+    solve_p5, which does not read it."""
     placement = oracle_placement(scenario, q_obs)
     try:
         state = solve_p5(scenario, placement, start, budget)

@@ -1,5 +1,7 @@
 """The scheme runs, their trace invariants, and benchmark scheme behaviour."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,23 @@ class TestInitializeState:
             budget = make_link_budget(sc.config)
             state = initialize_state(sc, budget)
             state.validate(sc, budget)    # raises on violation
+            _, fill = exact_fill_objective(sc, budget, state.x, state.p_user, state.p_obs,
+                                           state.p_relay, state.placement)
+            assert np.array_equal(state.r_tilde, fill)
+
+    @pytest.mark.parametrize("name", ["x", "r_tilde", "p_user", "p_obs", "p_relay"])
+    def test_validate_rejects_a_nan(self, name):
+        sc = small_scenario(seed=0, users=3)
+        budget = make_link_budget(sc.config)
+        state = initialize_state(sc, budget)
+        value = getattr(state, name)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value[0] = np.nan
+        else:
+            value = np.nan
+        with pytest.raises(ValueError):
+            dataclasses.replace(state, **{name: value}).validate(sc, budget)
 
 
 class TestRunAlgorithm1:
@@ -181,6 +200,18 @@ class TestBenchmarks:
                             agu_pos_wu=sc.agu_pos_wu[[2, 0, 1]])
         assert run_benchmark(permuted, "position_only").avg_utility == pytest.approx(
             base, abs=1e-9)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_callers_rates_are_refilled(self, scheme):
+        # Every scheme starts from the exact fill of a caller's state, not
+        # from the r_tilde the caller hands in.
+        sc = small_scenario(seed=2)
+        state = initialize_state(sc)
+        exact = run_benchmark(sc, scheme, state)
+        halved = run_benchmark(sc, scheme, dataclasses.replace(state, r_tilde=0.5 * state.r_tilde))
+        assert halved.avg_utility == exact.avg_utility
+        assert halved.trace.records == exact.trace.records
+        assert halved.iterations == exact.iterations
 
     def test_relay_baseline_is_static(self):
         sc = small_scenario(seed=9)

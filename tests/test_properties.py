@@ -37,11 +37,12 @@ configs = config_strategy(max_users=12)
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(cfg=configs, relay=st.booleans())
-def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
-    # Flat or not, P5's answer must validate, must not lose to its start
-    # split, and must leak no warning.  A flat answer (lam = 0) must lie on
-    # the optimal face: the whole bandwidth, every user at link_cap/U.
+@given(cfg=configs, relay=st.booleans(), split_seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay, split_seed):
+    # Flat or not, P5's answer must validate, must lose neither to its equal
+    # start split nor to a random one, and must leak no warning.  A flat
+    # answer (lam = 0) must lie on the optimal face: the whole bandwidth,
+    # every user at link_cap/U.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sc = generate_scenario(cfg)
@@ -54,7 +55,8 @@ def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay):
             return
         out.validate(sc, budget)
         args = (out.p_user, cfg.p_max_obs, cfg.p_max_relay, placement)
-        before, _ = exact_fill_objective(sc, budget, start.x, *args)
+        split = np.random.default_rng(split_seed).dirichlet(np.ones(cfg.num_users_U))
+        before = max(exact_fill_objective(sc, budget, x, *args)[0] for x in (start.x, split))
         after, _ = exact_fill_objective(sc, budget, out.x, *args)
         if _p5_split(sc, budget, placement)[1] == 0.0:
             link_cap = backhaul_cap(sc, budget, cfg.p_max_obs, cfg.p_max_relay, placement)

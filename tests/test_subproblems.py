@@ -16,7 +16,7 @@ from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
-from uavstream.subproblems import (DecisionState, InfeasibleProblem, backhaul_cap,
+from uavstream.subproblems import (InfeasibleProblem, backhaul_cap,
                                    capped_fill, equal_hop_placement, exact_fill_objective,
                                    lower_bound_rates, make_link_budget, rate_caps,
                                    reduced_point, sca_coefficients, solve_p5, solve_p7,
@@ -41,20 +41,6 @@ def mirrored_scenario(offset_y=150.0, num_extra=0, seed=0):
 def single_user_scenario():
     cfg = table2_config(num_users_U=1, area_side=0.0)
     return generate_scenario(cfg)
-
-
-def heuristic_state(scenario):
-    cfg = scenario.config
-    budget = make_link_budget(cfg)
-    q_obs = scenario.agu_pos_wu.mean(axis=0)
-    placement = UavPlacement(q_obs=q_obs, q_relay=0.5 * (q_obs + scenario.gbs_pos_wb))
-    U = cfg.num_users_U
-    x = np.full(U, 1.0 / U)
-    p = np.full(U, cfg.p_max_user)
-    _, r = exact_fill_objective(scenario, budget, x, p, cfg.p_max_obs,
-                                cfg.p_max_relay, placement)
-    return DecisionState(x=x, p_user=p, p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay,
-                         placement=placement, r_tilde=0.99 * r)
 
 
 class TestCappedFill:
@@ -201,7 +187,7 @@ class TestSolveP5:
     def test_single_user_takes_everything(self):
         sc = single_user_scenario()
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         out = solve_p5(sc, state.placement, state, budget)
         assert out.x[0] == pytest.approx(1.0, abs=1e-12)
         assert out.p_user[0] == sc.config.p_max_user
@@ -212,7 +198,7 @@ class TestSolveP5:
     def test_powers_exactly_at_budget(self):
         sc = generate_scenario(table2_config(num_users_U=6, rng_seed=3))
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         out = solve_p5(sc, state.placement, state, budget)
         assert np.all(out.p_user == sc.config.p_max_user)
         assert out.p_obs == sc.config.p_max_obs
@@ -223,7 +209,7 @@ class TestSolveP5:
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=9))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         x = state.x
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -242,7 +228,7 @@ class TestSolveP5:
     def test_symmetric_users_split_evenly(self):
         sc = mirrored_scenario()
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         out = solve_p5(sc, state.placement, state, budget)
         assert out.x[0] == pytest.approx(out.x[1], abs=1e-6)
         assert out.x.sum() == pytest.approx(1.0, abs=1e-9)
@@ -250,7 +236,7 @@ class TestSolveP5:
     def test_objective_never_regresses(self):
         sc = generate_scenario(table2_config(num_users_U=5, rng_seed=14))
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         before, _ = exact_fill_objective(sc, budget, state.x, state.p_user,
                                          state.p_obs, state.p_relay, state.placement)
         out = solve_p5(sc, state.placement, state, budget)
@@ -263,7 +249,7 @@ class TestSolveP5:
         # table2 flies both UAVs at 100 m, so a relay on the observation UAV
         # leaves a zero-length hop; P5 reports it before any rate warns.
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0))
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         placement = UavPlacement(state.placement.q_obs, state.placement.q_obs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -287,7 +273,7 @@ class TestFlatP5:
         sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=0))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         placement = self.chain(state, relay)
 
         def no_solve(*args, **kwargs):
@@ -315,7 +301,7 @@ class TestFlatP5:
         sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         c, link_cap = _p5_constants(sc, budget, state.placement)
         assert _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
                             cfg.utility_theta / 20)[1] > 0.0
@@ -375,7 +361,7 @@ class TestFlatP5:
         # A non-flat P5 needs several Newton steps; with too few, solve_p5
         # raises instead of returning an unconverged split.
         sc = generate_scenario(table2_config(num_users_U=20, rng_seed=0, p_max_user=0.002))
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         budget = make_link_budget(sc.config)
         monkeypatch.setattr(subproblems, "_KKT_STEPS", 1)
         with pytest.raises(NumericError, match="did not converge"):
@@ -384,7 +370,7 @@ class TestFlatP5:
     def test_users_at_one_point_split_evenly(self):
         sc = generate_scenario(table2_config(num_users_U=7, rng_seed=2, area_side=0.0))
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = solve_p5(sc, state.placement, state, budget)
@@ -396,7 +382,7 @@ class TestFlatP5:
         # The observation UAV over the GBS at the GBS's height: the one hop
         # has zero length, reported before the flat test evaluates a rate.
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0, height_gbs_Hb=100.0))
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InfeasibleProblem):
@@ -459,7 +445,7 @@ def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
     sc = generate_scenario(table2_config(num_users_U=20, rng_seed=seed, **REGIMES[regime]))
     cfg = sc.config
     budget = make_link_budget(cfg)
-    start = heuristic_state(sc)
+    start = initialize_state(sc)
     placement = start.placement
     for _ in range(2):
         placement = solve_p7(sc, start.x, start.p_user, start.p_obs, start.p_relay,
@@ -485,7 +471,7 @@ def test_price_search_moves_nu_while_lam_sits_at_its_floor(overrides, q_obs, q_r
     budget = make_link_budget(sc.config)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        check_p5_closed_form(sc, budget, UavPlacement(q_obs, q_relay), heuristic_state(sc))
+        check_p5_closed_form(sc, budget, UavPlacement(q_obs, q_relay), initialize_state(sc))
 
 
 def valid_domain_p5s(rng, num_configs):
@@ -559,7 +545,7 @@ def test_p5_that_stalled_the_nested_price_search_is_solved():
         warnings.simplefilter("error")
         point = reduced_point(sc, budget, q_obs)
         assert_p5_kkt(*args, *_price_split(*args))
-    ref = p5_reference_objective(sc, budget, placement, heuristic_state(sc).x)
+    ref = p5_reference_objective(sc, budget, placement, initialize_state(sc).x)
     assert point.objective >= ref - 1e-9 * abs(ref)
 
 
@@ -636,7 +622,7 @@ class TestSolveP7:
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         prev, _ = exact_fill_objective(sc, budget, state.x, state.p_user,
                                        state.p_obs, state.p_relay, state.placement)
         placement = state.placement
@@ -653,7 +639,7 @@ class TestSolveP7:
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=4))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         res = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
                        state.placement, budget)
         assert res.lb_objective <= res.exact_objective + 1e-9
@@ -681,7 +667,7 @@ class TestSolveP7:
         sc = generate_scenario(table2_config(num_users_U=30, rng_seed=0))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         args = (state.x, state.p_user, state.p_obs, state.p_relay)
         q_i = state.placement
         coeffs = sca_coefficients(sc, *args, q_i, budget)
@@ -708,7 +694,7 @@ class TestSolveP7:
     def test_stalled_step_returns_the_expansion_point(self):
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         args = (state.x, state.p_user, state.p_obs, state.p_relay)
         placement = state.placement
         for _ in range(40):
@@ -750,7 +736,7 @@ class TestEmittedProgramGradients:
     def test_p5_program_gradients(self):
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=6))
         budget = make_link_budget(sc.config)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         program, v0 = p5_program(sc, budget, state.placement, state.x)
         err = check_gradients(program, v0, np.random.default_rng(0), n_points=40)
         assert err <= 1e-5
@@ -759,7 +745,7 @@ class TestEmittedProgramGradients:
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=6))
         cfg = sc.config
         budget = make_link_budget(cfg)
-        state = heuristic_state(sc)
+        state = initialize_state(sc)
         coeffs = sca_coefficients(sc, state.x, state.p_user, cfg.p_max_obs,
                                   cfg.p_max_relay, state.placement, budget)
         program, v0 = _p7_program(sc, coeffs, state.x)
