@@ -4,19 +4,22 @@ Primal-dual interior-point method (Boyd & Vandenberghe, Convex Optimization,
 section 11.7).  The barrier subproblem at t is: maximize
 f(v) + (1/t) * sum ln g_j(v), each side of the (finite) box contributing its
 own log term.  The method carries multipliers for the constraint rows and the
-box sides.  t starts at 1 and, after every step the line search did not
-shorten, becomes 10 m / eta for the surrogate gap eta (multipliers times
-slacks), never falling and capped at m/tol.  Each iteration takes one Newton
-step on the barrier at t whose constraint weights are the multipliers (every
-program supplies its exact combined curvature), updates the multipliers along
-their own Newton direction (kept positive by a fraction-to-boundary rule), and
+box sides.  The caller's start is taken as the centre at t = 10, one barrier
+stage in (on the choice of t(0), section 11.3.1), with the multipliers on the
+central path there; after every step the line search did not shorten, t
+becomes 10 m / eta for the surrogate gap eta (multipliers times slacks),
+never falling and capped at m/tol.  Each iteration takes one Newton step on
+the barrier at t whose constraint weights are the multipliers (every program
+supplies its exact combined curvature), updates the multipliers along their
+own Newton direction (kept positive by a fraction-to-boundary rule), and
 backtracks both by Armijo on the barrier value at t.  With the multipliers on
 the central path this step is the log-barrier Newton step; a failed line
 search returns them there.  The solve stops once t is at its cap and the
-Newton decrement is below tolerance.  The caller supplies a strictly interior
-start with a finite objective.  Each line-search trial builds every slack in
-one vector and takes one log over it; each accepted point keeps that vector
-and derives its gradients once, from the slacks' reciprocals.
+Newton decrement is below tolerance; a P7 solve takes about 10 Newton steps
+at U <= 30, 12 at U = 100 and 36 at U = 1000.  The caller supplies a strictly
+interior start with a finite objective.  Each line-search trial builds every
+slack in one vector and takes one log over it; each accepted point keeps that
+vector and derives its gradients once, from the slacks' reciprocals.
 
 Every program declares the shape of its Hessian by its border, a count b:
 the first b variables form a dense border coupled to every block, and each
@@ -26,10 +29,11 @@ local ones.  Its Jacobian and curvature callbacks answer in block form (the
 curvature is a diagonal plus a border matrix), and each Newton step is
 solved by block elimination of the border plus a Sherman-Morrison-Woodbury
 correction for the coupling rows, in O(n) time and memory, split into a
-factor (the blocks' pivots and the inverse of one small system in the
-border and the coupling rows) and a solve (a few matrix-vector products),
-so one factor serves several right-hand sides.  A generic program declares
-border = n: no blocks, and every row a coupling row.
+factor (the blocks' pivots and one small system in the border and the
+coupling rows) and a solve (a few matrix-vector products and one small
+dense solve), so one factor serves several right-hand sides.  A ridge keeps
+the step downhill (see _solve_spd).  A generic program declares border = n:
+no blocks, and every row a coupling row.
 """
 
 from __future__ import annotations
@@ -60,28 +64,28 @@ class NumericError(RuntimeError):
 class BlockJacobian:
     """Constraint Jacobian of a structured program, in block form.
 
-    local[j] holds row j on its block (variable b + j), border_part[j] row j
-    on the border (the first b variables), and coupling the dense rows that
-    follow the local ones.
+    local[j] holds row j on its block (variable b + j), border_part[:, j]
+    row j on the border (the first b variables), and coupling the dense rows
+    that follow the local ones.
     """
 
     local: np.ndarray           # (nb,)
     coupling: np.ndarray        # (k, n)
-    border_part: np.ndarray     # (nb, b)
+    border_part: np.ndarray     # (b, nb)
 
     def matvec(self, d):
         """J d."""
-        b = self.border_part.shape[1]
+        b = len(self.border_part)
         local = self.local * d[b:]
-        local += self.border_part @ d[:b]
+        local += d[:b] @ self.border_part
         return np.concatenate([local, self.coupling @ d])
 
     def rmatvec(self, y):
         """J^T y."""
-        nb, b = self.border_part.shape
+        b, nb = self.border_part.shape
         out = self.coupling.T @ y[nb:]
         out[b:] += self.local * y[:nb]
-        out[:b] += y[:nb] @ self.border_part
+        out[:b] += self.border_part @ y[:nb]
         return out
 
 
@@ -165,55 +169,64 @@ def _terms(p: ConcaveProgram, v):
 def _pieces(p: ConcaveProgram, v, inv_s):
     """(grad f, grad of minus the log terms, J) at v, given 1/s there (s as
     _terms returns it); the barrier's gradient at t is the second over t
-    minus the first.  A non-finite J or grad f makes their sum non-finite."""
+    minus the first, which is non-finite if J or grad f is."""
     k, n = inv_s.size - 2 * p.n, p.n
     J = p.constraint_jac(v)
     grad_f = np.asarray(p.gradient(v), dtype=float)
     log_grad = inv_s[k + n:] - inv_s[k:k + n]
     log_grad -= J.rmatvec(inv_s[:k])
-    if not np.isfinite(log_grad + grad_f).all():
-        raise NumericError("non-finite objective/constraint derivatives", v)
     return grad_f, log_grad, J
 
 
 def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
     """The Newton matrix (the Gauss-Newton part of the constraint terms with
     weights gn = w/g, the box diagonal, and minus the program's curvature at
-    the multipliers w) as a _BlockHessian; Uc is the coupling rows' J^T sqrt(gn)."""
+    the multipliers w) as a _BlockHessian.  The local rows' terms take gn
+    directly; Uc^T, the coupling rows scaled by sqrt(gn), takes k roots."""
     b, k = p.border, len(J.coupling)
-    nb = p.n - b
+    nb, size = p.n - b, b + k
     curv = p.curvature(v, w)
-    root_gn = np.sqrt(gn)
     diag = box - curv.diag
-    a = J.local * root_gn[:nb]
-    c = J.border_part * root_gn[:nb, None]
-    coupling = J.coupling.T * root_gn[nb:]
-    system = np.zeros((b + k, b + k))
-    system[:b, :b] = c.T @ c - curv.border
-    system.flat[:b * (b + k + 1):b + k + 1] += diag[:b]
-    system[:b, b:] = coupling[:b]
-    system[b:, :b] = system[:b, b:].T
-    system.flat[b * (b + k + 1)::b + k + 1] = -1.0
-    blocks = a * a + diag[b:]
+    gn_local = gn[:nb]
+    cross = J.local * gn_local                  # each block's entries with the border
+    blocks = J.local * cross + diag[b:]
+    uc = J.coupling * np.sqrt(gn[nb:, None])    # Uc^T, (k, n)
+    border = (J.border_part * gn_local) @ J.border_part.T - curv.border
+    border.flat[::b + 1] += diag[:b]
+    system = np.zeros((size, size))
+    system[:b, :b] = border
+    system[:b, b:] = uc[:, :b].T
+    system[b:, :b] = uc[:, :b]
+    system.flat[b * (size + 1)::size + 1] = -1.0
     # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
     diagonal = gn[nb:] @ np.square(J.coupling)
+    diagonal[:b] += border.diagonal()
     diagonal[b:] += blocks
-    diagonal[:b] += system.diagonal()[:b]
-    columns = np.concatenate((a[:, None] * c, coupling[b:]), axis=1)
-    return _BlockHessian(b, blocks, columns, system, float(np.abs(diagonal).max()))
+    rows = np.concatenate((J.border_part * cross, uc[:, b:]))
+    return _BlockHessian(b, blocks, rows, system, float(np.abs(diagonal).max()))
 
 
 def _solve_spd(H, rhs):
     """(H + ridge I)^{-1} rhs for a _BlockHessian H, which stays factored.
     The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
-    grows 100-fold while the factorization fails."""
+    grows 100-fold while the factorization fails or the step d fails the
+    curvature test rhs . d = d . (H + ridge I) d >= 0, so that the step never
+    points uphill, which is what the line search needs.  The test stands in
+    for a proof that H + ridge I is positive definite (a curvature test in
+    place of an inertia check, as in Chiang & Zavala, Comput. Optim. Appl.
+    64, 2016).  On a concave program with exact curvature, H's border Schur
+    complement is at least the box weights plus the ridge, and the first
+    ridge passes both."""
     ridge = _RIDGE0 * max(1.0, H.scale)
     for _ in range(12):
         try:
             H.factor(ridge)
-            return H.solve(rhs)
+            d = H.solve(rhs)
+            if rhs @ d >= 0.0:
+                return d
         except np.linalg.LinAlgError:
-            ridge *= 100.0
+            pass
+        ridge *= 100.0
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
@@ -227,37 +240,35 @@ class _BlockHessian:
     [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one small
     system in the border step and y, of size b + k: the border's Schur
     complement and the Sherman-Morrison-Woodbury capacitance in one matrix,
-    which factor(ridge) inverts and every solve(rhs) reuses.
+    which factor(ridge) forms and every solve(rhs) solves.
     """
 
     border: int             # b
     blocks: np.ndarray      # (nb,) M's diagonal over the blocks
-    columns: np.ndarray     # (nb, b + k) M's block-border entries, then Uc on the blocks
+    rows: np.ndarray        # (b + k, nb) M's border-block entries, then Uc^T on the blocks
     system: np.ndarray      # (b + k, b + k) [[M's border, Uc on the border], [its transpose, -I]]
     scale: float            # the largest |H_ii|
 
     def factor(self, ridge):
-        """Factor H + ridge I.  Raises LinAlgError unless the block pivots
-        are positive and the border's Schur complement is positive definite."""
+        """Eliminate the blocks of H + ridge I.  Raises LinAlgError unless
+        the block pivots are positive."""
         b, size = self.border, len(self.system)
         self.pivots = self.blocks + ridge
         if self.pivots.size and self.pivots.min() <= 0:
             raise np.linalg.LinAlgError("block not positive definite")
-        self.scaled = self.columns / self.pivots[:, None]
-        K = self.system - self.columns.T @ self.scaled
-        K.flat[:b * (size + 1):size + 1] += ridge
-        if b:
-            np.linalg.cholesky(K[:b, :b])
-        self.inverse = np.linalg.inv(K)
+        self.scaled = self.rows / self.pivots
+        self.small = self.system - self.scaled @ self.rows.T
+        self.small.flat[:b * (size + 1):size + 1] += ridge
 
     def solve(self, rhs):
-        """(H + ridge I)^{-1} rhs at the last factor's ridge."""
+        """(H + ridge I)^{-1} rhs at the last factor's ridge; LinAlgError if
+        the small system is singular."""
         b = self.border
         q = rhs[b:] / self.pivots
-        small = -(self.columns.T @ q)
-        small[:b] += rhs[:b]
-        border_and_y = self.inverse @ small
-        return np.concatenate((border_and_y[:b], q - self.scaled @ border_and_y))
+        small_rhs = -(self.rows @ q)
+        small_rhs[:b] += rhs[:b]
+        border_and_y = np.linalg.solve(self.small, small_rhs)
+        return np.concatenate((border_and_y[:b], q - border_and_y @ self.scaled))
 
 
 def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:
@@ -274,12 +285,13 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     grad_f, log_grad, J = _pieces(program, v, inv_s)
     m, k = s.size, s.size - 2 * program.n      # m >= 2n: the k rows, then both box sides
     lo, hi = slice(k, k + program.n), slice(k + program.n, m)
-    # gap = m/t, floored at tol (t at its cap).  The multipliers y start on
-    # the central path at t = 1.  gap follows the surrogate gap eta / 10, but
-    # only after a step the line search did not shorten: while steps are
+    # gap = m/t, floored at tol (t at its cap).  The start is taken as the
+    # centre at t = _GAP_SHRINK, one stage in, with the multipliers y on the
+    # central path there.  gap follows the surrogate gap eta / _GAP_SHRINK,
+    # but only after a step the line search did not shorten: while steps are
     # damped, t stays and the iterates centre as in a barrier stage.
-    gap = float(m)
-    y = inv_s
+    gap = m / _GAP_SHRINK
+    y = inv_s / _GAP_SHRINK
     central, undamped = True, False
     stage_objectives, recorded_gap = [], gap
     steps = 0
@@ -291,14 +303,13 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
             recorded_gap = gap
         t = m / gap
         descent = grad_f - log_grad / t      # minus the barrier's gradient
+        if not np.isfinite(descent).all():
+            raise NumericError("non-finite objective/constraint derivatives", v)
         weight = y * inv_s
         H = _block_hessian(program, v, J, y[:k], weight[:k], weight[lo] + weight[hi])
         d = _solve_spd(H, descent)
         steps += 1
         decrement = float(descent @ d)
-        if decrement < 0:        # model not PD enough; fall back to steepest descent
-            d = descent
-            decrement = float(descent @ descent)
         if gap <= tol and decrement <= tol:
             break
         # The multipliers' Newton step, and the largest step that moves each

@@ -62,14 +62,15 @@ class SchemeResult:
     converged: bool
 
 
-def initialize_state(scenario: Scenario, budget: LinkBudget | None = None) -> DecisionState:
+def initialize_state(scenario: Scenario, budget: LinkBudget | None = None,
+                     relay: bool = True) -> DecisionState:
     """Heuristic start: observation UAV at the user centroid, relay midway to
-    the GBS, equal bandwidth, all powers at their budgets, and the exact fill
-    there in r_tilde."""
+    the GBS (no relay, the one-hop chain, if not relay), equal bandwidth, all
+    powers at their budgets, and the exact fill there in r_tilde."""
     budget = budget if budget is not None else make_link_budget(scenario.config)
     cfg = scenario.config
     q_obs = scenario.agu_pos_wu.mean(axis=0)
-    placement = UavPlacement(q_obs=q_obs, q_relay=0.5 * (q_obs + scenario.gbs_pos_wb))
+    placement = UavPlacement(q_obs, 0.5 * (q_obs + scenario.gbs_pos_wb) if relay else None)
     U = cfg.num_users_U
     x, p_user = np.full(U, 1.0 / U), np.full(U, cfg.p_max_user)
     r_tilde = exact_fill_objective(scenario, budget, x, p_user, cfg.p_max_obs,
@@ -236,10 +237,13 @@ def run_benchmark(scenario: Scenario, scheme_id: str,
     if scheme_id == "joint":
         return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
-    state = initial_state if initial_state is not None else initialize_state(scenario, budget)
-    if scheme_id == "no_relay":     # the one-hop chain: a new placement
-        state = dataclasses.replace(state, placement=UavPlacement(state.placement.q_obs))
-    if initial_state is not None or scheme_id == "no_relay":    # a new fill
+    relay = scheme_id != "no_relay"
+    if initial_state is None:
+        state = initialize_state(scenario, budget, relay)
+    else:
+        state = initial_state
+        if not relay:     # the one-hop chain: a new placement
+            state = dataclasses.replace(state, placement=UavPlacement(state.placement.q_obs))
         state = _filled(scenario, budget, state)
     if scheme_id == "position_only":
         return _placement_run(scenario, budget, state, scheme_id)

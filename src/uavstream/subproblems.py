@@ -133,23 +133,25 @@ def capped_fill(caps: np.ndarray, total: float) -> np.ndarray:
     """Maximize sum(ln r) subject to r <= caps elementwise and sum(r) <= total.
 
     Water-filling with per-user ceilings: users below the common level keep
-    their cap, the rest share the remainder equally.
+    their cap, the rest share the remainder equally.  With the caps sorted,
+    the level is the first (total - the k lowest caps) / (U - k) that is at
+    most the (k+1)-th lowest cap.
     """
     caps = np.asarray(caps, dtype=float)
-    if np.any(caps <= 0) or total <= 0:
+    lowest = caps.min()
+    if lowest <= 0 or total <= 0:
         raise InfeasibleProblem("no positive rate available for some user")
     if caps.sum() <= total:
         return caps.copy()
-    order = np.argsort(caps)
-    sorted_caps = caps[order]
     U = len(caps)
-    prefix = 0.0
-    for k in range(U):
-        level = (total - prefix) / (U - k)
-        if level <= sorted_caps[k]:
-            return np.minimum(caps, level)
-        prefix += sorted_caps[k]
-    return caps.copy()   # unreachable: caps.sum() > total was checked
+    if total / U <= lowest:         # k = 0: the equal split
+        return np.minimum(caps, total / U)
+    sorted_caps = np.sort(caps)
+    levels = (total - np.cumsum(sorted_caps[:-1])) / np.arange(U - 1, 0, -1)   # k = 1, ..., U-1
+    j = int(np.argmax(levels <= sorted_caps[1:]))
+    # Some level is reached, as caps.sum() > total, unless the sequential sums
+    # round otherwise; then every user keeps its cap.
+    return np.minimum(caps, levels[j]) if levels[j] <= sorted_caps[j + 1] else caps.copy()
 
 
 def exact_fill_objective(scenario, budget, x, p_user, p_obs, p_relay, placement):
@@ -167,10 +169,10 @@ def _log_utility(scenario, sr):
     """The average utility of the rates v[sr] and its gradient, as callbacks."""
     cfg = scenario.config
     theta_over_U = cfg.utility_theta / cfg.num_users_U
+    level = cfg.utility_theta * math.log(cfg.utility_beta / cfg.playback_rate_rbar)
 
     def objective(v):
-        return theta_over_U * float(np.log(cfg.utility_beta * v[sr]
-                                           / cfg.playback_rate_rbar).sum())
+        return theta_over_U * float(np.log(v[sr]).sum()) + level
 
     def gradient(v):
         g = np.zeros(len(v))
@@ -607,25 +609,24 @@ def placement_extent(cfg: SystemConfig) -> float:
 @lru_cache(maxsize=16)
 def _p7_layout(U, K):
     """The parts of P7 fixed by U and the chain's K UAVs, read-only:
-    (moves, signs, local, coupling0).
+    (moves, signs, local, on_r).
 
     Each row's offset is linear in the UAV coordinates: a user row's is the
     observation UAV minus the user, hop k's the node it feeds (UAV k+1, or
-    the fixed GBS after the last UAV) minus UAV k.  moves holds each row's
-    signs on the UAVs, which give its gradient on the border and its
+    the fixed GBS after the last UAV) minus UAV k.  moves[a, i] is row i's
+    sign on UAV a; these give each row's gradient on the border and its
     Hessian there, a constant: -2 quad times the outer product of its signs,
     on each coordinate (entry (2a + c, 2b + c) for UAVs a, b), whose
-    flattened pattern is signs.  local and coupling0 are the Jacobian's
-    entries on r: -1 for user u's r_u, -1 for every r on each hop's row.
+    flattened pattern is signs.  local and on_r are the Jacobian's entries
+    on r: -1 for user u's r_u, -1 for every r on each hop's row.
     """
     nb = 2 * K
-    moves = np.zeros((U + K, K))
-    moves[:U, 0] = 1.0
-    moves[U:] = np.eye(K, k=1) - np.eye(K)
-    signs = moves[:, :, None, None, None] * moves[:, None, None, :, None] * np.eye(2)[:, None, :]
-    coupling0 = np.zeros((K, nb + U))
-    coupling0[:, nb:] = -1.0
-    layout = (moves, signs.reshape(U + K, nb * nb), np.full(U, -1.0), coupling0)
+    moves = np.zeros((K, U + K))
+    moves[0, :U] = 1.0
+    moves[:, U:] = np.eye(K, k=-1) - np.eye(K)
+    per_row = moves.T                                    # (U + K, K)
+    signs = per_row[:, :, None, None, None] * per_row[:, None, None, :, None] * np.eye(2)[:, None, :]
+    layout = (moves, signs.reshape(U + K, nb * nb), np.full(U, -1.0), np.full((K, U), -1.0))
     for part in layout:
         part.flags.writeable = False
     return layout
@@ -658,22 +659,23 @@ def _p7_program(scenario, coeffs, x):
     kh = coeffs.d_hop * S2
     base_h = coeffs.c_hop + coeffs.d_hop * coeffs.dist2_hop
 
-    moves, signs, local, coupling0 = _p7_layout(U, K)
-    anchors = np.concatenate([w_users, np.zeros((K, 2))])
-    anchors[-1] = -w_gbs
+    moves, signs, local, on_r = _p7_layout(U, K)
+    anchors = np.zeros((2, U + K))
+    anchors[:, :U] = w_users.T
+    anchors[:, -1] = -w_gbs
     base = np.concatenate([base_u, base_h])
     quad = np.concatenate([ku, kh])                      # quadratic weights
-    slopes = -2.0 * quad[:, None]
-    row_hessians = slopes * signs
+    slopes = -2.0 * quad
+    row_hessians = slopes[:, None] * signs
 
     def offsets(v):
-        """Every row's offset at v, (U + K, 2), in solver units."""
-        return moves @ v[:nb].reshape(K, 2) - anchors
+        """Every row's offset at v, (2, U + K): x, then y, in solver units."""
+        return v[:nb].reshape(K, 2).T @ moves - anchors
 
     def constraints(v):
         squares = offsets(v)
         squares *= squares
-        g = base - quad * (squares[:, 0] + squares[:, 1])
+        g = base - quad * (squares[0] + squares[1])
         r = v[sr]
         g[:U] -= r
         g[U:] -= r.sum()
@@ -682,10 +684,9 @@ def _p7_program(scenario, coeffs, x):
     # Local rows: user u's link touches the observation UAV (the border) and
     # r_u, its block.  Coupling rows: the hops against sum r.
     def constraint_jac(v):
-        on_border = (moves[:, :, None] * (slopes * offsets(v))[:, None, :]).reshape(U + K, nb)
-        coupling = coupling0.copy()
-        coupling[:, :nb] = on_border[U:]
-        return BlockJacobian(local, coupling, on_border[:U])
+        on_border = (moves[:, None] * (slopes * offsets(v))).reshape(nb, U + K)
+        coupling = np.concatenate((on_border[:, U:].T, on_r), axis=1)
+        return BlockJacobian(local, coupling, on_border[:, :U])
 
     def curvature(v, w):
         diag = np.zeros(n)
@@ -700,8 +701,9 @@ def _p7_program(scenario, coeffs, x):
                              constraints=constraints, constraint_jac=constraint_jac,
                              lower=lower, upper=upper, curvature=curvature, border=nb,
                              name="p7")
-    r_user0, r_hop0 = lower_bound_rates(coeffs, coeffs.expansion, scenario, x)
-    r0 = 0.9 * capped_fill(one_m_rho * r_user0, float(np.min(r_hop0)))
+    # The start fills 0.9 of the rates at the expansion point, where the
+    # bounds are tight: lower_bound_rates there is (x c_user, c_hop).
+    r0 = 0.9 * capped_fill(one_m_rho * (x * coeffs.c_user), float(np.min(coeffs.c_hop)))
     return program, np.concatenate([np.concatenate(coeffs.expansion.uavs) / _POS_SCALE, r0])
 
 

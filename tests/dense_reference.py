@@ -30,7 +30,7 @@ def border_only(n, constraint_jac, curvature, **fields):
     """A ConcaveProgram from dense callbacks: constraint_jac(v) -> (m, n) and
     curvature(v, w) -> (n, n).  fields are the remaining ConcaveProgram
     fields."""
-    no_local, no_border_part, zero_diag = np.zeros(0), np.zeros((0, n)), np.zeros(n)
+    no_local, no_border_part, zero_diag = np.zeros(0), np.zeros((n, 0)), np.zeros(n)
 
     def jac(v):
         J = np.asarray(constraint_jac(v), dtype=float).reshape(-1, n)
@@ -235,10 +235,10 @@ def nested_price_split(c, link_cap, one_m_rho, theta_over_U):
 
 def dense_jacobian(J):
     """The (m, n) matrix of a BlockJacobian."""
-    nb, b = J.border_part.shape
+    b, nb = J.border_part.shape
     D = np.zeros((nb + len(J.coupling), b + nb))
     D[np.arange(nb), b + np.arange(nb)] = J.local
-    D[:nb, :b] = J.border_part
+    D[:nb, :b] = J.border_part.T
     D[nb:] = J.coupling
     return D
 

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
-                                   _BlockHessian, _block_hessian, _pieces, _solve_spd, _terms,
-                                   solve_concave)
+                                   NumericError, _BlockHessian, _block_hessian, _pieces,
+                                   _solve_spd, _terms, solve_concave)
 
 from dense_reference import border_only, border_only_twin, check_gradients, dense_newton_matrix
 
@@ -94,9 +94,9 @@ def block_program(coupled=True):
         return np.append(local, 1.5 - v[ys].sum() - v[5]) if coupled else local
 
     def constraint_jac(v):
-        border_part = np.zeros((3, b))
-        border_part[:, :2] = a
-        border_part[np.arange(3), 2 + np.arange(3)] = -2.0 * v[xs]
+        border_part = np.zeros((b, 3))
+        border_part[:2] = a.T
+        border_part[2 + np.arange(3), np.arange(3)] = -2.0 * v[xs]
         return BlockJacobian(-np.ones(3), coupling, border_part)
 
     def curvature(v, w):
@@ -229,6 +229,13 @@ class TestStartContract:
         with pytest.raises(ValueError, match="strictly interior"):
             solve_concave(program, np.array([0.5]), 1e-9)
 
+    def test_rejects_non_finite_derivatives(self):
+        # A NaN gradient at the start raises before any Newton step is built.
+        program = dataclasses.replace(waterfill_program(),
+                                      gradient=lambda v: np.full(2, np.nan))
+        with pytest.raises(NumericError, match="non-finite"):
+            solve_concave(program, np.array([0.2, 0.2]), 1e-9)
+
 
 class TestGradientChecker:
     def test_accepts_correct_gradients(self):
@@ -350,6 +357,15 @@ class TestLastResortStep:
     LAST_RIDGE = _RIDGE0 * 100.0 ** 12
 
     def test_structured_path(self):
-        H = _BlockHessian(2, np.zeros(0), np.zeros((0, 2)), self.H, 0.0)
+        H = _BlockHessian(2, np.zeros(0), np.zeros((2, 0)), self.H, 0.0)
         assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)
+
+
+def test_ridge_grows_until_the_step_is_downhill():
+    # H = diag(1, -1): the step along the second axis points uphill while
+    # the ridge is below 1, and H + I is singular, so the first ridge that
+    # passes the curvature test is 100.
+    H = _BlockHessian(2, np.zeros(0), np.zeros((2, 0)), np.diag([1.0, -1.0]), 1.0)
+    assert np.allclose(_solve_spd(H, np.array([0.0, 1.0])), [0.0, 1.0 / 99.0],
+                       rtol=1e-12, atol=0.0)

@@ -90,12 +90,9 @@ class TestRunAlgorithm1:
         res = run_algorithm1(sc)
         res.state.validate(sc, budget)
 
-    def test_newton_step_budget(self, monkeypatch):
-        # joint at table2, U=30, seed 0 makes 4 solves, all P7, in 47 Newton
-        # steps: position_only's placement run, each accepted move
-        # extrapolated and each P7 solved only as tightly as the last
-        # accepted gain needs, then a reduced-space stage that solves no
-        # program (its P5s are in closed form).
+    @staticmethod
+    def solve_reports(monkeypatch):
+        """The list every solve_concave report is appended to from now on."""
         from uavstream import subproblems
         reports = []
         solve = subproblems.solve_concave
@@ -105,16 +102,38 @@ class TestRunAlgorithm1:
             return reports[-1]
 
         monkeypatch.setattr(subproblems, "solve_concave", counted)
+        return reports
+
+    def test_newton_step_budget(self, monkeypatch):
+        # joint at table2, U=30, seed 0 makes 4 solves, all P7, in 43 Newton
+        # steps: position_only's placement run, each accepted move
+        # extrapolated and each P7 solved only as tightly as the last
+        # accepted gain needs, then a reduced-space stage that solves no
+        # program (its P5s are in closed form).
+        reports = self.solve_reports(monkeypatch)
         run_benchmark(small_scenario(seed=0, users=30), "joint")
         assert len(reports) == 4
         assert all(r.status == "converged" for r in reports)
-        assert sum(r.barrier_iterations for r in reports) <= 47
+        assert sum(r.barrier_iterations for r in reports) <= 43
+
+    def test_newton_step_budget_at_large_u(self, monkeypatch):
+        # joint and no_relay at table2, U=1000, seed 0 make 13 P7 solves in
+        # 442 Newton steps, every one converged.
+        reports = self.solve_reports(monkeypatch)
+        sc = small_scenario(seed=0, users=1000)
+        for scheme in ("joint", "no_relay"):
+            run_benchmark(sc, scheme)
+        assert len(reports) == 13
+        assert all(r.status == "converged" for r in reports)
+        assert sum(r.barrier_iterations for r in reports) <= 442
 
     @pytest.mark.parametrize("scheme, fills", [("joint", 17), ("resource_only", 2),
-                                               ("position_only", 11), ("relay_baseline", 1)])
+                                               ("position_only", 11), ("relay_baseline", 1),
+                                               ("no_relay", 19)])
     def test_exact_fill_budget(self, monkeypatch, scheme, fills):
-        # At table2, U=30, seed 0.  The heuristic start is filled once, and
-        # its exact fill is handed to the scheme's start.  Each P7 step takes
+        # At table2, U=30, seed 0.  The heuristic start is filled once, on
+        # the scheme's own chain (no_relay's has no relay), and its exact
+        # fill is handed to the scheme's start.  Each P7 step takes
         # the fill at its expansion point from the caller (the previous
         # step's answer, or the start's fill) instead of recomputing it, P5
         # takes the fill of its start split from the start, and joint's stage

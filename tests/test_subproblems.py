@@ -71,6 +71,34 @@ class TestCappedFill:
                        method="SLSQP", options={"maxiter": 500, "ftol": 1e-14})
         assert np.sum(np.log(mine)) >= -res.fun - 1e-7
 
+    @staticmethod
+    def loop_fill(caps, total):
+        """The water level found user by user, lowest cap first: the
+        reference the vectorised fill must match bit for bit."""
+        if caps.sum() <= total:
+            return caps.copy()
+        sorted_caps, prefix = np.sort(caps), 0.0
+        for k in range(len(caps)):
+            level = (total - prefix) / (len(caps) - k)
+            if level <= sorted_caps[k]:
+                return np.minimum(caps, level)
+            prefix += sorted_caps[k]
+        return caps.copy()
+
+    @pytest.mark.parametrize("case", ["random", "ties", "all_capped", "equal_split"])
+    def test_matches_the_loop_bit_for_bit(self, case):
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            U = int(rng.integers(1, 300))
+            caps = rng.uniform(0.01, 5.0, U)
+            if case == "ties":
+                caps = np.round(caps, 1) + 0.1
+            share = {"random": rng.uniform(0.01, 1.0), "ties": rng.uniform(0.01, 1.0),
+                     "all_capped": rng.uniform(1.0, 1.5),
+                     "equal_split": 0.9 * U * caps.min() / caps.sum()}[case]
+            total = float(share * caps.sum())
+            assert np.array_equal(capped_fill(caps, total), self.loop_fill(caps, total))
+
     def test_rejects_impossible(self):
         with pytest.raises(InfeasibleProblem):
             capped_fill(np.array([0.0, 1.0]), 1.0)
