@@ -157,20 +157,15 @@ def generate_scenario(config: SystemConfig) -> Scenario:
     return Scenario(config=config, gbs_pos_wb=gbs, agu_pos_wu=agu)
 
 
-def backhaul_chain(scenario: Scenario, placement: UavPlacement):
-    """The backhaul as (ground position, height) nodes, from the observation
-    UAV through the relay UAV (if placed) to the ground BS.  Hop k runs from
-    node k to node k+1 and is transmitted by the UAV at node k."""
-    cfg = scenario.config
-    heights = (cfg.height_obs_Ho, cfg.height_relay_Hr)
-    return list(zip(placement.uavs, heights)) + [(scenario.gbs_pos_wb, cfg.height_gbs_Hb)]
-
-
 def hop_offsets(scenario: Scenario, placement: UavPlacement):
     """Horizontal offsets (receiver minus transmitter, shape (H, 2)) and
-    height gaps (shape (H,)) of the H backhaul hops."""
-    positions, heights = zip(*backhaul_chain(scenario, placement))
-    return np.diff(np.array(positions), axis=0), np.diff(heights)
+    height gaps (shape (H,)) of the H backhaul hops, from the observation UAV
+    through the relay UAV (if placed) to the ground BS.  Each hop is
+    transmitted by the UAV it starts at."""
+    cfg = scenario.config
+    uavs = placement.uavs
+    heights = (cfg.height_obs_Ho, cfg.height_relay_Hr)[:len(uavs)] + (cfg.height_gbs_Hb,)
+    return np.diff(np.array(uavs + (scenario.gbs_pos_wb,)), axis=0), np.diff(heights)
 
 
 def hop_dist2(scenario: Scenario, placement: UavPlacement) -> np.ndarray:

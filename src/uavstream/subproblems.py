@@ -22,11 +22,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import LinkBudget, _persp_rate, fspl_rate, rician_cdf_inverse
+from .channel import LinkBudget, _persp_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, ConcaveProgram, NumericError,
                           solve_concave)
-from .scenario import (Scenario, SystemConfig, UavPlacement, backhaul_chain, hop_dist2,
-                       hop_offsets)
+from .scenario import Scenario, SystemConfig, UavPlacement, hop_dist2, hop_offsets
 from .utility import UtilityParams, average_utility
 
 LN2 = math.log(2.0)
@@ -78,7 +77,8 @@ class DecisionState:
                              placement=self.placement, r_tilde=self.r_tilde.copy())
 
     def validate(self, scenario: Scenario, budget: LinkBudget, tol: float = 1e-9):
-        """Raise ValueError unless the state is feasible (a NaN fails every check)."""
+        """Raise ValueError unless the state is feasible (a NaN fails every
+        check), or InfeasibleProblem if its placement has a zero-length hop."""
         cfg = scenario.config
         if not (np.all(self.x >= -tol) and self.x.sum() <= 1.0 + tol):
             raise ValueError(f"bandwidth shares invalid: sum={self.x.sum()}")
@@ -106,27 +106,27 @@ def _fspl_taylor(mu, den):
 
 # --- exact rates and the inner rate-fill ----------------------------------
 
-def user_rate_coeffs(scenario: Scenario, budget: LinkBudget, q_obs):
-    """Per-user constants A_u with R_u = x*log2(1 + A_u*P_u/x) at this q_obs."""
+def _links(scenario, budget, placement, p_user, p_obs, p_relay):
+    """A placement's links at the given powers: (c, d2, hop_d2, link_cap),
+    the users' rate constants (cap_u(x) = (1-rho) x log2(1 + c_u/x)) and
+    squared link lengths, the hops' squared lengths and the backhaul cap.  A
+    zero-length hop raises InfeasibleProblem before any rate is evaluated;
+    each hop's rate is channel.fspl_rate's, by math.log1p as there."""
     cfg = scenario.config
-    d2 = cfg.height_obs_Ho ** 2 + np.sum((scenario.agu_pos_wu - q_obs) ** 2, axis=1)
-    return budget.inv_cdf_at_rho * budget.mu0 / d2
+    hop_d2 = hop_dist2(scenario, placement)
+    if hop_d2.min() == 0.0:
+        raise InfeasibleProblem("degenerate zero-distance backhaul link")
+    d2 = cfg.height_obs_Ho ** 2 + np.sum((scenario.agu_pos_wu - placement.q_obs) ** 2, axis=1)
+    c = budget.inv_cdf_at_rho * budget.mu0 / d2 * p_user
+    link_cap = min(math.log1p(p * budget.mu0 / D) / LN2 for p, D in zip((p_obs, p_relay), hop_d2))
+    return c, d2, hop_d2, link_cap
 
 
 def rate_caps(scenario, budget, x, p_user, p_obs, p_relay, placement):
     """Per-user effective-rate caps (1-rho)*R_u and the backhaul cap, the
     rate of the weakest hop of the placement's chain."""
-    cfg = scenario.config
-    A = user_rate_coeffs(scenario, budget, placement.q_obs)
-    caps = (1.0 - cfg.outage_target_rho) * _persp_rate(x, A * p_user)
-    return caps, backhaul_cap(scenario, budget, p_obs, p_relay, placement)
-
-
-def backhaul_cap(scenario, budget, p_obs, p_relay, placement):
-    """The rate of the weakest hop of the placement's chain."""
-    nodes = backhaul_chain(scenario, placement)
-    return min(fspl_rate(p, q_tx, q_rx, budget.mu0, h_tx, h_rx)
-               for p, (q_tx, h_tx), (q_rx, h_rx) in zip((p_obs, p_relay), nodes, nodes[1:]))
+    c, _, _, link_cap = _links(scenario, budget, placement, p_user, p_obs, p_relay)
+    return (1.0 - scenario.config.outage_target_rho) * _persp_rate(x, c), link_cap
 
 
 def capped_fill(caps: np.ndarray, total: float) -> np.ndarray:
@@ -158,7 +158,8 @@ def exact_fill_objective(scenario, budget, x, p_user, p_obs, p_relay, placement)
     """Best average utility attainable at fixed resources and placement.
 
     Returns (objective, r_tilde) with r_tilde the rate fill against the exact
-    outage-constrained user caps and backhaul caps.
+    outage-constrained user caps and backhaul caps.  A zero-length hop raises
+    InfeasibleProblem.
     """
     caps, link_cap = rate_caps(scenario, budget, x, p_user, p_obs, p_relay, placement)
     r = capped_fill(caps, link_cap)
@@ -183,17 +184,6 @@ def _log_utility(scenario, sr):
 
 
 # --- P5: bandwidth split with fixed UAV positions -------------------------
-
-def _p5_constants(scenario, budget, placement):
-    """The users' rate constants c_u at full power, with cap_u(x) =
-    (1-rho) x log2(1 + c_u/x), and the backhaul cap.  A zero-length hop
-    raises InfeasibleProblem before any rate is evaluated."""
-    cfg = scenario.config
-    if hop_dist2(scenario, placement).min() == 0.0:
-        raise InfeasibleProblem("degenerate zero-distance backhaul link")
-    c = user_rate_coeffs(scenario, budget, placement.q_obs) * cfg.p_max_user
-    return c, backhaul_cap(scenario, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
-
 
 def _least_ratio(k):
     """s = c/x > 0 at the least share: ln(1 + s) = k * _SHARE_MARGIN * s,
@@ -402,17 +392,22 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
     raise NumericError(f"P5's Newton search did not converge in {_KKT_STEPS} steps")
 
 
-def _p5_split(scenario, budget, placement):
-    """P5's optimal split at full power, and its prices: (x, lam, nu), the
-    multipliers of sum x <= 1 and of the backhaul cap in the objective's
-    units (_price_split; lam = 0 where P5 is flat)."""
+def _p5_at(scenario, budget, placement):
+    """P5 at a placement, whose links are measured once at budget power:
+    (state, links, nu), the state at P5's split with the exact fill there,
+    _links's answer and nu, the backhaul cap's price in objective units."""
     cfg = scenario.config
-    c, link_cap = _p5_constants(scenario, budget, placement)
-    x, lam, nu = _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
-                              cfg.utility_theta / cfg.num_users_U)
+    links = _links(scenario, budget, placement, cfg.p_max_user, cfg.p_max_obs, cfg.p_max_relay)
+    c, _, _, link_cap = links
+    one_m_rho = 1.0 - cfg.outage_target_rho
+    x, _, nu = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / cfg.num_users_U)
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
-    return x / x.sum(), lam, nu
+    x = x / x.sum()
+    state = DecisionState(x=x, p_user=np.full(cfg.num_users_U, cfg.p_max_user),
+                          p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay, placement=placement,
+                          r_tilde=capped_fill(one_m_rho * _persp_rate(x, c), link_cap))
+    return state, links, nu
 
 
 def solve_p5(scenario: Scenario, placement: UavPlacement,
@@ -431,14 +426,8 @@ def solve_p5(scenario: Scenario, placement: UavPlacement,
     start is not read, as P5 is solved exactly; it stays for callers that bind
     it by name (the benchmark's P5 gain ratio reads its split and powers).
     """
-    cfg = scenario.config
-    budget = budget if budget is not None else make_link_budget(cfg)
-    x = _p5_split(scenario, budget, placement)[0]
-    p_user = np.full(cfg.num_users_U, cfg.p_max_user)
-    r_tilde = exact_fill_objective(scenario, budget, x, p_user,
-                                   cfg.p_max_obs, cfg.p_max_relay, placement)[1]
-    return DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs,
-                         p_relay=cfg.p_max_relay, placement=placement, r_tilde=r_tilde)
+    budget = budget if budget is not None else make_link_budget(scenario.config)
+    return _p5_at(scenario, budget, placement)[0]
 
 
 # --- the reduced problem: the observation UAV alone -------------------------
@@ -505,18 +494,11 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
     else:    # the direct hop: D = (Hb - Ho)^2 + l^2
         placement = UavPlacement(q_obs)
         dD_dl = 2.0 * math.hypot(*(placement.q_obs - scenario.gbs_pos_wb))
-    x, _, nu = _p5_split(scenario, budget, placement)
-    p_user = np.full(cfg.num_users_U, cfg.p_max_user)
-    obj, r = exact_fill_objective(scenario, budget, x, p_user, cfg.p_max_obs,
-                                  cfg.p_max_relay, placement)
-    state = DecisionState(x=x, p_user=p_user, p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay,
-                          placement=placement, r_tilde=r)
+    state, (c, d2, hop_d2, _), nu = _p5_at(scenario, budget, placement)
+    x, r = state.x, state.r_tilde
 
     # cap_u = (1-rho) x log2(1 + c_u/x) with c_u proportional to 1/d2_u.
-    q_obs = placement.q_obs
-    offsets = q_obs - scenario.agu_pos_wu
-    d2 = cfg.height_obs_Ho ** 2 + np.sum(offsets ** 2, axis=1)
-    c = user_rate_coeffs(scenario, budget, q_obs) * cfg.p_max_user
+    offsets = placement.q_obs - scenario.agu_pos_wu
     dcap = (-2.0 * (1.0 - cfg.outage_target_rho) / LN2 * c * x / ((x + c) * d2))[:, None] * offsets
     mu = cfg.utility_theta / (cfg.num_users_U * r) - nu
     grad = mu @ dcap
@@ -524,10 +506,10 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
         # link_cap = log2(1 + P/D) on the observation hop (to the relay or
         # the GBS), D a function of l.
         P = cfg.p_max_obs * budget.mu0
-        D = hop_dist2(scenario, placement)[0]
-        away = q_obs - scenario.gbs_pos_wb
+        D = hop_d2[0]
+        away = placement.q_obs - scenario.gbs_pos_wb
         grad = grad - nu * P * dD_dl / (D * (D + P) * LN2 * math.hypot(*away)) * away
-    return ReducedPoint(obj, state, grad)
+    return ReducedPoint(average_utility(r, utility_params(cfg)), state, grad)
 
 
 # --- SCA linearization of the placement problem ----------------------------
@@ -743,16 +725,16 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
     the exact objective at q* and hence at the returned placement.
 
     fill_at_qi, if given, is exact_fill_objective's (objective, r_tilde) at
-    q_i, which the caller already holds; it is used unless q_i needs a nudge.
+    q_i, which the caller already holds (so q_i has no zero-length hop);
+    without it, q_i is nudged off any such hop and filled here.
     tol is the surrogate solve's gap tolerance, sca_tol by default.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     x = np.asarray(x, dtype=float)
     p_user = np.asarray(p_user, dtype=float)
-    nudged = _sanitize_expansion(scenario, q_i)
-    if fill_at_qi is None or nudged is not q_i:
-        q_i = nudged
+    if fill_at_qi is None:
+        q_i = _sanitize_expansion(scenario, q_i)
         fill_at_qi = exact_fill_objective(scenario, budget, x, p_user, p_obs, p_relay, q_i)
     obj_at_qi, r_at_qi = fill_at_qi
 
@@ -777,14 +759,17 @@ def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
     extent = placement_extent(cfg)
     scale = 2.0
     while True:
-        # The returned placement is the next P7's expansion point, which must
-        # be strictly inside P7's box and expandable (no zero-length hop).
+        # The returned placement is the next P7's expansion point: strictly
+        # inside P7's box, and expandable (the fill rejects a zero-length hop).
         coords = origin + scale * move
-        trial = UavPlacement(*coords.reshape(-1, 2))
-        if not np.abs(coords).max() < extent or hop_dist2(scenario, trial).min() == 0.0:
+        if not np.abs(coords).max() < extent:
             break
-        obj_trial, r_trial = exact_fill_objective(scenario, budget, x, p_user,
-                                                  p_obs, p_relay, trial)
+        trial = UavPlacement(*coords.reshape(-1, 2))
+        try:
+            obj_trial, r_trial = exact_fill_objective(scenario, budget, x, p_user,
+                                                      p_obs, p_relay, trial)
+        except InfeasibleProblem:
+            break
         if not obj_trial > obj_new:
             break
         new_placement, obj_new, r_new = trial, obj_trial, r_trial

@@ -22,8 +22,8 @@ from uavstream import subproblems
 from uavstream.channel import _persp_rate, _persp_ratio
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
                                    NumericError, solve_concave)
-from uavstream.subproblems import (LN2, _log_utility, _p5_constants, _price_split,
-                                   capped_fill, exact_fill_objective, solve_p5)
+from uavstream.subproblems import (LN2, _links, _log_utility, _price_split, capped_fill,
+                                   exact_fill_objective, solve_p5)
 
 
 def border_only(n, constraint_jac, curvature, **fields):
@@ -59,6 +59,17 @@ def _persp_dxx(x, c):
     return -(s * s) / (x * (1.0 + s) ** 2 * LN2)
 
 
+def p5_constants(scenario, budget, placement):
+    """_price_split's arguments for P5 at placement: (c, link_cap, 1 - rho,
+    theta/U), c the users' rate constants at full power (cap_u(x) =
+    (1-rho) x log2(1 + c_u/x)) and link_cap the backhaul cap.  P5 is flat
+    where _price_split(*p5_constants(...))[1], its lam, is zero."""
+    cfg = scenario.config
+    c, _, _, link_cap = _links(scenario, budget, placement, cfg.p_max_user, cfg.p_max_obs,
+                               cfg.p_max_relay)
+    return c, link_cap, 1.0 - cfg.outage_target_rho, cfg.utility_theta / cfg.num_users_U
+
+
 def p5_program(scenario, budget, placement, x_start):
     """P5 at full powers as a border-only program, and a strictly interior
     start near the split x_start.
@@ -68,14 +79,12 @@ def p5_program(scenario, budget, placement, x_start):
     full power) against sum r.
     """
     cfg = scenario.config
-    c, link_cap = _p5_constants(scenario, budget, placement)
+    c, link_cap, one_m_rho, theta_over_U = p5_constants(scenario, budget, placement)
     U = cfg.num_users_U
-    one_m_rho = 1.0 - cfg.outage_target_rho
     x0 = np.maximum(x_start, 1e-6 / U)
     if x0.sum() > 1.0 - 1e-6:
         x0 = x0 * (1.0 - 1e-6) / x0.sum()
     caps0 = one_m_rho * _persp_rate(x0, c)
-    theta_over_U = cfg.utility_theta / U
     n = 2 * U
     sx, sr = slice(0, U), slice(U, n)
     objective, gradient = _log_utility(scenario, sr)
@@ -126,7 +135,6 @@ def check_p5_closed_form(scenario, budget, placement, start):
     flat, that _price_split's answer meets P5's KKT conditions
     (assert_p5_kkt)."""
     cfg = scenario.config
-    U = cfg.num_users_U
     with mock.patch.object(subproblems, "solve_concave",
                            side_effect=AssertionError("P5 must not call the solver")):
         out = solve_p5(scenario, placement, start, budget)
@@ -135,12 +143,10 @@ def check_p5_closed_form(scenario, budget, placement, start):
     ref = p5_reference_objective(scenario, budget, placement, start.x)
     assert obj >= ref - 1e-9 * max(1.0, abs(ref))
 
-    c, link_cap = _p5_constants(scenario, budget, placement)
-    one_m_rho = 1.0 - cfg.outage_target_rho
-    theta_over_U = cfg.utility_theta / U
-    x, lam, nu = _price_split(c, link_cap, one_m_rho, theta_over_U)
+    args = p5_constants(scenario, budget, placement)
+    x, lam, nu = _price_split(*args)
     if lam > 0.0:
-        assert_p5_kkt(c, link_cap, one_m_rho, theta_over_U, x, lam, nu)
+        assert_p5_kkt(*args, x, lam, nu)
 
 
 def assert_p5_kkt(c, link_cap, one_m_rho, theta_over_U, x, lam, nu):

@@ -1,6 +1,7 @@
 """The scheme runs, their trace invariants, and benchmark scheme behaviour."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from uavstream.channel import rate_agu, rate_gbs
 from uavstream.orchestrator import (SCHEMES, initialize_state, run_algorithm1,
                                     run_benchmark)
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import exact_fill_objective, make_link_budget
+from uavstream.subproblems import InfeasibleProblem, exact_fill_objective, make_link_budget
 
 from algorithm1_reference import algorithm1
 
@@ -138,18 +139,27 @@ class TestRunAlgorithm1:
         # step's answer, or the start's fill) instead of recomputing it, P5
         # takes the fill of its start split from the start, and joint's stage
         # starts from position_only's answer with the fill that run ended on.
+        # A fill is a call of exact_fill_objective or a P5 solved at a
+        # placement (subproblems._p5_at, behind solve_p5 and J*), which fills
+        # from the links it measured.  Each fill measures its placement's
+        # links once (subproblems._links), and nothing else in a run does.
         from uavstream import orchestrator, subproblems
-        calls = []
-        fill = subproblems.exact_fill_objective
+        calls = {"fill": 0, "links": 0}
 
-        def counted(*args):
-            calls.append(args)
-            return fill(*args)
+        def counted(kind, function):
+            def call(*args):
+                calls[kind] += 1
+                return function(*args)
+            return call
 
+        fill = counted("fill", subproblems.exact_fill_objective)
         for module in (orchestrator, subproblems):
-            monkeypatch.setattr(module, "exact_fill_objective", counted)
+            monkeypatch.setattr(module, "exact_fill_objective", fill)
+        monkeypatch.setattr(subproblems, "_p5_at", counted("fill", subproblems._p5_at))
+        monkeypatch.setattr(subproblems, "_links", counted("links", subproblems._links))
         run_benchmark(small_scenario(seed=0, users=30), scheme)
-        assert len(calls) == fills
+        assert calls["fill"] == fills
+        assert calls["links"] <= fills
 
     @pytest.mark.parametrize("scheme", ["position_only", "no_relay"])
     def test_placement_tolerance_follows_the_last_accepted_gain(self, monkeypatch, scheme):
@@ -231,6 +241,19 @@ class TestBenchmarks:
         assert halved.avg_utility == exact.avg_utility
         assert halved.trace.records == exact.trace.records
         assert halved.iterations == exact.iterations
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_a_callers_state_with_a_zero_length_hop_is_infeasible(self, scheme):
+        # Every UAV and the GBS at 100 m, both UAVs over the GBS: each hop of
+        # either chain has zero length.  The state's fill reports it.
+        sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0, height_gbs_Hb=100.0))
+        start = initialize_state(sc)
+        state = dataclasses.replace(start, placement=UavPlacement(sc.gbs_pos_wb, sc.gbs_pos_wb))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InfeasibleProblem):
+                run_benchmark(sc, scheme, state)
+        assert caught == []
 
     def test_relay_baseline_is_static(self):
         sc = small_scenario(seed=9)

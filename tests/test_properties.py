@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from uavstream.convex_core import NumericError
 from uavstream.orchestrator import SCHEMES, initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import (InfeasibleProblem, _p5_split, backhaul_cap,
-                                   exact_fill_objective, make_link_budget, solve_p5, solve_p7)
+from uavstream.subproblems import (InfeasibleProblem, _price_split, exact_fill_objective,
+                                   make_link_budget, solve_p5, solve_p7)
 
-from dense_reference import check_p5_closed_form
+from dense_reference import check_p5_closed_form, p5_constants
 
 
 def config_strategy(max_users):
@@ -58,8 +58,8 @@ def test_solve_p5_is_feasible_and_never_below_its_start(cfg, relay, split_seed):
         split = np.random.default_rng(split_seed).dirichlet(np.ones(cfg.num_users_U))
         before = max(exact_fill_objective(sc, budget, x, *args)[0] for x in (start.x, split))
         after, _ = exact_fill_objective(sc, budget, out.x, *args)
-        if _p5_split(sc, budget, placement)[1] == 0.0:
-            link_cap = backhaul_cap(sc, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
+        c, link_cap, *rest = p5_constants(sc, budget, placement)
+        if _price_split(c, link_cap, *rest)[1] == 0.0:
             assert np.all(out.r_tilde == link_cap / cfg.num_users_U)
             assert abs(out.x.sum() - 1.0) <= 1e-12
     assert after >= before > -float("inf")

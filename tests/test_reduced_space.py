@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from uavstream.channel import fspl_rate
 from uavstream.orchestrator import run_algorithm1
 from uavstream.scenario import generate_scenario, table2_config
-from uavstream.subproblems import (_p5_split, equal_hop_placement, make_link_budget,
+from uavstream.subproblems import (_price_split, equal_hop_placement, make_link_budget,
                                    reduced_point)
 
+from dense_reference import p5_constants
 from reduced_oracle import oracle_placement, reduced_optimum
 
 # Equal heights and powers (table2); a climb to the relay with a stronger
@@ -27,6 +28,10 @@ CONFIGS = {
     "weak_users": {"p_max_user": 0.01},
     "wide_area": {"area_side": 3000.0},
 }
+
+
+def p5_is_flat(scenario, budget, placement):
+    return _price_split(*p5_constants(scenario, budget, placement))[1] == 0.0
 
 
 def hop_rates(scenario, placement):
@@ -90,11 +95,11 @@ def test_reduced_gradient_matches_central_differences(config, num_users):
         for q_obs in random_points(sc, np.random.default_rng(num_users), 8):
             point = reduced_point(sc, budget, q_obs, relay)
             fd = np.empty(2)
-            flat = {_p5_split(sc, budget, point.state.placement)[1] == 0.0}
+            flat = {p5_is_flat(sc, budget, point.state.placement)}
             for i, e in enumerate(np.eye(2)):
                 ends = [reduced_point(sc, budget, q_obs + sign * h * e, relay)
                         for sign in (1, -1)]
-                flat |= {_p5_split(sc, budget, p.state.placement)[1] == 0.0 for p in ends}
+                flat |= {p5_is_flat(sc, budget, p.state.placement) for p in ends}
                 fd[i] = (ends[0].objective - ends[1].objective) / (2 * h)
             if len(flat) > 1:
                 continue
@@ -113,7 +118,7 @@ def test_reduced_gradient_sees_flat_and_non_flat_p5():
         budget = make_link_budget(sc.config)
         for q_obs in random_points(sc, np.random.default_rng(num_users), 8):
             placement = reduced_point(sc, budget, q_obs).state.placement
-            kinds.add(_p5_split(sc, budget, placement)[1] == 0.0)
+            kinds.add(p5_is_flat(sc, budget, placement))
     assert kinds == {True, False}
 
 

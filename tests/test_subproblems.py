@@ -10,23 +10,23 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import lambertw
 
-from uavstream.channel import _persp_rate, rate_agu, rate_gbs, rate_relay
+from uavstream.channel import _persp_rate, fspl_rate, rate_agu, rate_gbs, rate_relay
 from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve_spd, _terms,
                                    solve_concave)
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
-from uavstream.subproblems import (InfeasibleProblem, backhaul_cap,
+from uavstream.subproblems import (InfeasibleProblem,
                                    capped_fill, equal_hop_placement, exact_fill_objective,
                                    lower_bound_rates, make_link_budget, rate_caps,
                                    reduced_point, sca_coefficients, solve_p5, solve_p7,
-                                   _level_shares, _p5_constants, _p7_program,
-                                   _price_split)
+                                   _level_shares, _p7_program, _price_split)
 
 from dense_reference import (assert_p5_kkt, border_only_twin, check_gradients,
                              check_p5_closed_form, dense_curvature, dense_jacobian,
                              dense_newton_matrix, dense_step, interior, nested_price_split,
-                             p5_program, p5_reference_objective, random_interior_points)
+                             p5_constants, p5_program, p5_reference_objective,
+                             random_interior_points)
 
 LN2 = math.log(2.0)
 
@@ -104,6 +104,70 @@ class TestCappedFill:
             capped_fill(np.array([0.0, 1.0]), 1.0)
         with pytest.raises(InfeasibleProblem):
             capped_fill(np.array([1.0, 1.0]), 0.0)
+
+
+class TestLinkMeasurement:
+    """subproblems measures a placement's links in one place (_links): the
+    rate caps equal the link-level rates of channel, and a zero-length hop is
+    reported there alone, as InfeasibleProblem, before any rate is
+    evaluated."""
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_rate_caps_equal_the_link_level_rates(self, relay):
+        # Random placements, shares and powers (some zero) on configs with
+        # random whole-metre heights, whose squares are exact in both forms.
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            U = int(rng.integers(1, 12))
+            heights = rng.integers(20, 300, 3).astype(float)
+            cfg = table2_config(num_users_U=U, rng_seed=int(rng.integers(0, 1000)),
+                                area_side=float(rng.uniform(0.0, 3000.0)),
+                                height_obs_Ho=heights[0], height_relay_Hr=heights[1],
+                                height_gbs_Hb=heights[2])
+            sc = generate_scenario(cfg)
+            budget = make_link_budget(cfg)
+            q_obs, q_relay = rng.uniform(-3000.0, 3000.0, (2, 2))
+            placement = UavPlacement(q_obs, q_relay if relay else None)
+            x = rng.dirichlet(np.ones(U))
+            p_user = rng.uniform(0.0, 1.0, U) * (rng.uniform(size=U) < 0.8)
+            p_obs, p_relay = rng.uniform(0.0, 1.0, 2) * (rng.uniform(size=2) < 0.7)
+            caps, link_cap = rate_caps(sc, budget, x, p_user, p_obs, p_relay, placement)
+
+            one_m_rho = 1.0 - cfg.outage_target_rho
+            assert np.array_equal(caps, [
+                one_m_rho * rate_agu(x[u], p_user[u], q_obs, sc.agu_pos_wu[u], budget,
+                                     cfg.height_obs_Ho) for u in range(U)])
+            nodes = [(q_obs, cfg.height_obs_Ho)] + (
+                [(q_relay, cfg.height_relay_Hr)] if relay else []) + [
+                (sc.gbs_pos_wb, cfg.height_gbs_Hb)]
+            assert link_cap == min(
+                fspl_rate(p, q_tx, q_rx, budget.mu0, h_tx, h_rx)
+                for p, (q_tx, h_tx), (q_rx, h_rx) in zip((p_obs, p_relay), nodes, nodes[1:]))
+
+    def test_a_zero_length_hop_is_infeasible_everywhere_without_a_warning(self):
+        # Every UAV and the GBS at 100 m: a relay on the observation UAV, and
+        # an observation UAV over the GBS on either chain, leave a
+        # zero-length hop.
+        sc = generate_scenario(table2_config(num_users_U=4, rng_seed=0, height_gbs_Hb=100.0))
+        budget = make_link_budget(sc.config)
+        start = initialize_state(sc, budget)
+        q_obs = start.placement.q_obs
+        placement = UavPlacement(q_obs, q_obs)
+        args = (start.x, start.p_user, start.p_obs, start.p_relay, placement)
+        calls = [
+            lambda: exact_fill_objective(sc, budget, *args),
+            lambda: rate_caps(sc, budget, *args),
+            lambda: dataclasses.replace(start, placement=placement).validate(sc, budget),
+            lambda: solve_p5(sc, placement, start, budget),
+            lambda: reduced_point(sc, budget, sc.gbs_pos_wb, relay=True),
+            lambda: reduced_point(sc, budget, sc.gbs_pos_wb, relay=False),
+        ]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(InfeasibleProblem):
+                    call()
+            assert caught == []
 
 
 class TestScaCoefficients:
@@ -310,14 +374,13 @@ class TestFlatP5:
         monkeypatch.setattr(subproblems, "solve_concave", no_solve)
         out = solve_p5(sc, placement, state, budget)
         out.validate(sc, budget)
-        link_cap = backhaul_cap(sc, budget, cfg.p_max_obs, cfg.p_max_relay, placement)
+        args = p5_constants(sc, budget, placement)
+        link_cap = args[1]
         assert np.all(out.r_tilde == link_cap / num_users)
         assert out.x.sum() == pytest.approx(1.0, abs=1e-12)
 
         # On the optimal face: lam = 0, and every cap reaches the equal level.
-        c, link_cap = _p5_constants(sc, budget, placement)
-        one_m_rho = 1.0 - cfg.outage_target_rho
-        assert _price_split(c, link_cap, one_m_rho, cfg.utility_theta / num_users)[1] == 0.0
+        assert _price_split(*args)[1] == 0.0
         caps, _ = rate_caps(sc, budget, out.x, out.p_user, cfg.p_max_obs, cfg.p_max_relay,
                             placement)
         assert np.all(caps >= link_cap / num_users)
@@ -330,9 +393,7 @@ class TestFlatP5:
         cfg = sc.config
         budget = make_link_budget(cfg)
         state = initialize_state(sc)
-        c, link_cap = _p5_constants(sc, budget, state.placement)
-        assert _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
-                            cfg.utility_theta / 20)[1] > 0.0
+        assert _price_split(*p5_constants(sc, budget, state.placement))[1] > 0.0
 
         calls = []
         solve = subproblems.solve_concave
@@ -478,9 +539,7 @@ def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
     for _ in range(2):
         placement = solve_p7(sc, start.x, start.p_user, start.p_obs, start.p_relay,
                              placement, budget).placement
-    c, link_cap = _p5_constants(sc, budget, placement)
-    assert _price_split(c, link_cap, 1.0 - cfg.outage_target_rho,
-                        cfg.utility_theta / 20)[1] > 0.0
+    assert _price_split(*p5_constants(sc, budget, placement))[1] > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check_p5_closed_form(sc, budget, placement, start)
@@ -525,8 +584,7 @@ def valid_domain_p5s(rng, num_configs):
         for spread in (500.0, 1000.0, 1500.0):
             q_obs = centroid + rng.normal(0.0, spread, 2)
             for placement in (equal_hop_placement(sc, q_obs)[0], UavPlacement(q_obs)):
-                yield (*_p5_constants(sc, budget, placement), 1.0 - cfg.outage_target_rho,
-                       cfg.utility_theta / cfg.num_users_U)
+                yield p5_constants(sc, budget, placement)
 
 
 def test_p5_across_the_valid_domain_meets_kkt():
@@ -565,8 +623,7 @@ def test_p5_that_stalled_the_nested_price_search_is_solved():
     budget = make_link_budget(cfg)
     q_obs = (1176.2598671903004, -1060.2783330472214)
     placement = equal_hop_placement(sc, q_obs)[0]
-    c, link_cap = _p5_constants(sc, budget, placement)
-    args = (c, link_cap, 1.0 - cfg.outage_target_rho, cfg.utility_theta / 79)
+    args = p5_constants(sc, budget, placement)
     with pytest.raises(NumericError, match="stalled"):
         nested_price_split(*args)
     with warnings.catch_warnings():
