@@ -9,7 +9,6 @@ links are pure free-space path loss.  All rates are spectral efficiencies
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,6 @@ LN2 = math.log(2.0)
 # Most terms of the Bessel recurrence in marcum_q1: enough for a*b up to
 # about 1e10 (K up to 1e9 in rician_cdf), and about 0.15 s at the cap.
 _MAX_TERMS = 1_000_000
-
-
-class DegenerateLinkWarning(UserWarning):
-    """Raised-as-warning flag for zero-distance FSPL denominators."""
 
 
 @dataclass(frozen=True)
@@ -183,18 +178,17 @@ def rate_agu(x_u, P_u, q_obs, w_u, budget: LinkBudget, Ho) -> float:
 
 def fspl_rate(P, q_tx, q_rx, mu0, H_tx, H_rx) -> float:
     """FSPL spectral efficiency log2(1 + P*mu0/d^2) of a link between two
-    nodes at ground positions q_tx, q_rx and heights H_tx, H_rx."""
+    nodes at ground positions q_tx, q_rx and heights H_tx, H_rx.  A negative
+    power or a zero-length link raises ValueError."""
     if P < 0:
         raise ValueError(f"transmit power must be >= 0, got {P}")
-    if P == 0.0:
-        return 0.0
     q_tx = np.asarray(q_tx, dtype=float)
     q_rx = np.asarray(q_rx, dtype=float)
     denom = (H_rx - H_tx) ** 2 + float(np.sum((q_rx - q_tx) ** 2))
     if denom == 0.0:
-        warnings.warn("zero-distance FSPL link: infinite rate",
-                      DegenerateLinkWarning, stacklevel=2)
-        return math.inf
+        raise ValueError("zero-length FSPL link")
+    if P == 0.0:
+        return 0.0
     return math.log1p(P * mu0 / denom) / LN2
 
 

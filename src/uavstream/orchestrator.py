@@ -109,9 +109,7 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
     state, obj, gain = result.state, result.avg_utility, None
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
-        p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,
-                      state.placement, budget, (obj, state.r_tilde),
-                      max(cfg.sca_tol, _SCA_KAPPA * scale))
+        p7 = solve_p7(scenario, state, budget, max(cfg.sca_tol, _SCA_KAPPA * scale))
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
         result.trace.add(step, p7.exact_objective, p7.lb_objective)
         converged = p7.exact_objective - obj < cfg.bcd_tol

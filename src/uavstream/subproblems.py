@@ -37,6 +37,10 @@ _NEAR_ONE = 0.02         # 1 - k below which a least share is read off its serie
 _SHARE_SERIES = (32 / 18225, 116 / 42525, 8 / 1701, 4 / 405, 4 / 135, 1 / 9, -2 / 3)
 _SHARE_MARGIN = 1.0 + 2.0 ** -44   # raised target of the least-share Newton solve
 _SHARE_STEPS = 3
+# ln(1 + s) - s/(1 + s) = s^2 (1/2 - 2s/3 + 3s^2/4 - ...), highest power first,
+# summed below s = _SLOPE_SERIES_BELOW, where 18 terms reach double precision.
+_SLOPE_SERIES = tuple((-1) ** j * (j + 1) / (j + 2) for j in range(17, -1, -1))
+_SLOPE_SERIES_BELOW = 0.1
 
 
 class InfeasibleProblem(RuntimeError):
@@ -251,12 +255,18 @@ def _level_shares(c, level, one_m_rho):
 def _share_terms(x, c, one_m_rho):
     """(cap, cap', q') at the shares x > 0: the caps (1-rho) x log2(1 + c/x),
     their slopes, and the slopes of q = cap/cap', which are at least one
-    since the caps are concave."""
+    since the caps are concave.  The slope is (1-rho)/ln2 times
+    ln(1 + s) - s/(1 + s), s = c/x, whose difference loses about 2 eps/s of
+    itself; below s = _SLOPE_SERIES_BELOW its series is summed instead."""
     s = c / x
     log_term, frac = np.log1p(s), s / (1.0 + s)
     scale = one_m_rho / LN2
     cap = scale * x * log_term
-    slope = scale * (log_term - frac)
+    slope = log_term - frac
+    small = s < _SLOPE_SERIES_BELOW
+    if small.any():
+        slope[small] = s[small] ** 2 * np.polyval(_SLOPE_SERIES, s[small])
+    slope *= scale
     return cap, slope, 1.0 + cap * scale * frac ** 2 / (x * slope ** 2)
 
 
@@ -535,6 +545,8 @@ class SCACoefficients:
 def sca_coefficients(scenario: Scenario, x, p_user, p_obs, p_relay,
                      expansion: UavPlacement,
                      budget: LinkBudget | None = None) -> SCACoefficients:
+    """The SCA constants at expansion for the given resources.  A share that
+    is not positive raises ValueError, a zero-length hop InfeasibleProblem."""
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
     x = np.asarray(x, dtype=float)
@@ -550,7 +562,7 @@ def sca_coefficients(scenario: Scenario, x, p_user, p_obs, p_relay,
     dist2_hop = np.sum(offsets ** 2, axis=1)
     den_hop = gaps ** 2 + dist2_hop
     if np.any(den_hop == 0.0):
-        raise ValueError("cannot expand around a zero-length backhaul hop")
+        raise InfeasibleProblem("degenerate zero-distance backhaul link")
     mu_hop = np.array((p_obs, p_relay)[:len(den_hop)]) * budget.mu0
     c_hop, d_hop = _fspl_taylor(mu_hop, den_hop)
     return SCACoefficients(c_user=c_user, d_user=d_user, c_hop=c_hop, d_hop=d_hop,
@@ -689,89 +701,55 @@ def _p7_program(scenario, coeffs, x):
     return program, np.concatenate([np.concatenate(coeffs.expansion.uavs) / _POS_SCALE, r0])
 
 
-def _sanitize_expansion(scenario: Scenario, q_i: UavPlacement) -> UavPlacement:
-    """Nudge the chain's last UAV off exact zero-distance hops.
+def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None = None,
+             tol: float | None = None) -> P7Result:
+    """One SCA placement step from state's placement q_i at state's resources.
 
-    With equal UAV heights and a slack relay link, barrier centering can park
-    the relay exactly on the observation UAV, where the linearization is
-    singular.  A millimetre offset restores a valid expansion point.
-    """
-    if hop_dist2(scenario, q_i).min() > 0.0:
-        return q_i
-    away = scenario.gbs_pos_wb - q_i.q_obs
-    norm = float(np.linalg.norm(away))
-    step = away / norm if norm > 0 else np.array([1.0, 0.0])
-    *others, last = q_i.uavs
-    return UavPlacement(*others, last + 1e-3 * step)
+    state holds its exact fill in r_tilde, as every state the package
+    returns does; the objective at q_i is read off it.  The step moves the
+    UAVs of q_i's chain and never lowers the exact-rate objective.
 
-
-def solve_p7(scenario: Scenario, x, p_user, p_obs, p_relay,
-             q_i: UavPlacement, budget: LinkBudget | None = None,
-             fill_at_qi: tuple | None = None, tol: float | None = None) -> P7Result:
-    """One SCA placement step from expansion point q_i at fixed resources.
-
-    Moves the UAVs of q_i's chain.  Guarantees ascent of the exact-rate
-    objective; if the linearized solve fails or regresses, the expansion
-    point comes back with stalled=True.
-
-    An accepted move q* - q_i is then extrapolated: the exact objective is
-    tried at q_i + 2^j (q* - q_i) for j = 1, 2, ..., and the last trial that
-    strictly raised it is returned, so the UAVs may end past the surrogate's
-    optimum.  The doubling stops at the first trial that does not raise the
-    objective, has a zero-length hop or leaves P7's placement box.  Far from
-    q_i the surrogate's first-order rate bounds are conservative, and each
-    trial is one O(U log U) rate fill where a P7 solve takes tens of Newton
-    steps.  lb_objective stays the solve's surrogate value, which is below
-    the exact objective at q* and hence at the returned placement.
-
-    fill_at_qi, if given, is exact_fill_objective's (objective, r_tilde) at
-    q_i, which the caller already holds (so q_i has no zero-length hop);
-    without it, q_i is nudged off any such hop and filled here.
-    tol is the surrogate solve's gap tolerance, sca_tol by default.
+    The candidates are the surrogate's solved point q*, then
+    q_i + 2^j (q* - q_i) for j = 1, 2, ...: a candidate is kept while it
+    strictly raises the exact objective, lies strictly inside P7's box and
+    has no zero-length hop (its fill raises InfeasibleProblem), and the last
+    one kept is returned, so the UAVs may end past the surrogate's optimum.
+    With none kept, or no surrogate at q_i, q_i comes back with stalled=True.
+    Far from q_i the surrogate's first-order rate bounds are conservative,
+    and each candidate is one O(U log U) rate fill where a P7 solve takes
+    tens of Newton steps.  lb_objective is the solve's surrogate value, below
+    the exact objective at q* and hence at the returned placement.  tol is
+    the surrogate solve's gap tolerance, sca_tol by default.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
-    x = np.asarray(x, dtype=float)
-    p_user = np.asarray(p_user, dtype=float)
-    if fill_at_qi is None:
-        q_i = _sanitize_expansion(scenario, q_i)
-        fill_at_qi = exact_fill_objective(scenario, budget, x, p_user, p_obs, p_relay, q_i)
-    obj_at_qi, r_at_qi = fill_at_qi
-
-    coeffs = sca_coefficients(scenario, x, p_user, p_obs, p_relay, q_i, budget)
+    q_i, resources = state.placement, (state.x, state.p_user, state.p_obs, state.p_relay)
+    best = average_utility(state.r_tilde, utility_params(cfg))
+    coeffs = sca_coefficients(scenario, *resources, q_i, budget)
     try:
-        program, v0 = _p7_program(scenario, coeffs, x)
+        program, v0 = _p7_program(scenario, coeffs, state.x)
     except InfeasibleProblem:
-        return P7Result(q_i, r_at_qi, True, obj_at_qi, obj_at_qi)
+        return P7Result(q_i, state.r_tilde, True, best, best)
     report = solve_concave(program, v0, cfg.sca_tol if tol is None else tol)
-
-    uav_coords = report.solution[:2 * len(q_i.uavs)] * _POS_SCALE
-    new_placement = _sanitize_expansion(scenario, UavPlacement(*uav_coords.reshape(-1, 2)))
-    obj_new, r_new = exact_fill_objective(scenario, budget, x, p_user,
-                                          p_obs, p_relay, new_placement)
-    # Require strict ascent: with slack constraints barrier centering can move
-    # the UAVs without touching the objective, and such drift must not loop.
-    if obj_new <= obj_at_qi:
-        return P7Result(q_i, r_at_qi, True, report.objective, obj_at_qi)
+    result = P7Result(q_i, state.r_tilde, True, report.objective, best)
 
     origin = np.concatenate(q_i.uavs)
-    move = np.concatenate(new_placement.uavs) - origin
+    coords = report.solution[:len(origin)] * _POS_SCALE
+    move, scale = coords - origin, 1.0
     extent = placement_extent(cfg)
-    scale = 2.0
-    while True:
-        # The returned placement is the next P7's expansion point: strictly
-        # inside P7's box, and expandable (the fill rejects a zero-length hop).
-        coords = origin + scale * move
-        if not np.abs(coords).max() < extent:
-            break
-        trial = UavPlacement(*coords.reshape(-1, 2))
+    # A kept candidate is the next P7's expansion point: strictly inside
+    # P7's box, and expandable.
+    while np.abs(coords).max() < extent:
+        candidate = UavPlacement(*coords.reshape(-1, 2))
         try:
-            obj_trial, r_trial = exact_fill_objective(scenario, budget, x, p_user,
-                                                      p_obs, p_relay, trial)
+            obj, r = exact_fill_objective(scenario, budget, *resources, candidate)
         except InfeasibleProblem:
             break
-        if not obj_trial > obj_new:
+        # Strict ascent: with slack constraints barrier centering can move
+        # the UAVs without touching the objective, and such drift must not loop.
+        if not obj > best:
             break
-        new_placement, obj_new, r_new = trial, obj_trial, r_trial
-        scale *= 2.0
-    return P7Result(new_placement, r_new, False, report.objective, obj_new)
+        result = P7Result(candidate, r, False, report.objective, obj)
+        best, scale = obj, 2.0 * scale
+        coords = origin + scale * move
+    return result

@@ -34,8 +34,7 @@ def algorithm1(scenario, relay=True):
         state = solve_p5(scenario, state.placement, state, budget)
         obj = average_utility(state.r_tilde, utility_params(cfg))
         for _ in range(cfg.max_bcd_iters):
-            p7 = solve_p7(scenario, state.x, state.p_user, state.p_obs, state.p_relay,
-                          state.placement, budget, (obj, state.r_tilde))
+            p7 = solve_p7(scenario, state, budget)
             state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
             gain, obj = p7.exact_objective - obj, p7.exact_objective
             if p7.stalled or gain < cfg.bcd_tol:

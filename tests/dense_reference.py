@@ -42,14 +42,26 @@ def border_only(n, constraint_jac, curvature, **fields):
     return ConcaveProgram(n=n, constraint_jac=jac, curvature=curv, border=n, **fields)
 
 
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+
+
+def _slope_gap(s):
+    """ln(1 + s) - s/(1 + s) for s >= 0.  Below s = 0.1, where the
+    difference cancels, it is the integral s^2 int_0^1 tau/(1 + s tau)^2 dtau
+    by 20-point Gauss-Legendre, exact to rounding there."""
+    s = np.asarray(s, dtype=float)
+    tau = 0.5 * (_NODES + 1.0)
+    small = np.minimum(s, 0.1)
+    integral = 0.5 * small * small * (_WEIGHTS * tau / (1.0 + small[..., None] * tau) ** 2).sum(-1)
+    return np.where(s < 0.1, integral, np.log1p(s) - s / (1.0 + s))
+
+
 def _persp_dx(x, c):
     """First derivative of the perspective rate x*log2(1 + c/x) in x."""
     x = np.asarray(x, dtype=float)
     s, big = _persp_ratio(x, c)
-    log_term = np.where(big, np.log(np.where(big, c, 1.0)) - np.log(x),
-                        np.log1p(np.where(big, 0.0, s)))
-    frac = np.where(big, 1.0, s / (1.0 + s))
-    return (log_term - frac) / LN2
+    log_term = np.log(np.where(big, c, 1.0)) - np.log(x)
+    return np.where(big, log_term - 1.0, _slope_gap(np.where(big, 0.0, s))) / LN2
 
 
 def _persp_dxx(x, c):
@@ -168,10 +180,10 @@ def _nested_share_terms(x, c, one_m_rho, nu):
     """(cap, cap', h'') at the shares x > 0 for the price nu, with
     h = ln cap - lam x - nu cap."""
     s = c / x
-    log_term, frac = np.log1p(s), s / (1.0 + s)
+    frac = s / (1.0 + s)
     scale = one_m_rho / LN2
-    cap = scale * x * log_term
-    slope = scale * (log_term - frac)
+    cap = scale * x * np.log1p(s)
+    slope = scale * _slope_gap(s)
     curv = -scale * frac ** 2 / x * (1.0 / cap - nu) - (slope / cap) ** 2
     return cap, slope, curv
 

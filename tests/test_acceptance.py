@@ -4,6 +4,7 @@ Each test exercises one numbered criterion at its stated tolerance and prints
 one PASS/FAIL line.  Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
+import dataclasses
 import math
 import time
 from contextlib import contextmanager
@@ -15,7 +16,7 @@ from uavstream.channel import (LinkBudget, outage_probability, rate_agu, rate_gb
                                rate_relay, rician_cdf, rician_cdf_inverse)
 from uavstream.orchestrator import initialize_state, run_algorithm1, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import (exact_fill_objective, lower_bound_rates,
+from uavstream.subproblems import (DecisionState, exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5, solve_p7,
                                    _p7_program)
 
@@ -245,14 +246,14 @@ def _axis_grid_best(cfg, budget, x_share, user_xy):
 def _iterate_p7(sc, budget, x, placement, max_steps=80):
     cfg = sc.config
     p = np.full(cfg.num_users_U, cfg.p_max_user)
+    r = exact_fill_objective(sc, budget, x, p, cfg.p_max_obs, cfg.p_max_relay, placement)[1]
+    state = DecisionState(x, p, cfg.p_max_obs, cfg.p_max_relay, placement, r)
     for _ in range(max_steps):
-        res = solve_p7(sc, x, p, cfg.p_max_obs, cfg.p_max_relay, placement, budget)
-        placement = res.placement
+        res = solve_p7(sc, state, budget)
+        state = dataclasses.replace(state, placement=res.placement, r_tilde=res.r_tilde)
         if res.stalled:
             break
-    obj, _ = exact_fill_objective(sc, budget, x, p, cfg.p_max_obs,
-                                  cfg.p_max_relay, placement)
-    return obj, placement
+    return res.exact_objective, state.placement
 
 
 def test_criterion_7_solver_vs_grid_oracles():

@@ -8,9 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
-from uavstream.channel import (DegenerateLinkWarning, LinkBudget, marcum_q1,
-                               outage_probability, rate_agu, rate_gbs, rate_relay,
-                               rician_cdf, rician_cdf_inverse)
+from uavstream.channel import (LinkBudget, marcum_q1, outage_probability, rate_agu, rate_gbs,
+                               rate_relay, rician_cdf, rician_cdf_inverse)
 
 
 def marcum_q1_quadrature(a, b):
@@ -232,8 +231,8 @@ class TestGainAndRates:
         assert all(b < a for a, b in zip(rates, rates[1:]))
 
     def test_rate_relay_degenerate_flagged(self):
-        with pytest.warns(DegenerateLinkWarning):
-            assert rate_relay(0.1, [0, 0], [0, 0], 1e8, 100.0, 100.0) == math.inf
+        with pytest.raises(ValueError, match="zero-length"):
+            rate_relay(0.1, [0, 0], [0, 0], 1e8, 100.0, 100.0)
 
     def test_rate_gbs_hand_value(self):
         # relay directly above the GBS: log2(1 + 0.1*1e8/ (100-20)^2)

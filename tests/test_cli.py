@@ -196,6 +196,16 @@ class TestSweep:
             SweepSpec(variable="rho", grid=(0.1, 0.5), seeds=1,
                       schemes=("relay_baseline", "joint", "relay_baseline"))
 
+    def test_weak_power_sweep_is_ok(self, tmp_path):
+        # At 1e-6 W every user's s = c/x is below 1e-3, where P5's cap slope
+        # once lost more than its stop test to cancellation and its Newton
+        # search stalled in all six cells.
+        out = tmp_path / "weak.csv"
+        assert main(["sweep", "--var", "power_budget", "--grid", "0.000001,0.00001",
+                     "--seeds", "3", "--schemes", "joint,no_relay", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 12 and {r["status"] for r in rows} == {"ok"}
+
     def test_power_budget_scales_all_three(self):
         cfg = apply_sweep_value(table2_config(), "power_budget", 0.4)
         assert cfg.p_max_user == pytest.approx(0.4)

@@ -1,6 +1,7 @@
 """Barrier solver behaviour against closed forms and brute-force grid search."""
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
-                                   NumericError, _BlockHessian, _block_hessian, _pieces,
-                                   _solve_spd, _terms, solve_concave)
+from uavstream.convex_core import (_MAX_NEWTON, _RIDGE0, BlockCurvature, BlockJacobian,
+                                   ConcaveProgram, NumericError, _BlockHessian, _block_hessian,
+                                   _pieces, _solve_spd, _terms, solve_concave)
 
 from dense_reference import border_only, border_only_twin, check_gradients, dense_newton_matrix
 
@@ -369,3 +370,29 @@ def test_ridge_grows_until_the_step_is_downhill():
     H = _BlockHessian(2, np.zeros(0), np.zeros((2, 0)), np.diag([1.0, -1.0]), 1.0)
     assert np.allclose(_solve_spd(H, np.array([0.0, 1.0])), [0.0, 1.0 / 99.0],
                        rtol=1e-12, atol=0.0)
+
+
+def test_a_negative_block_pivot_raises_the_ridge():
+    # H = diag(1, -0.5), the second entry a one-variable block: its pivot
+    # -0.5 + ridge fails the factor until the ridge reaches 1 (100^5 times
+    # the first), the first whose pivot is positive.
+    H = _BlockHessian(1, np.array([-0.5]), np.zeros((1, 1)), np.array([[1.0]]), 1.0)
+    assert np.allclose(_solve_spd(H, np.array([1.0, 1.0])), [0.5, 2.0], rtol=1e-12, atol=0.0)
+
+
+def test_failed_line_searches_end_in_a_finite_report():
+    # The gradient callback has the sign of the objective's slope flipped,
+    # so every Newton step lowers the objective and each line search fails:
+    # the solve moves t through its stages and stops at the start.
+    def objective(v):
+        return -10.0 * float((v[0] - 0.9) ** 2)
+
+    program = border_only(
+        n=1, objective=objective, gradient=lambda v: 20.0 * (v - 0.9),
+        constraints=lambda v: np.zeros(0), constraint_jac=lambda v: np.zeros((0, 1)),
+        lower=np.zeros(1), upper=np.ones(1), curvature=lambda v, w: np.array([[-20.0]]))
+    start = np.array([0.5])
+    report = solve_concave(program, start, 1e-9)
+    assert np.array_equal(report.solution, start)
+    assert report.objective == objective(start)
+    assert math.isfinite(report.kkt_residual) and report.barrier_iterations < _MAX_NEWTON

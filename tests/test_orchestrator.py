@@ -10,7 +10,9 @@ from uavstream.channel import rate_agu, rate_gbs
 from uavstream.orchestrator import (SCHEMES, initialize_state, run_algorithm1,
                                     run_benchmark)
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
-from uavstream.subproblems import InfeasibleProblem, exact_fill_objective, make_link_budget
+from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
+                                   utility_params)
+from uavstream.utility import average_utility
 
 from algorithm1_reference import algorithm1
 
@@ -170,8 +172,9 @@ class TestRunAlgorithm1:
         steps, tols = [], []
         solve_p7, solve = orchestrator.solve_p7, subproblems.solve_concave
 
-        def recorded_p7(*args):
-            steps.append((args[7][0], solve_p7(*args)))
+        def recorded_p7(scenario, state, budget, tol):
+            before = average_utility(state.r_tilde, utility_params(scenario.config))
+            steps.append((before, solve_p7(scenario, state, budget, tol)))
             return steps[-1][1]
 
         def recorded_solve(program, start, tol):

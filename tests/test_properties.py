@@ -12,7 +12,8 @@ from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, tab
 from uavstream.subproblems import (InfeasibleProblem, _price_split, exact_fill_objective,
                                    make_link_budget, solve_p5, solve_p7)
 
-from dense_reference import check_p5_closed_form, p5_constants
+from dense_reference import (assert_p5_kkt, check_p5_closed_form, nested_price_split,
+                             p5_constants)
 
 
 def config_strategy(max_users):
@@ -80,11 +81,30 @@ def test_closed_form_p5_matches_the_reference_after_a_placement_step(cfg, relay)
         placement = start.placement if relay else UavPlacement(start.placement.q_obs)
         try:
             state = solve_p5(sc, placement, start, budget)
-            placement = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
-                                 placement, budget).placement
+            placement = solve_p7(sc, state, budget).placement
             check_p5_closed_form(sc, budget, placement, state)
         except InfeasibleProblem:
             return
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_c=st.lists(st.floats(-9.0, -3.0), min_size=1, max_size=40),
+       log_link_cap=st.floats(-3.0, np.log10(30.0)), rho=st.floats(1e-3, 0.3))
+def test_weak_users_p5_matches_the_nested_reference(log_c, log_link_cap, rho):
+    # Every c <= 1e-3, so every s = c/x at P5's answer is small and the cap
+    # slope ln(1 + s) - s/(1 + s) cancels if taken as a difference: the one
+    # Newton loop must still meet P5's KKT conditions and agree with the
+    # nested loop (whose slopes are integrals there).
+    c = 10.0 ** np.array(log_c)
+    args = (c, 10.0 ** log_link_cap, 1.0 - rho, 0.8 / len(c))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, lam, nu = _price_split(*args)
+        if lam == 0.0:     # flat: the least shares reaching the equal level
+            return
+        assert_p5_kkt(*args, x, lam, nu)
+        x_ref = nested_price_split(*args)[0]
+    assert np.max(np.abs(x - x_ref) / x_ref) <= 1e-8
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None,

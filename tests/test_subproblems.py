@@ -16,11 +16,12 @@ from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
-from uavstream.subproblems import (InfeasibleProblem,
+from uavstream.subproblems import (DecisionState, InfeasibleProblem,
                                    capped_fill, equal_hop_placement, exact_fill_objective,
                                    lower_bound_rates, make_link_budget, rate_caps,
                                    reduced_point, sca_coefficients, solve_p5, solve_p7,
-                                   _level_shares, _p7_program, _price_split)
+                                   utility_params, _level_shares, _p7_program, _price_split)
+from uavstream.utility import average_utility
 
 from dense_reference import (assert_p5_kkt, border_only_twin, check_gradients,
                              check_p5_closed_form, dense_curvature, dense_jacobian,
@@ -41,6 +42,27 @@ def mirrored_scenario(offset_y=150.0, num_extra=0, seed=0):
 def single_user_scenario():
     cfg = table2_config(num_users_U=1, area_side=0.0)
     return generate_scenario(cfg)
+
+
+def state_at(sc, budget, placement, x):
+    """The state at placement with the split x, every power at its budget,
+    and its exact fill, as solve_p7 takes it."""
+    cfg = sc.config
+    p = np.full(cfg.num_users_U, cfg.p_max_user)
+    r = exact_fill_objective(sc, budget, x, p, cfg.p_max_obs, cfg.p_max_relay, placement)[1]
+    return DecisionState(np.asarray(x, dtype=float), p, cfg.p_max_obs, cfg.p_max_relay,
+                         placement, r)
+
+
+def p7_steps(sc, budget, state, max_steps):
+    """P7 steps from state until one stalls, at most max_steps: the last
+    result and the state at its placement."""
+    for _ in range(max_steps):
+        res = solve_p7(sc, state, budget)
+        state = dataclasses.replace(state, placement=res.placement, r_tilde=res.r_tilde)
+        if res.stalled:
+            break
+    return res, state
 
 
 class TestCappedFill:
@@ -211,6 +233,13 @@ class TestScaCoefficients:
         den = 1e4
         assert co.c_user[0] == pytest.approx(math.log2(1.0 + mu / den), rel=1e-12)
         assert co.d_user[0] == pytest.approx(mu / (den * (den + mu) * LN2), rel=1e-12)
+
+    def test_zero_length_hop_is_infeasible(self):
+        # table2 flies both UAVs at one height: a relay on the observation
+        # UAV is a zero-length hop, as every link measurement reports it.
+        expansion = UavPlacement(q_obs=self.expansion.q_obs, q_relay=self.expansion.q_obs)
+        with pytest.raises(InfeasibleProblem):
+            sca_coefficients(self.scenario, self.x, self.p, 0.1, 0.1, expansion, self.budget)
 
     def test_requires_positive_bandwidth(self):
         with pytest.raises(ValueError):
@@ -535,10 +564,7 @@ def test_non_flat_p5_is_answered_from_its_prices(regime, seed):
     cfg = sc.config
     budget = make_link_budget(cfg)
     start = initialize_state(sc)
-    placement = start.placement
-    for _ in range(2):
-        placement = solve_p7(sc, start.x, start.p_user, start.p_obs, start.p_relay,
-                             placement, budget).placement
+    placement = p7_steps(sc, budget, start, 2)[1].placement
     assert _price_split(*p5_constants(sc, budget, placement))[1] > 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -634,6 +660,25 @@ def test_p5_that_stalled_the_nested_price_search_is_solved():
     assert point.objective >= ref - 1e-9 * abs(ref)
 
 
+def test_p5_of_weak_users_is_solved():
+    # A valid-domain draw with its user power lowered to 5e-5 W: joint's P5
+    # sees users whose s = c/x is small, where the cap slopes once lost more
+    # than the stop test to cancellation, and the scheme raised NumericError.
+    cfg = table2_config(num_users_U=2, rng_seed=16, p_max_user=5e-5, p_max_obs=2.50e-3,
+                        p_max_relay=1.669, outage_target_rho=0.01346, rician_K=16.23,
+                        area_side=1974.08, network_size_D=4889.90, height_obs_Ho=92.6543,
+                        height_relay_Hr=92.6543, height_gbs_Hb=92.6543)
+    sc = generate_scenario(cfg)
+    budget = make_link_budget(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scheme in ("joint", "no_relay"):
+            res = run_benchmark(sc, scheme)
+            res.state.validate(sc, budget)
+            args = p5_constants(sc, budget, res.state.placement)
+            assert_p5_kkt(*args, *_price_split(*args))
+
+
 def test_nearly_equal_cap_slopes_are_solved():
     # Four users whose cap slopes differ by 3% at the optimum, and whose
     # equal-level shares sum to 1.0003: the price system is nearly singular,
@@ -674,24 +719,19 @@ def test_p5_takes_few_share_passes_in_a_joint_run(monkeypatch):
 class TestSolveP7:
     def test_symmetric_instance_stays_on_axis(self):
         sc = mirrored_scenario()
-        cfg = sc.config
-        budget = make_link_budget(cfg)
-        x = np.array([0.5, 0.5])
-        p = np.full(2, cfg.p_max_user)
+        budget = make_link_budget(sc.config)
         placement = UavPlacement(q_obs=[60.0, 0.0], q_relay=[-1200.0, 0.0])
-        for _ in range(25):
-            res = solve_p7(sc, x, p, cfg.p_max_obs, cfg.p_max_relay, placement, budget)
-            if res.stalled:
-                break
-            placement = res.placement
+        placement = p7_steps(sc, budget, state_at(sc, budget, placement, [0.5, 0.5]),
+                             25)[1].placement
         assert abs(placement.q_obs[1]) <= 1e-4
         assert abs(placement.q_relay[1]) <= 1e-4
 
     def test_solved_placement_never_lands_on_a_zero_length_hop(self):
-        # With equal UAV heights, P7 parks the relay exactly on the
-        # observation UAV in the seed-402 instance; neither the exact
-        # objective at the solved placement nor an extrapolation trial may
-        # evaluate a zero-distance FSPL link, in any scheme that moves UAVs.
+        # Equal UAV heights and a slack relay link, where the solver once
+        # parked the relay exactly on the observation UAV (seed 402).  It no
+        # longer does: the least squared hop length measured in these runs is
+        # about 7e-5 m^2.  Kept as a smoke test that no scheme moving UAVs
+        # warns here.
         for seed in (402, 0):
             cfg = table2_config(num_users_U=4, p_max_user=0.07544382766336744,
                                 p_max_obs=0.0053464976862074584,
@@ -705,28 +745,22 @@ class TestSolveP7:
 
     def test_exact_objective_ascends(self):
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
-        cfg = sc.config
-        budget = make_link_budget(cfg)
+        budget = make_link_budget(sc.config)
         state = initialize_state(sc)
         prev, _ = exact_fill_objective(sc, budget, state.x, state.p_user,
                                        state.p_obs, state.p_relay, state.placement)
-        placement = state.placement
         for _ in range(15):
-            res = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
-                           placement, budget)
+            res = solve_p7(sc, state, budget)
             assert res.exact_objective >= prev - 1e-12
             prev = res.exact_objective
-            placement = res.placement
+            state = dataclasses.replace(state, placement=res.placement, r_tilde=res.r_tilde)
             if res.stalled:
                 break
 
     def test_lb_objective_below_exact(self):
         sc = generate_scenario(table2_config(num_users_U=3, rng_seed=4))
-        cfg = sc.config
-        budget = make_link_budget(cfg)
-        state = initialize_state(sc)
-        res = solve_p7(sc, state.x, state.p_user, state.p_obs, state.p_relay,
-                       state.placement, budget)
+        budget = make_link_budget(sc.config)
+        res = solve_p7(sc, initialize_state(sc), budget)
         assert res.lb_objective <= res.exact_objective + 1e-9
 
     def test_single_user_observation_moves_toward_user(self):
@@ -736,14 +770,8 @@ class TestSolveP7:
                             p_max_relay=50.0)
         sc = generate_scenario(cfg)
         budget = make_link_budget(cfg)
-        x = np.array([1.0])
-        p = np.array([cfg.p_max_user])
         placement = UavPlacement(q_obs=[-400.0, 120.0], q_relay=[-1250.0, 0.0])
-        for _ in range(40):
-            res = solve_p7(sc, x, p, cfg.p_max_obs, cfg.p_max_relay, placement, budget)
-            if res.stalled:
-                break
-            placement = res.placement
+        placement = p7_steps(sc, budget, state_at(sc, budget, placement, [1.0]), 40)[1].placement
         assert np.linalg.norm(placement.q_obs) < 40.0
 
     def test_accepted_move_is_extrapolated_past_the_solved_point(self):
@@ -762,7 +790,7 @@ class TestSolveP7:
         at_qi, _ = exact_fill_objective(sc, budget, *args, q_i)
         at_solved, _ = exact_fill_objective(sc, budget, *args, solved)
 
-        res = solve_p7(sc, *args, q_i, budget)
+        res = solve_p7(sc, state, budget)
         assert not res.stalled
         assert res.exact_objective >= at_solved > at_qi
         assert res.lb_objective <= res.exact_objective
@@ -780,26 +808,19 @@ class TestSolveP7:
         sc = generate_scenario(table2_config(num_users_U=4, rng_seed=21))
         budget = make_link_budget(sc.config)
         state = initialize_state(sc)
-        args = (state.x, state.p_user, state.p_obs, state.p_relay)
-        placement = state.placement
         for _ in range(40):
-            res = solve_p7(sc, *args, placement, budget)
+            res = solve_p7(sc, state, budget)
             if res.stalled:
                 break
-            placement = res.placement
+            state = dataclasses.replace(state, placement=res.placement, r_tilde=res.r_tilde)
         assert res.stalled
-        assert res.placement is placement
-        assert res.exact_objective == exact_fill_objective(sc, budget, *args, placement)[0]
+        assert res.placement is state.placement and res.r_tilde is state.r_tilde
+        assert res.exact_objective == exact_fill_objective(
+            sc, budget, state.x, state.p_user, state.p_obs, state.p_relay, state.placement)[0]
 
-    def test_extrapolation_stops_before_a_zero_length_hop(self, monkeypatch):
-        # Equal heights; the solve (stubbed) halves the relay's offset from
-        # the observation UAV, so the doubled move would land the relay on it.
-        sc = generate_scenario(table2_config(num_users_U=4, height_obs_Ho=120.0,
-                                             height_relay_Hr=120.0, area_side=0.0))
-        cfg = sc.config
-        budget = make_link_budget(cfg)
-        q_i = UavPlacement(q_obs=[0.0, 0.0], q_relay=[1000.0, 0.0])
-        solved = UavPlacement(q_obs=[0.0, 0.0], q_relay=[500.0, 0.0])
+    @staticmethod
+    def stub_solved_placement(monkeypatch, solved):
+        """Make every P7 solve report the placement solved."""
         solve = subproblems.solve_concave
 
         def stub(program, start, tol):
@@ -808,13 +829,70 @@ class TestSolveP7:
             return report
 
         monkeypatch.setattr(subproblems, "solve_concave", stub)
-        args = (np.full(4, 0.25), np.full(4, cfg.p_max_user), cfg.p_max_obs, cfg.p_max_relay)
-        at_qi, _ = exact_fill_objective(sc, budget, *args, q_i)
+
+    @staticmethod
+    def equal_heights_start():
+        """Equal UAV heights, the users at the origin and the relay 1000 m
+        beyond them from the GBS: (scenario, budget, state)."""
+        sc = generate_scenario(table2_config(num_users_U=4, height_obs_Ho=120.0,
+                                             height_relay_Hr=120.0, area_side=0.0))
+        budget = make_link_budget(sc.config)
+        q_i = UavPlacement(q_obs=[0.0, 0.0], q_relay=[1000.0, 0.0])
+        return sc, budget, state_at(sc, budget, q_i, np.full(4, 0.25))
+
+    def test_extrapolation_stops_before_a_zero_length_hop(self, monkeypatch):
+        # The solve (stubbed) halves the relay's offset from the observation
+        # UAV, so the doubled move would land the relay on it.
+        sc, budget, state = self.equal_heights_start()
+        solved = UavPlacement(q_obs=[0.0, 0.0], q_relay=[500.0, 0.0])
+        self.stub_solved_placement(monkeypatch, solved)
+        at_qi = average_utility(state.r_tilde, utility_params(sc.config))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res = solve_p7(sc, *args, q_i, budget)
+            res = solve_p7(sc, state, budget)
         assert res.exact_objective > at_qi
         assert np.array_equal(res.placement.q_relay, solved.q_relay)
+
+    def test_a_solved_zero_length_hop_stalls_the_step(self, monkeypatch):
+        # The solve (stubbed) parks the relay on the observation UAV, where
+        # the chain's backhaul cap would be higher than at q_i: the solved
+        # point is no candidate, and the step stalls at q_i.
+        sc, budget, state = self.equal_heights_start()
+        solved = UavPlacement(q_obs=[0.0, 0.0], q_relay=[0.0, 0.0])
+        near = UavPlacement(q_obs=[0.0, 0.0], q_relay=[-1e-3, 0.0])
+        args = (state.x, state.p_user, state.p_obs, state.p_relay)
+        at_qi = average_utility(state.r_tilde, utility_params(sc.config))
+        assert exact_fill_objective(sc, budget, *args, near)[0] > at_qi
+        self.stub_solved_placement(monkeypatch, solved)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve_p7(sc, state, budget)
+        assert res.stalled
+        assert res.placement is state.placement and res.r_tilde is state.r_tilde
+        assert res.exact_objective == at_qi
+
+    def test_extrapolation_stops_at_the_placement_box(self, monkeypatch):
+        # At table2 U=30 the step extrapolates past q* (see above).  With the
+        # box's half-side between q*'s largest coordinate and the doubled
+        # move's, the step ends at q* itself.
+        sc = generate_scenario(table2_config(num_users_U=30, rng_seed=0))
+        cfg = sc.config
+        budget = make_link_budget(cfg)
+        state = initialize_state(sc)
+        coeffs = sca_coefficients(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+                                  state.placement, budget)
+        report = solve_concave(*_p7_program(sc, coeffs, state.x), cfg.sca_tol)
+        solved = report.solution[:4] * subproblems._POS_SCALE
+        origin = np.concatenate(state.placement.uavs)
+        reach, doubled = np.abs(solved).max(), np.abs(2.0 * solved - origin).max()
+        assert not solve_p7(sc, state, budget).stalled and doubled > reach
+        monkeypatch.setattr(subproblems, "solve_concave", lambda program, start, tol: report)
+        monkeypatch.setattr(subproblems, "placement_extent", lambda cfg: 0.5 * (reach + doubled))
+        res = solve_p7(sc, state, budget)
+        assert not res.stalled
+        assert np.array_equal(np.concatenate(res.placement.uavs), solved)
+        assert res.exact_objective == exact_fill_objective(
+            sc, budget, state.x, state.p_user, state.p_obs, state.p_relay, res.placement)[0]
 
 
 class TestEmittedProgramGradients:
