@@ -144,18 +144,16 @@ def _persp_ratio(x, c):
 
 
 def _persp_rate(x, c):
-    """Vectorized x * log2(1 + c/x) for x > 0, c >= 0, safe for huge c/x."""
-    x = np.asarray(x, dtype=float)
-    c = np.asarray(c, dtype=float)
-    s, big = _persp_ratio(x, c)
-    out = np.empty(np.broadcast(x, c).shape)
-    ok = ~big
-    out[ok] = (x * np.log1p(np.where(big, 0.0, s)))[ok] / LN2
-    if np.any(big):
-        xb = np.broadcast_to(x, out.shape)[big]
-        cb = np.broadcast_to(c, out.shape)[big]
-        out[big] = xb * (np.log(cb) - np.log(xb)) / LN2
-    return out
+    """Vectorized x * log2(1 + c/x) for x > 0, c >= 0: where c/x is not <= 1e280
+    (overflow, or a NaN input) it is x (ln c - ln x)/ln2, as log1p rounds there."""
+    x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
+    with np.errstate(over="ignore"):
+        s = c / x
+    out = x * np.log1p(s) / LN2
+    if s.max() <= 1e280:        # False if any s is NaN
+        return out
+    with np.errstate(divide="ignore"):      # ln 0 where c = 0, not taken
+        return np.where(s <= 1e280, out, x * (np.log(c) - np.log(x)) / LN2)
 
 
 def rate_agu(x_u, P_u, q_obs, w_u, budget: LinkBudget, Ho) -> float:

@@ -15,11 +15,13 @@ own Newton direction (kept positive by a fraction-to-boundary rule), and
 backtracks both by Armijo on the barrier value at t.  With the multipliers on
 the central path this step is the log-barrier Newton step; a failed line
 search returns them there.  The solve stops once t is at its cap and the
-Newton decrement is below tolerance; a P7 solve takes about 10 Newton steps
-at U <= 30, 12 at U = 100 and 36 at U = 1000.  The caller supplies a strictly
-interior start with a finite objective.  Each line-search trial builds every
-slack in one vector and takes one log over it; each accepted point keeps that
-vector and derives its gradients once, from the slacks' reciprocals.
+Newton decrement is below tolerance (status converged), where the line
+search fails at the capped t (stalled), or after _MAX_NEWTON steps
+(max_iters); a P7 solve takes about 10 Newton steps at U <= 30, 12 at
+U = 100 and 36 at U = 1000.  The caller supplies a strictly interior start
+with a finite objective.  Each line-search trial builds every slack in one
+vector and takes one log over it; each accepted point keeps that vector and
+derives its gradients once, from the slacks' reciprocals.
 
 Every program declares the shape of its Hessian by its border, a count b:
 the first b variables form a dense border coupled to every block, and each
@@ -142,7 +144,7 @@ class SolveReport:
     objective: float
     kkt_residual: float
     barrier_iterations: int
-    status: str                      # converged | max_iters
+    status: str                      # converged | stalled | max_iters
     stage_objectives: list = field(default_factory=list)
 
 
@@ -346,7 +348,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     # Every accepted iterate is strictly interior (the line search rejects
     # the rest), so the report needs only the optimality measure.
     kkt = max(gap, 0.5 * decrement)
-    status = "converged" if kkt <= tol else "max_iters"
+    status = "converged" if kkt <= tol else "max_iters" if steps == _MAX_NEWTON else "stalled"
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
                        barrier_iterations=steps, status=status,
                        stage_objectives=stage_objectives)

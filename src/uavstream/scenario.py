@@ -114,7 +114,7 @@ class UavPlacement:
             q = np.asarray(getattr(self, name), dtype=float)
             if q.shape != (2,):
                 raise ValueError("UAV positions must be 2-D ground coordinates")
-            if not np.all(np.isfinite(q)):
+            if not (math.isfinite(q[0]) and math.isfinite(q[1])):
                 raise ValueError("UAV positions must be finite")
             object.__setattr__(self, name, q)
 
@@ -140,12 +140,12 @@ class Scenario:
             raise ConfigError(
                 f"expected {cfg.num_users_U} AGU positions, got shape {self.agu_pos_wu.shape}")
         half = cfg.area_side / 2.0
-        if np.any(np.abs(self.agu_pos_wu) > half + 1e-9):
+        if (np.abs(self.agu_pos_wu) > half + 1e-9).any():
             raise ConfigError("AGU positions fall outside the deployment square")
+        # np.allclose's tolerances, written out; a NaN is never close.
         expected_gbs = np.array([-cfg.network_size_D, 0.0])
-        if not np.allclose(self.gbs_pos_wb, expected_gbs):
-            raise ConfigError(
-                f"GBS must sit at {expected_gbs}, got {self.gbs_pos_wb}")
+        if not (np.abs(self.gbs_pos_wb - expected_gbs) <= 1e-8 + 1e-5 * np.abs(expected_gbs)).all():
+            raise ConfigError(f"GBS must sit at {expected_gbs}, got {self.gbs_pos_wb}")
 
 
 def generate_scenario(config: SystemConfig) -> Scenario:
@@ -163,15 +163,15 @@ def hop_offsets(scenario: Scenario, placement: UavPlacement):
     through the relay UAV (if placed) to the ground BS.  Each hop is
     transmitted by the UAV it starts at."""
     cfg = scenario.config
-    uavs = placement.uavs
-    heights = (cfg.height_obs_Ho, cfg.height_relay_Hr)[:len(uavs)] + (cfg.height_gbs_Hb,)
-    return np.diff(np.array(uavs + (scenario.gbs_pos_wb,)), axis=0), np.diff(heights)
+    nodes = np.array(placement.uavs + (scenario.gbs_pos_wb,))
+    heights = (cfg.height_obs_Ho, cfg.height_relay_Hr)[:len(nodes) - 1] + (cfg.height_gbs_Hb,)
+    return nodes[1:] - nodes[:-1], np.array([b - a for a, b in zip(heights, heights[1:])])
 
 
 def hop_dist2(scenario: Scenario, placement: UavPlacement) -> np.ndarray:
     """Squared 3-D length of each backhaul hop."""
     offsets, gaps = hop_offsets(scenario, placement)
-    return gaps ** 2 + np.sum(offsets ** 2, axis=1)
+    return gaps * gaps + (offsets * offsets).sum(axis=1)
 
 
 def distances(scenario: Scenario, placement: UavPlacement, user_index: int):

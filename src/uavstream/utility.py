@@ -38,6 +38,6 @@ def average_utility(R_eff_list, params: UtilityParams) -> float:
     rates = np.asarray(R_eff_list, dtype=float)
     if rates.size == 0:
         raise ValueError("need at least one user rate")
-    if np.any(rates <= 0):
+    if (rates <= 0).any():
         raise ValueError("utility undefined for non-positive rates")
-    return float(params.theta * np.mean(np.log(params.beta * rates / params.rbar)))
+    return float(params.theta * (np.log(params.beta * rates / params.rbar).sum() / rates.size))

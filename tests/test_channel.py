@@ -8,8 +8,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ive
 
-from uavstream.channel import (LinkBudget, marcum_q1, outage_probability, rate_agu, rate_gbs,
-                               rate_relay, rician_cdf, rician_cdf_inverse)
+from uavstream.channel import (LinkBudget, _persp_rate, marcum_q1, outage_probability, rate_agu,
+                               rate_gbs, rate_relay, rician_cdf, rician_cdf_inverse)
 
 
 def marcum_q1_quadrature(a, b):
@@ -249,6 +249,56 @@ class TestGainAndRates:
     def test_zero_powers(self):
         assert rate_relay(0.0, [0, 0], [100, 0], 1e8, 100.0, 100.0) == 0.0
         assert rate_gbs(0.0, [0, 0], [-2500, 0], 1e8, 100.0, 20.0) == 0.0
+
+
+def persp_rate_reference(x, c):
+    """x log2(1 + c/x) by scalar math.log: log1p where c/x is finite, and
+    ln c - ln x where it overflows."""
+    x, c = float(x), float(c)
+    if c == 0.0:
+        return 0.0
+    s = c / x
+    return x * (math.log1p(s) if math.isfinite(s) else math.log(c) - math.log(x)) / math.log(2.0)
+
+
+class TestPerspRate:
+    @pytest.mark.parametrize("x,c", [
+        (1e-200, 1e90),          # c/x = 1e290: finite, above 1e280
+        (1e-10, 1e275),          # 1e285
+        (1e-300, 1e10),          # c/x overflows to inf
+        (1e-300, 1e300),
+        (0.3, 1e308),            # c/x overflows at a plain share
+    ])
+    def test_overflow_branch_against_scalar_logs(self, x, c):
+        got = _persp_rate(x, c)
+        assert got.shape == ()
+        assert float(got) == pytest.approx(persp_rate_reference(x, c), rel=1e-14)
+        assert math.isfinite(float(got)) and float(got) > 0.0
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-12, 0.5, 1.0])
+    def test_zero_constant_gives_zero(self, x):
+        assert float(_persp_rate(x, 0.0)) == 0.0
+        assert _persp_rate(np.full(3, x), np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+
+    def test_mixed_array_overflows_only_where_it_must(self):
+        x = np.array([0.5, 1e-300, 0.2, 1e-200, 1e-3, 1e-300, 0.7])
+        c = np.array([3.0, 1e10, 0.0, 1e90, 1e-9, 1e-30, 1e308])
+        got = _persp_rate(x, c)
+        expected = [persp_rate_reference(a, b) for a, b in zip(x, c)]
+        assert got.shape == x.shape
+        assert got == pytest.approx(expected, rel=1e-14)
+        assert got[2] == 0.0
+        # Entries whose c/x stays at or below 1e280 keep the log1p formula
+        # exactly; the overflow fix-up leaves them alone.
+        with np.errstate(over="ignore"):
+            fine = c / x <= 1e280
+        assert fine.tolist() == [True, False, True, False, True, True, False]
+        assert np.array_equal(got[fine], x[fine] * np.log1p(c[fine] / x[fine]) / math.log(2.0))
+
+    def test_broadcasts_a_scalar_share(self):
+        c = np.array([0.0, 1.0, 1e305])
+        got = _persp_rate(1e-10, c)
+        assert got == pytest.approx([persp_rate_reference(1e-10, b) for b in c], rel=1e-14)
 
 
 class TestOutage:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from uavstream import convex_core
 from uavstream.convex_core import (_MAX_NEWTON, _RIDGE0, BlockCurvature, BlockJacobian,
                                    ConcaveProgram, NumericError, _BlockHessian, _block_hessian,
                                    _pieces, _solve_spd, _terms, solve_concave)
@@ -396,3 +397,16 @@ def test_failed_line_searches_end_in_a_finite_report():
     assert np.array_equal(report.solution, start)
     assert report.objective == objective(start)
     assert math.isfinite(report.kkt_residual) and report.barrier_iterations < _MAX_NEWTON
+    assert report.kkt_residual > 1e-9 and report.status == "stalled"
+
+
+def test_a_spent_step_budget_ends_in_max_iters(monkeypatch):
+    # A well-posed program cut off after two Newton steps.
+    monkeypatch.setattr(convex_core, "_MAX_NEWTON", 2)
+    program = border_only(
+        n=1, objective=lambda v: -10.0 * float((v[0] - 0.9) ** 2),
+        gradient=lambda v: -20.0 * (v - 0.9),
+        constraints=lambda v: np.zeros(0), constraint_jac=lambda v: np.zeros((0, 1)),
+        lower=np.zeros(1), upper=np.ones(1), curvature=lambda v, w: np.array([[-20.0]]))
+    report = solve_concave(program, np.array([0.5]), 1e-9)
+    assert report.barrier_iterations == 2 and report.status == "max_iters"

@@ -7,8 +7,8 @@ import pytest
 
 from uavstream.scenario import (ConfigError, Scenario, SystemConfig, UavPlacement,
                                 db_to_linear, dbm_per_hz_to_linear, distances,
-                                format_config, generate_scenario, parse_config_text,
-                                table2_config, with_overrides)
+                                format_config, generate_scenario, hop_dist2, hop_offsets,
+                                parse_config_text, table2_config, with_overrides)
 
 
 class TestSystemConfig:
@@ -90,6 +90,64 @@ class TestGenerateScenario:
         with pytest.raises(ConfigError):
             Scenario(config=cfg, gbs_pos_wb=[-1000.0, 0.0],
                      agu_pos_wu=[[0.0, 0.0], [10.0, 0.0]])    # GBS mismatch
+
+    @pytest.mark.parametrize("gbs,ok", [
+        ([-2500.0 + 0.02, 1e-8], True),     # within 1e-8 + 1e-5 |expected|
+        ([-2500.0 + 0.03, 0.0], False), ([-2500.0, 2e-8], False),
+        ([float("nan"), 0.0], False), ([-2500.0, float("inf")], False),
+    ])
+    def test_gbs_position_check(self, gbs, ok):
+        # np.allclose's tolerances against the expected (-D, 0); a NaN or an
+        # inf is never close.
+        cfg = table2_config(num_users_U=1, area_side=0.0)
+        assert ok == np.allclose(gbs, [-2500.0, 0.0])
+        if ok:
+            Scenario(config=cfg, gbs_pos_wb=gbs, agu_pos_wu=[[0.0, 0.0]])
+        else:
+            with pytest.raises(ConfigError, match="GBS"):
+                Scenario(config=cfg, gbs_pos_wb=gbs, agu_pos_wu=[[0.0, 0.0]])
+
+
+class TestUavPlacement:
+    @pytest.mark.parametrize("bad", [
+        [float("nan"), 0.0], [0.0, float("nan")], [float("inf"), 0.0], [0.0, -float("inf")],
+        [0.0, 0.0, 0.0], [0.0], [[0.0, 0.0]], 0.0,
+    ])
+    @pytest.mark.parametrize("field", ["q_obs", "q_relay"])
+    def test_bad_position_rejected(self, bad, field):
+        positions = {"q_obs": [1.0, 2.0], "q_relay": [-3.0, 4.0], field: bad}
+        with pytest.raises(ValueError, match="UAV positions"):
+            UavPlacement(**positions)
+
+    def test_positions_become_float_arrays(self):
+        placement = UavPlacement([1, 2], [3, 4])
+        assert placement.q_obs.dtype == placement.q_relay.dtype == np.float64
+        assert placement.uavs[1].tolist() == [3.0, 4.0]
+        assert UavPlacement([1, 2]).q_relay is None
+
+    @pytest.mark.parametrize("relay", [True, False])
+    def test_hop_geometry_matches_its_np_diff_definition(self, relay):
+        rng = np.random.default_rng(3)
+        for seed in range(40):
+            heights = rng.uniform(20.0, 300.0, 3)
+            sc = generate_scenario(table2_config(
+                num_users_U=2, rng_seed=seed, height_obs_Ho=heights[0],
+                height_relay_Hr=heights[1], height_gbs_Hb=heights[2],
+                network_size_D=rng.uniform(10.0, 8000.0)))
+            cfg = sc.config
+            q = rng.uniform(-9000.0, 9000.0, 4)
+            placement = UavPlacement(q[:2], q[2:] if relay else None)
+            # The definition: differences along the chain of nodes, the
+            # observation UAV, the relay (if placed), then the GBS.
+            uavs = placement.uavs
+            offsets = np.diff(np.array(uavs + (sc.gbs_pos_wb,)), axis=0)
+            gaps = np.diff((cfg.height_obs_Ho, cfg.height_relay_Hr)[:len(uavs)]
+                           + (cfg.height_gbs_Hb,))
+            got_offsets, got_gaps = hop_offsets(sc, placement)
+            assert got_offsets.shape == (len(uavs), 2) and got_gaps.shape == (len(uavs),)
+            assert np.array_equal(got_offsets, offsets) and np.array_equal(got_gaps, gaps)
+            assert np.array_equal(hop_dist2(sc, placement),
+                                  gaps ** 2 + np.sum(offsets ** 2, axis=1))
 
 
 class TestDistances:

@@ -76,3 +76,15 @@ class TestAverageUtility:
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
             average_utility([1.0, 0.0], PARAMS)
+
+    def test_equals_the_mean_of_user_logs_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for U in (1, 2, 7, 30, 200, 1000):
+            rates = 10.0 ** rng.uniform(-6, 2, U)
+            expected = float(PARAMS.theta * np.mean(np.log(PARAMS.beta * rates / PARAMS.rbar)))
+            assert average_utility(rates, PARAMS) == expected
+
+    def test_nan_rate_propagates_and_does_not_hide_a_negative_one(self):
+        assert math.isnan(average_utility([1.0, float("nan")], PARAMS))
+        with pytest.raises(ValueError):
+            average_utility([float("nan"), -1.0], PARAMS)
