@@ -136,13 +136,6 @@ def rician_cdf_inverse(rho: float, K: float, tol: float = 1e-10) -> float:
     return 0.5 * (z_lo + z_hi)
 
 
-def _persp_ratio(x, c):
-    """c/x, with the overflow region (c/x = inf or > 1e280) flagged."""
-    with np.errstate(over="ignore", divide="ignore"):
-        s = np.where(c > 0, c / x, 0.0)
-    return s, ~np.isfinite(s) | (s > 1e280)
-
-
 def _persp_rate(x, c):
     """Vectorized x * log2(1 + c/x) for x > 0, c >= 0: where c/x is not <= 1e280
     (overflow, or a NaN input) it is x (ln c - ln x)/ln2, as log1p rounds there."""

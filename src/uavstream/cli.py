@@ -17,13 +17,13 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .convex_core import NumericError
-from .orchestrator import SCHEMES, run_benchmark
+from .orchestrator import SCHEMES, run_algorithm1, run_benchmark
 from .scenario import (ConfigError, SystemConfig, generate_scenario,
-                       load_config, save_config, table2_config, with_overrides)
+                       load_config, save_config, table2_config)
 from .subproblems import InfeasibleProblem
 
 SWEEP_VARS = ("num_users", "power_budget", "rho", "network_size_D")
@@ -73,16 +73,15 @@ class SweepSpec:
 
 def apply_sweep_value(config: SystemConfig, variable: str, value: float) -> SystemConfig:
     if variable == "num_users":
-        return with_overrides(config, num_users_U=int(round(value)))
+        return replace(config, num_users_U=int(round(value)))
     if variable == "power_budget":
         # One axis drives all three budgets, scaled by their preset ratios.
         factor = value / config.p_max_user
-        return with_overrides(config, p_max_user=value,
-                              p_max_obs=config.p_max_obs * factor,
-                              p_max_relay=config.p_max_relay * factor)
+        return replace(config, p_max_user=value, p_max_obs=config.p_max_obs * factor,
+                       p_max_relay=config.p_max_relay * factor)
     if variable == "rho":
-        return with_overrides(config, outage_target_rho=value)
-    return with_overrides(config, network_size_D=value)
+        return replace(config, outage_target_rho=value)
+    return replace(config, network_size_D=value)
 
 
 def _run_scenario(args):
@@ -98,7 +97,7 @@ def _run_scenario(args):
     """
     base_config, variable, value, seed, schemes = args
     t0 = time.perf_counter()
-    cfg = with_overrides(apply_sweep_value(base_config, variable, value), rng_seed=seed)
+    cfg = replace(apply_sweep_value(base_config, variable, value), rng_seed=seed)
     scenario = generate_scenario(cfg)
     setup_s = time.perf_counter() - t0
     start, start_s, rows = (), 0.0, []
@@ -132,9 +131,8 @@ def read_rows(path):
 
 
 def cmd_converge(config: SystemConfig, seed: int, out_path: Path) -> int:
-    cfg = with_overrides(config, rng_seed=seed)
+    cfg = replace(config, rng_seed=seed)
     scenario = generate_scenario(cfg)
-    from .orchestrator import run_algorithm1
     result = run_algorithm1(scenario)
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -30,18 +30,16 @@ touches that block and the border; a few dense coupling rows follow the
 local ones.  Its Jacobian and curvature callbacks answer in block form (the
 curvature is a diagonal plus a border matrix), and each Newton step is
 solved by block elimination of the border plus a Sherman-Morrison-Woodbury
-correction for the coupling rows, in O(n) time and memory, split into a
-factor (the blocks' pivots and one small system in the border and the
-coupling rows) and a solve (a few matrix-vector products and one small
-dense solve), so one factor serves several right-hand sides.  A ridge keeps
-the step downhill (see _solve_spd).  A generic program declares border = n:
-no blocks, and every row a coupling row.
+correction for the coupling rows, in O(n) time and memory: one small dense
+system in the border and the coupling rows per step (see _solve_spd, whose
+ridge keeps the step downhill).  A generic program declares border = n: no
+blocks, and every row a coupling row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,10 +54,6 @@ _MAX_NEWTON = 200      # Newton steps per solve
 
 class NumericError(RuntimeError):
     """A callback returned a non-finite value at an interior point."""
-
-    def __init__(self, message, point=None):
-        super().__init__(message if point is None else f"{message} at v={point}")
-        self.point = None if point is None else np.array(point)
 
 
 @dataclass
@@ -145,7 +139,6 @@ class SolveReport:
     kkt_residual: float
     barrier_iterations: int
     status: str                      # converged | stalled | max_iters
-    stage_objectives: list = field(default_factory=list)
 
 
 # The log barrier of a program: f, the log slacks and their derivatives.  Its
@@ -180,21 +173,38 @@ def _pieces(p: ConcaveProgram, v, inv_s):
     return grad_f, log_grad, J
 
 
-def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
-    """The Newton matrix (the Gauss-Newton part of the constraint terms with
-    weights gn = w/g, the box diagonal, and minus the program's curvature at
-    the multipliers w) as a _BlockHessian.  The local rows' terms take gn
-    directly; Uc^T, the coupling rows scaled by sqrt(gn), takes k roots."""
+def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
+    """The Newton step (H + ridge I)^{-1} rhs.  H is the Newton matrix: the
+    Gauss-Newton part of the constraint terms with weights gn = w/g, the box
+    diagonal, and minus the program's curvature at the multipliers w.
+
+    H = M + Uc Uc^T, where M is diagonal over the blocks except for the dense
+    border, and Uc^T is the coupling rows scaled by sqrt(gn).  With y = Uc^T d,
+    H d = rhs is the system in (d, y) with matrix [[M, Uc], [Uc^T, -I]].
+    Eliminating the blocks leaves one small system in the border step and y,
+    of size b + k: the border's Schur complement and the Woodbury capacitance
+    in one matrix.
+
+    The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
+    grows 100-fold while a block pivot is not positive, the small system is
+    singular, or the step d fails the curvature test rhs . d = d . (H + ridge
+    I) d >= 0, so that the step never points uphill, which is what the line
+    search needs.  The test stands in for a proof that H + ridge I is
+    positive definite (a curvature test in place of an inertia check, as in
+    Chiang & Zavala, Comput. Optim. Appl. 64, 2016).  On a concave program
+    with exact curvature, H's border Schur complement is at least the box
+    weights plus the ridge, and the first ridge passes both."""
     b, k = p.border, len(J.coupling)
     nb, size = p.n - b, b + k
     curv = p.curvature(v, w)
     diag = box - curv.diag
     gn_local = gn[:nb]
     cross = J.local * gn_local                  # each block's entries with the border
-    blocks = J.local * cross + diag[b:]
+    blocks = J.local * cross + diag[b:]         # M's diagonal over the blocks
     uc = J.coupling * np.sqrt(gn[nb:, None])    # Uc^T, (k, n)
     border = (J.border_part * gn_local) @ J.border_part.T - curv.border
     border.flat[::b + 1] += diag[:b]
+    # [[M's border, Uc on the border], [its transpose, -I]]
     system = np.zeros((size, size))
     system[:b, :b] = border
     system[:b, b:] = uc[:, :b].T
@@ -204,73 +214,28 @@ def _block_hessian(p: ConcaveProgram, v, J, w, gn, box):
     diagonal = gn[nb:] @ np.square(J.coupling)
     diagonal[:b] += border.diagonal()
     diagonal[b:] += blocks
+    # M's border-block entries, then Uc^T on the blocks: (b + k, nb).
     rows = np.concatenate((J.border_part * cross, uc[:, b:]))
-    return _BlockHessian(b, blocks, rows, system, float(np.abs(diagonal).max()))
-
-
-def _solve_spd(H, rhs):
-    """(H + ridge I)^{-1} rhs for a _BlockHessian H, which stays factored.
-    The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
-    grows 100-fold while the factorization fails or the step d fails the
-    curvature test rhs . d = d . (H + ridge I) d >= 0, so that the step never
-    points uphill, which is what the line search needs.  The test stands in
-    for a proof that H + ridge I is positive definite (a curvature test in
-    place of an inertia check, as in Chiang & Zavala, Comput. Optim. Appl.
-    64, 2016).  On a concave program with exact curvature, H's border Schur
-    complement is at least the box weights plus the ridge, and the first
-    ridge passes both."""
-    ridge = _RIDGE0 * max(1.0, H.scale)
+    ridge = _RIDGE0 * max(1.0, float(np.abs(diagonal).max()))
     for _ in range(12):
+        pivots = blocks + ridge
         try:
-            H.factor(ridge)
-            d = H.solve(rhs)
+            if pivots.size and pivots.min() <= 0:
+                raise np.linalg.LinAlgError("block not positive definite")
+            scaled = rows / pivots
+            small = system - scaled @ rows.T
+            small.flat[:b * (size + 1):size + 1] += ridge
+            q = rhs[b:] / pivots
+            small_rhs = -(rows @ q)
+            small_rhs[:b] += rhs[:b]
+            border_and_y = np.linalg.solve(small, small_rhs)
+            d = np.concatenate((border_and_y[:b], q - border_and_y @ scaled))
             if rhs @ d >= 0.0:
                 return d
         except np.linalg.LinAlgError:
             pass
         ridge *= 100.0
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
-
-
-@dataclass
-class _BlockHessian:
-    """H = M + Uc Uc^T, where M is diagonal over the blocks except for a
-    dense border (the first b variables) coupled to every block, and Uc has
-    k columns.
-
-    With y = Uc^T d, H d = rhs is the system in (d, y) with matrix
-    [[M, Uc], [Uc^T, -I]].  Eliminating the block variables leaves one small
-    system in the border step and y, of size b + k: the border's Schur
-    complement and the Sherman-Morrison-Woodbury capacitance in one matrix,
-    which factor(ridge) forms and every solve(rhs) solves.
-    """
-
-    border: int             # b
-    blocks: np.ndarray      # (nb,) M's diagonal over the blocks
-    rows: np.ndarray        # (b + k, nb) M's border-block entries, then Uc^T on the blocks
-    system: np.ndarray      # (b + k, b + k) [[M's border, Uc on the border], [its transpose, -I]]
-    scale: float            # the largest |H_ii|
-
-    def factor(self, ridge):
-        """Eliminate the blocks of H + ridge I.  Raises LinAlgError unless
-        the block pivots are positive."""
-        b, size = self.border, len(self.system)
-        self.pivots = self.blocks + ridge
-        if self.pivots.size and self.pivots.min() <= 0:
-            raise np.linalg.LinAlgError("block not positive definite")
-        self.scaled = self.rows / self.pivots
-        self.small = self.system - self.scaled @ self.rows.T
-        self.small.flat[:b * (size + 1):size + 1] += ridge
-
-    def solve(self, rhs):
-        """(H + ridge I)^{-1} rhs at the last factor's ridge; LinAlgError if
-        the small system is singular."""
-        b = self.border
-        q = rhs[b:] / self.pivots
-        small_rhs = -(self.rows @ q)
-        small_rhs[:b] += rhs[:b]
-        border_and_y = np.linalg.solve(self.small, small_rhs)
-        return np.concatenate((border_and_y[:b], q - border_and_y @ self.scaled))
 
 
 def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:
@@ -295,21 +260,16 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     gap = m / _GAP_SHRINK
     y = inv_s / _GAP_SHRINK
     central, undamped = True, False
-    stage_objectives, recorded_gap = [], gap
     steps = 0
     while steps < _MAX_NEWTON:
         if undamped:
             gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
-        if gap <= recorded_gap / _GAP_SHRINK:
-            stage_objectives.append(float(f))
-            recorded_gap = gap
         t = m / gap
         descent = grad_f - log_grad / t      # minus the barrier's gradient
         if not np.isfinite(descent).all():
-            raise NumericError("non-finite objective/constraint derivatives", v)
+            raise NumericError(f"non-finite objective/constraint derivatives at v={v}")
         weight = y * inv_s
-        H = _block_hessian(program, v, J, y[:k], weight[:k], weight[lo] + weight[hi])
-        d = _solve_spd(H, descent)
+        d = _solve_spd(program, v, J, y[:k], weight[:k], weight[lo] + weight[hi], descent)
         steps += 1
         decrement = float(descent @ d)
         if gap <= tol and decrement <= tol:
@@ -340,15 +300,13 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
         v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
         f, logs, s = terms
         if not math.isfinite(logs):      # a g of +inf, which 1/s would hide
-            raise NumericError("non-finite constraint value", v)
+            raise NumericError(f"non-finite constraint value at v={v}")
         inv_s = 1.0 / s
         grad_f, log_grad, J = _pieces(program, v, inv_s)
-    stage_objectives.append(float(f))
 
     # Every accepted iterate is strictly interior (the line search rejects
     # the rest), so the report needs only the optimality measure.
     kkt = max(gap, 0.5 * decrement)
     status = "converged" if kkt <= tol else "max_iters" if steps == _MAX_NEWTON else "stalled"
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
-                       barrier_iterations=steps, status=status,
-                       stage_objectives=stage_objectives)
+                       barrier_iterations=steps, status=status)

@@ -9,7 +9,7 @@ share across worker processes.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -287,8 +287,3 @@ def format_config(config: SystemConfig) -> str:
 def save_config(config: SystemConfig, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_config(config))
-
-
-def with_overrides(config: SystemConfig, **overrides) -> SystemConfig:
-    """Copy of config with selected fields replaced (re-validated)."""
-    return replace(config, **overrides)

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 
 from uavstream import subproblems
-from uavstream.channel import _persp_rate, _persp_ratio
+from uavstream.channel import _persp_rate
 from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
                                    NumericError, solve_concave)
 from uavstream.subproblems import (LN2, _links, _log_utility, _price_split, capped_fill,
@@ -54,6 +54,13 @@ def _slope_gap(s):
     small = np.minimum(s, 0.1)
     integral = 0.5 * small * small * (_WEIGHTS * tau / (1.0 + small[..., None] * tau) ** 2).sum(-1)
     return np.where(s < 0.1, integral, np.log1p(s) - s / (1.0 + s))
+
+
+def _persp_ratio(x, c):
+    """c/x, with the overflow region (c/x = inf or > 1e280) flagged."""
+    with np.errstate(over="ignore", divide="ignore"):
+        s = np.where(c > 0, c / x, 0.0)
+    return s, ~np.isfinite(s) | (s > 1e280)
 
 
 def _persp_dx(x, c):

@@ -172,7 +172,6 @@ def test_criterion_6_trends(user_count_table):
         assert means_u[0] >= means_u[1] >= means_u[2]
 
         from uavstream.cli import apply_sweep_value
-        from uavstream.scenario import with_overrides
 
         def joint_mean(variable=None, value=None, **overrides):
             vals = []
@@ -180,7 +179,7 @@ def test_criterion_6_trends(user_count_table):
                 cfg = table2_config(num_users_U=10, **overrides)
                 if variable is not None:
                     cfg = apply_sweep_value(cfg, variable, value)
-                sc = generate_scenario(with_overrides(cfg, rng_seed=seed))
+                sc = generate_scenario(dataclasses.replace(cfg, rng_seed=seed))
                 vals.append(run_algorithm1(sc).avg_utility)
             return float(np.mean(vals))
 

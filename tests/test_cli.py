@@ -315,12 +315,12 @@ class TestMainEntry:
         assert not out.exists()
 
     def test_infeasible_maps_to_exit_2(self, tmp_path, monkeypatch):
-        import uavstream.orchestrator as orch
+        import uavstream.cli as cli_mod
 
         def boom(scenario, initial_state=None):
             raise InfeasibleProblem("forced")
 
-        monkeypatch.setattr(orch, "run_algorithm1", boom)
+        monkeypatch.setattr(cli_mod, "run_algorithm1", boom)
         code = main(["converge", "--out", str(tmp_path / "c.csv")])
         assert code == 2
 

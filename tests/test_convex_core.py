@@ -6,14 +6,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uavstream import convex_core
 from uavstream.convex_core import (_MAX_NEWTON, _RIDGE0, BlockCurvature, BlockJacobian,
-                                   ConcaveProgram, NumericError, _BlockHessian, _block_hessian,
-                                   _pieces, _solve_spd, _terms, solve_concave)
+                                   ConcaveProgram, NumericError, _pieces, _solve_spd, _terms,
+                                   solve_concave)
 
 from dense_reference import border_only, border_only_twin, check_gradients, dense_newton_matrix
 
@@ -149,12 +150,6 @@ class TestClosedFormPrograms:
         assert report.status == "converged"
         assert np.allclose(report.solution, 0.5, atol=1e-6)
 
-    def test_stage_objectives_monotone(self):
-        report = solve_concave(waterfill_program(), start=np.array([0.05, 0.02]), tol=1e-10)
-        assert len(report.stage_objectives) >= 3
-        diffs = np.diff(report.stage_objectives)
-        assert np.all(diffs >= -1e-9)
-
     def test_feasibility_of_solution(self):
         program = waterfill_program()
         report = solve_concave(program, start=np.array([0.2, 0.2]), tol=1e-9)
@@ -275,30 +270,47 @@ class TestStructuredPrograms:
         # The central-path weights at t: the barrier's own Hessian.
         w = 1.0 / (t * g)
         box = 1.0 / (t * (v - program.lower) ** 2) + 1.0 / (t * (program.upper - v) ** 2)
-        d = _solve_spd(_block_hessian(program, v, J, w, w / g, box), -grad)
+        d = _solve_spd(program, v, J, w, w / g, box, -grad)
         H = dense_newton_matrix(program, v, g, w, box)
         assert np.linalg.norm(H @ d + grad) <= 1e-9 * np.linalg.norm(grad)
 
-    @pytest.mark.parametrize("coupled", [True, False])
-    def test_one_factor_solves_two_right_hand_sides(self, coupled):
-        # Off the central path (row and box weights scaled apart), as in a
-        # primal-dual step; a second solve reuses the first one's factor.
+    def off_path_system(self, coupled):
+        """A block program at START with row and box weights scaled apart,
+        as in a primal-dual step: (program, J, w, g, box)."""
         program, v, t = block_program(coupled), self.START, 10.0
         s = _terms(program, v)[2]
         g = s[:-2 * program.n]
         J = _pieces(program, v, 1.0 / s)[2]
         w = 0.7 / (t * g)
         box = 1.3 / (t * (v - program.lower) ** 2) + 0.6 / (t * (program.upper - v) ** 2)
-        H = _block_hessian(program, v, J, w, w / g, box)
-        ridge = _RIDGE0 * max(1.0, H.scale)
-        H.factor(ridge)
-        dense = dense_newton_matrix(program, v, g, w, box)
-        assert H.scale == pytest.approx(np.abs(np.diag(dense)).max(), rel=1e-12)
-        dense += ridge * np.eye(program.n)
+        return program, J, w, g, box
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_off_path_steps_solve_the_dense_system(self, coupled):
+        program, J, w, g, box = self.off_path_system(coupled)
+        dense = dense_newton_matrix(program, self.START, g, w, box)
+        dense += _RIDGE0 * max(1.0, np.abs(np.diag(dense)).max()) * np.eye(program.n)
         rng = np.random.default_rng(int(coupled))
         for rhs in rng.standard_normal((2, program.n)):
             expected = np.linalg.solve(dense, rhs)
-            assert np.linalg.norm(H.solve(rhs) - expected) <= 1e-9 * np.linalg.norm(expected)
+            d = _solve_spd(program, self.START, J, w, w / g, box, rhs)
+            assert np.linalg.norm(d - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("coupled", [True, False])
+    def test_ridge_scales_with_the_largest_diagonal_entry(self, coupled, monkeypatch):
+        # A first ridge of 1e-3 max |H_ii| moves the step by far more than
+        # the tolerance, so the comparison pins the ridge's scale.
+        monkeypatch.setattr(convex_core, "_RIDGE0", 1e-3)
+        program, J, w, g, box = self.off_path_system(coupled)
+        dense = dense_newton_matrix(program, self.START, g, w, box)
+        scale = np.abs(np.diag(dense)).max()
+        assert scale > 10.0
+        rhs = np.random.default_rng(int(coupled)).standard_normal(program.n)
+        d = _solve_spd(program, self.START, J, w, w / g, box, rhs)
+        for ridge, matches in ((1e-3 * scale, True), (1e-3, False), (0.0, False)):
+            expected = np.linalg.solve(dense + ridge * np.eye(program.n), rhs)
+            error = np.linalg.norm(d - expected) / np.linalg.norm(expected)
+            assert (error <= 1e-9) == matches, (ridge, error)
 
     def test_gradient_checker_reads_block_jacobians(self):
         err = check_gradients(block_program(), self.START, np.random.default_rng(0), n_points=20)
@@ -348,6 +360,18 @@ print("ok")
     assert _run_python(code, str(tmp_path)).stdout.strip().endswith("ok")
 
 
+def stub_step(border_matrix, block_diag, rhs):
+    """_solve_spd on a stub program whose Newton matrix is border_matrix on
+    the border and diag(block_diag) on the one-variable blocks, with zero
+    row and box weights, so that the curvature alone gives the matrix."""
+    b, nb = len(border_matrix), len(block_diag)
+    n = b + nb
+    curvature = BlockCurvature(-np.concatenate((np.zeros(b), block_diag)), -border_matrix)
+    program = SimpleNamespace(n=n, border=b, curvature=lambda v, w: curvature)
+    J = BlockJacobian(np.zeros(nb), np.zeros((0, n)), np.zeros((b, nb)))
+    return _solve_spd(program, np.zeros(n), J, np.zeros(nb), np.zeros(nb), np.zeros(n), rhs)
+
+
 class TestLastResortStep:
     """When every ridge fails, the Newton step is rhs / ridge: a scaled
     steepest-descent step.  The off-diagonal entries here exceed the largest
@@ -359,8 +383,7 @@ class TestLastResortStep:
     LAST_RIDGE = _RIDGE0 * 100.0 ** 12
 
     def test_structured_path(self):
-        H = _BlockHessian(2, np.zeros(0), np.zeros((2, 0)), self.H, 0.0)
-        assert np.allclose(_solve_spd(H, self.RHS), self.RHS / self.LAST_RIDGE,
+        assert np.allclose(stub_step(self.H, np.zeros(0), self.RHS), self.RHS / self.LAST_RIDGE,
                            rtol=1e-12, atol=0.0)
 
 
@@ -368,17 +391,16 @@ def test_ridge_grows_until_the_step_is_downhill():
     # H = diag(1, -1): the step along the second axis points uphill while
     # the ridge is below 1, and H + I is singular, so the first ridge that
     # passes the curvature test is 100.
-    H = _BlockHessian(2, np.zeros(0), np.zeros((2, 0)), np.diag([1.0, -1.0]), 1.0)
-    assert np.allclose(_solve_spd(H, np.array([0.0, 1.0])), [0.0, 1.0 / 99.0],
-                       rtol=1e-12, atol=0.0)
+    assert np.allclose(stub_step(np.diag([1.0, -1.0]), np.zeros(0), np.array([0.0, 1.0])),
+                       [0.0, 1.0 / 99.0], rtol=1e-12, atol=0.0)
 
 
 def test_a_negative_block_pivot_raises_the_ridge():
     # H = diag(1, -0.5), the second entry a one-variable block: its pivot
-    # -0.5 + ridge fails the factor until the ridge reaches 1 (100^5 times
-    # the first), the first whose pivot is positive.
-    H = _BlockHessian(1, np.array([-0.5]), np.zeros((1, 1)), np.array([[1.0]]), 1.0)
-    assert np.allclose(_solve_spd(H, np.array([1.0, 1.0])), [0.5, 2.0], rtol=1e-12, atol=0.0)
+    # -0.5 + ridge fails until the ridge reaches 1 (100^5 times the first),
+    # the first whose pivot is positive.
+    assert np.allclose(stub_step(np.array([[1.0]]), np.array([-0.5]), np.array([1.0, 1.0])),
+                       [0.5, 2.0], rtol=1e-12, atol=0.0)
 
 
 def test_failed_line_searches_end_in_a_finite_report():

@@ -1,6 +1,7 @@
 """Geometry, deployment determinism, and config ingestion."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from uavstream.scenario import (ConfigError, Scenario, SystemConfig, UavPlacement,
                                 db_to_linear, dbm_per_hz_to_linear, distances,
                                 format_config, generate_scenario, hop_dist2, hop_offsets,
-                                parse_config_text, table2_config, with_overrides)
+                                parse_config_text, table2_config)
 
 
 class TestSystemConfig:
@@ -266,4 +267,4 @@ class TestConfigIO:
 
     def test_with_overrides_revalidates(self):
         with pytest.raises(ConfigError):
-            with_overrides(table2_config(), outage_target_rho=2.0)
+            replace(table2_config(), outage_target_rho=2.0)

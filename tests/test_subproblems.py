@@ -11,8 +11,7 @@ from scipy.optimize import minimize
 from scipy.special import lambertw
 
 from uavstream.channel import _persp_rate, fspl_rate, rate_agu, rate_gbs, rate_relay
-from uavstream.convex_core import (NumericError, _block_hessian, _pieces, _solve_spd, _terms,
-                                   solve_concave)
+from uavstream.convex_core import NumericError, _pieces, _solve_spd, _terms, solve_concave
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream import subproblems
@@ -692,6 +691,30 @@ def test_nearly_equal_cap_slopes_are_solved():
         assert_p5_kkt(*args, *_price_split(*args))
 
 
+# A valid config where P5's Newton search stalls (ROADMAP item 2): link_cap
+# is 2.5e-5 and the users' c spread only 40x.  Every scheme runs there, but
+# P5 at the one-hop start raises.
+STALL_CONFIG = dict(
+    num_users_U=9, rng_seed=60, p_max_user=2.3824530059568693e-07,
+    p_max_obs=4.878956151634408e-07, p_max_relay=0.17493753079133112,
+    rician_K=7.666327896251448, outage_target_rho=0.20779167699705775,
+    area_side=3529.375580026726, network_size_D=1475.837205370863,
+    height_obs_Ho=225.06716163798467, height_relay_Hr=149.14324217504426)
+
+
+@pytest.mark.xfail(raises=NumericError, strict=True,
+                   reason="P5's Newton search stalls on this valid config")
+@pytest.mark.parametrize("call", ["solve_p5", "reduced_point"])
+def test_p5_at_the_one_hop_start_of_a_valid_config_is_solved(call):
+    sc = generate_scenario(table2_config(**STALL_CONFIG))
+    budget = make_link_budget(sc.config)
+    if call == "solve_p5":
+        state = initialize_state(sc, budget, relay=False)
+        solve_p5(sc, state.placement, state, budget).validate(sc, budget)
+    else:
+        reduced_point(sc, budget, sc.agu_pos_wu.mean(axis=0), relay=False)
+
+
 def test_p5_takes_few_share_passes_in_a_joint_run(monkeypatch):
     # Each Newton step of the one loop makes one _share_terms pass per trial
     # point; the nested loop made about 23 per non-flat P5 in this run.
@@ -1047,7 +1070,7 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     grad = log_grad / t - grad_f
     rng = np.random.default_rng(num_users) if duals == "off_path" else None
     w, box = off_path_weights(program, v, g, t, rng)
-    d_block = _solve_spd(_block_hessian(program, v, J, w, w / g, box), -grad)
+    d_block = _solve_spd(program, v, J, w, w / g, box, -grad)
 
     H = dense_newton_matrix(program, v, g, w, box)
     d_dense = dense_step(H, -grad)
