@@ -4,12 +4,17 @@ Primal-dual interior-point method (Boyd & Vandenberghe, Convex Optimization,
 section 11.7).  The barrier subproblem at t is: maximize
 f(v) + (1/t) * sum ln g_j(v), each side of the (finite) box contributing its
 own log term.  The method carries multipliers for the constraint rows and the
-box sides.  The caller's start is taken as the centre at t = 10, one barrier
-stage in (on the choice of t(0), section 11.3.1), with the multipliers on the
-central path there; after every step the line search did not shorten, t
-becomes 10 m / eta for the surrogate gap eta (multipliers times slacks),
-never falling and capped at m/tol.  Each iteration takes one Newton step on
-the barrier at t whose constraint weights are the multipliers (every program
+box sides.  A cold start takes the caller's point as the centre at t = 10,
+one barrier stage in (on the choice of t(0), section 11.3.1), with the
+multipliers on the central path there.  A warm start takes an iterate and
+its multipliers from an earlier solve's path, at t = m / eta, when that
+point is strictly inside this program (interior-point warm starts: Yildirim
+& Wright, SIAM J. Optim. 12, 2002; Gondzio & Grothey, SIAM J. Optim. 13,
+2003); each report carries its solve's first iterate at t >= 1e5 for the
+next.  After every step the line search did not shorten, t becomes
+10 m / eta for the surrogate gap eta (multipliers times slacks), never
+falling and capped at m/tol.  Each iteration takes one Newton step on the
+barrier at t whose constraint weights are the multipliers (every program
 supplies its exact combined curvature), updates the multipliers along their
 own Newton direction (kept positive by a fraction-to-boundary rule), and
 backtracks both by Armijo on the barrier value at t.  With the multipliers on
@@ -17,11 +22,12 @@ the central path this step is the log-barrier Newton step; a failed line
 search returns them there.  The solve stops once t is at its cap and the
 Newton decrement is below tolerance (status converged), where the line
 search fails at the capped t (stalled), or after _MAX_NEWTON steps
-(max_iters); a P7 solve takes about 10 Newton steps at U <= 30, 12 at
-U = 100 and 36 at U = 1000.  The caller supplies a strictly interior start
-with a finite objective.  Each line-search trial builds every slack in one
-vector and takes one log over it; each accepted point keeps that vector and
-derives its gradients once, from the slacks' reciprocals.
+(max_iters).  In a placement run, where each P7 solve is warm-started from
+the last, a P7 solve takes about 8 Newton steps at U <= 30, 10 at U = 100
+and 24 at U = 1000 (9-10, 13 and 36 cold).  The caller supplies a strictly
+interior start with a finite objective.  Each line-search trial builds every
+slack in one vector and takes one log over it; each accepted point keeps
+that vector and derives its gradients once, from the slacks' reciprocals.
 
 Every program declares the shape of its Hessian by its border, a count b:
 the first b variables form a dense border coupled to every block, and each
@@ -31,16 +37,17 @@ local ones.  Its Jacobian and curvature callbacks answer in block form (the
 curvature is a diagonal plus a border matrix), and each Newton step is
 solved by block elimination of the border plus a Sherman-Morrison-Woodbury
 correction for the coupling rows, in O(n) time and memory: one small dense
-system in the border and the coupling rows per step (see _solve_spd, whose
-ridge keeps the step downhill).  A generic program declares border = n: no
-blocks, and every row a coupling row.
+system in the border and the coupling rows per step.  The step is exact;
+only where it fails does a ridge keep it downhill (see _solve_spd).  A
+generic program declares border = n: no blocks, and every row a coupling
+row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +57,7 @@ _GAP_SHRINK = 10.0      # t = 10 m / eta
 _TO_BOUNDARY = 0.99     # fraction of the step to the multipliers' boundary
 _RIDGE0 = 1e-10
 _MAX_NEWTON = 200      # Newton steps per solve
+_WARM_GAP = 1e-5        # hand on the first iterate with m/t <= _WARM_GAP * m
 
 
 class NumericError(RuntimeError):
@@ -132,6 +140,15 @@ class ConcaveProgram:
             raise ValueError("a program's border must lie in [0, n]")
 
 
+class WarmStart(NamedTuple):
+    """An iterate of a solve's path: the point, the multipliers of every
+    slack (as _terms orders them) and the gap there."""
+
+    point: np.ndarray
+    multipliers: np.ndarray
+    gap: float
+
+
 @dataclass
 class SolveReport:
     solution: np.ndarray
@@ -139,6 +156,7 @@ class SolveReport:
     kkt_residual: float
     barrier_iterations: int
     status: str                      # converged | stalled | max_iters
+    warm: WarmStart | None = None    # the first iterate with gap <= _WARM_GAP * m
 
 
 # The log barrier of a program: f, the log slacks and their derivatives.  Its
@@ -174,9 +192,10 @@ def _pieces(p: ConcaveProgram, v, inv_s):
 
 
 def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
-    """The Newton step (H + ridge I)^{-1} rhs.  H is the Newton matrix: the
-    Gauss-Newton part of the constraint terms with weights gn = w/g, the box
-    diagonal, and minus the program's curvature at the multipliers w.
+    """The Newton step H^{-1} rhs, or (H + ridge I)^{-1} rhs where that
+    fails.  H is the Newton matrix: the Gauss-Newton part of the constraint
+    terms with weights gn = w/g, the box diagonal, and minus the program's
+    curvature at the multipliers w.
 
     H = M + Uc Uc^T, where M is diagonal over the blocks except for the dense
     border, and Uc^T is the coupling rows scaled by sqrt(gn).  With y = Uc^T d,
@@ -185,15 +204,19 @@ def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
     of size b + k: the border's Schur complement and the Woodbury capacitance
     in one matrix.
 
-    The ridge starts at _RIDGE0 times the largest |H_ii| (at least 1) and
-    grows 100-fold while a block pivot is not positive, the small system is
-    singular, or the step d fails the curvature test rhs . d = d . (H + ridge
-    I) d >= 0, so that the step never points uphill, which is what the line
-    search needs.  The test stands in for a proof that H + ridge I is
-    positive definite (a curvature test in place of an inertia check, as in
-    Chiang & Zavala, Comput. Optim. Appl. 64, 2016).  On a concave program
-    with exact curvature, H's border Schur complement is at least the box
-    weights plus the ridge, and the first ridge passes both."""
+    The system is solved unridged first.  A block pivot that is not
+    positive, a singular small system, or a step d that fails the curvature
+    test rhs . d = d . (H + ridge I) d >= 0 (the step must not point
+    uphill, which is what the line search needs) starts a ridge at _RIDGE0
+    times the largest |H_ii| (at least 1), computed only then, which grows
+    100-fold while any of the three fails.  The test stands in for a proof
+    that H + ridge I is positive definite (a curvature test in place of an
+    inertia check, as in Chiang & Zavala, Comput. Optim. Appl. 64, 2016).
+    On a concave program with exact curvature H is positive definite (its
+    border Schur complement is at least the box weights), and the unridged
+    step passes.  A ridge on every step would swamp curvature that is small
+    against the largest |H_ii|: P7's UAV coordinates when rates are about
+    1e-6."""
     b, k = p.border, len(J.coupling)
     nb, size = p.n - b, b + k
     curv = p.curvature(v, w)
@@ -210,14 +233,10 @@ def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
     system[:b, b:] = uc[:, :b].T
     system[b:, :b] = uc[:, :b]
     system.flat[b * (size + 1)::size + 1] = -1.0
-    # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
-    diagonal = gn[nb:] @ np.square(J.coupling)
-    diagonal[:b] += border.diagonal()
-    diagonal[b:] += blocks
     # M's border-block entries, then Uc^T on the blocks: (b + k, nb).
     rows = np.concatenate((J.border_part * cross, uc[:, b:]))
-    ridge = _RIDGE0 * max(1.0, float(np.abs(diagonal).max()))
-    for _ in range(12):
+    ridge = 0.0
+    for _ in range(13):
         pivots = blocks + ridge
         try:
             if pivots.size and pivots.min() <= 0:
@@ -234,36 +253,64 @@ def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
                 return d
         except np.linalg.LinAlgError:
             pass
-        ridge *= 100.0
+        if ridge:
+            ridge *= 100.0
+        else:
+            # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
+            diagonal = gn[nb:] @ np.square(J.coupling)
+            diagonal[:b] += border.diagonal()
+            diagonal[b:] += blocks
+            ridge = _RIDGE0 * max(1.0, float(np.abs(diagonal).max()))
     return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
 
 
-def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveReport:
+def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
+                  warm: WarmStart | None = None) -> SolveReport:
     """Maximize the program from a strictly interior start with a finite
     objective (ValueError otherwise); see the module docstring for the
     method.  At most _MAX_NEWTON Newton steps are taken.
+
+    warm, another solve's report.warm, is taken in place of the start when
+    its point is strictly inside this program and it has a multiplier for
+    each slack: the solve starts there with those multipliers, at gap
+    max(tol, y . s).  A warm start leaves the central path, so its first
+    failed line search returns the multipliers there.
     """
-    v = np.asarray(start, dtype=float).copy()
-    current = _terms(program, v)
-    if current is None or not math.isfinite(current[1]):
-        raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
+    current = None
+    if warm is not None and warm.point.shape == (program.n,):
+        current = _terms(program, warm.point)
+        if current is not None and (not math.isfinite(current[1])
+                                    or current[2].size != warm.multipliers.size):
+            current = None
+    if current is None:
+        warm, v = None, np.asarray(start, dtype=float).copy()
+        current = _terms(program, v)
+        if current is None or not math.isfinite(current[1]):
+            raise ValueError(f"solve_concave needs a strictly interior start ({program.name})")
+    else:
+        v = warm.point.copy()
     f, logs, s = current
     inv_s = 1.0 / s
     grad_f, log_grad, J = _pieces(program, v, inv_s)
     m, k = s.size, s.size - 2 * program.n      # m >= 2n: the k rows, then both box sides
     lo, hi = slice(k, k + program.n), slice(k + program.n, m)
-    # gap = m/t, floored at tol (t at its cap).  The start is taken as the
+    # gap = m/t, floored at tol (t at its cap).  A cold start is taken as the
     # centre at t = _GAP_SHRINK, one stage in, with the multipliers y on the
     # central path there.  gap follows the surrogate gap eta / _GAP_SHRINK,
     # but only after a step the line search did not shorten: while steps are
     # damped, t stays and the iterates centre as in a barrier stage.
-    gap = m / _GAP_SHRINK
-    y = inv_s / _GAP_SHRINK
-    central, undamped = True, False
+    if warm is None:
+        gap, y, central = m / _GAP_SHRINK, inv_s / _GAP_SHRINK, True
+    else:
+        y, central = warm.multipliers, False
+        gap = max(tol, float(y @ s))
+    undamped, handed_on = False, None
     steps = 0
     while steps < _MAX_NEWTON:
         if undamped:
             gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
+        if handed_on is None and gap <= _WARM_GAP * m:
+            handed_on = WarmStart(v.copy(), y, gap)
         t = m / gap
         descent = grad_f - log_grad / t      # minus the barrier's gradient
         if not np.isfinite(descent).all():
@@ -309,4 +356,4 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9) -> SolveRep
     kkt = max(gap, 0.5 * decrement)
     status = "converged" if kkt <= tol else "max_iters" if steps == _MAX_NEWTON else "stalled"
     return SolveReport(solution=v, objective=float(f), kkt_residual=float(kkt),
-                       barrier_iterations=steps, status=status)
+                       barrier_iterations=steps, status=status, warm=handed_on)

@@ -103,13 +103,15 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
     Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
     exact-objective gain of the run's last accepted step (|objective| before
     the first): a surrogate needs solving only as tightly as the steps still
-    gain, and late steps are solved tightly."""
+    gain, and late steps are solved tightly.  Each P7 solve is warm-started
+    from an iterate of the previous one's path (solve_p7's warm)."""
     cfg = scenario.config
     result = _start(scenario, state, scheme)
-    state, obj, gain = result.state, result.avg_utility, None
+    state, obj, gain, warm = result.state, result.avg_utility, None, None
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
-        p7 = solve_p7(scenario, state, budget, max(cfg.sca_tol, _SCA_KAPPA * scale))
+        p7 = solve_p7(scenario, state, budget, max(cfg.sca_tol, _SCA_KAPPA * scale), warm)
+        warm = p7.warm
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
         result.trace.add(step, p7.exact_objective, p7.lb_objective)
         converged = p7.exact_objective - obj < cfg.bcd_tol

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel import LinkBudget, _persp_rate, rician_cdf_inverse
 from .convex_core import (BlockCurvature, BlockJacobian, ConcaveProgram, NumericError,
-                          solve_concave)
+                          WarmStart, solve_concave)
 from .scenario import Scenario, SystemConfig, UavPlacement, hop_dist2, hop_offsets
 from .utility import UtilityParams, average_utility
 
@@ -593,6 +593,7 @@ class P7Result:
     stalled: bool
     lb_objective: float
     exact_objective: float
+    warm: WarmStart | None = None    # the surrogate solve's report.warm
 
 
 def placement_extent(cfg: SystemConfig) -> float:
@@ -662,13 +663,20 @@ def _p7_program(scenario, coeffs, x):
     slopes = -2.0 * quad
     row_hessians = slopes[:, None] * signs
 
+    # The offsets of the last constraints call, keyed by its UAV coordinates:
+    # the solver asks for the Jacobian at the trial it has just accepted.
+    last = [None, None]
+
     def offsets(v):
         """Every row's offset at v, (2, U + K): x, then y, in solver units."""
-        return v[:nb].reshape(K, 2).T @ moves - anchors
+        key = v[:nb].tobytes()
+        if key != last[0]:
+            last[:] = key, v[:nb].reshape(K, 2).T @ moves - anchors
+        return last[1]
 
     def constraints(v):
         squares = offsets(v)
-        squares *= squares
+        squares = squares * squares
         g = base - quad * (squares[0] + squares[1])
         r = v[sr]
         g[:U] -= r
@@ -702,7 +710,7 @@ def _p7_program(scenario, coeffs, x):
 
 
 def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None = None,
-             tol: float | None = None) -> P7Result:
+             tol: float | None = None, warm: WarmStart | None = None) -> P7Result:
     """One SCA placement step from state's placement q_i at state's resources.
 
     state holds its exact fill in r_tilde, as every state the package
@@ -719,7 +727,9 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
     and each candidate is one O(U log U) rate fill where a P7 solve takes
     tens of Newton steps.  lb_objective is the solve's surrogate value, below
     the exact objective at q* and hence at the returned placement.  tol is
-    the surrogate solve's gap tolerance, sca_tol by default.
+    the surrogate solve's gap tolerance, sca_tol by default.  warm, the
+    previous step's P7Result.warm, warm-starts the surrogate solve (see
+    solve_concave), and the result carries this solve's own for the next.
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
@@ -730,8 +740,8 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
         program, v0 = _p7_program(scenario, coeffs, state.x)
     except InfeasibleProblem:
         return P7Result(q_i, state.r_tilde, True, best, best)
-    report = solve_concave(program, v0, cfg.sca_tol if tol is None else tol)
-    result = P7Result(q_i, state.r_tilde, True, report.objective, best)
+    report = solve_concave(program, v0, cfg.sca_tol if tol is None else tol, warm=warm)
+    result = P7Result(q_i, state.r_tilde, True, report.objective, best, report.warm)
 
     origin = np.concatenate(q_i.uavs)
     coords = report.solution[:len(origin)] * _POS_SCALE
@@ -749,7 +759,7 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
         # the UAVs without touching the objective, and such drift must not loop.
         if not obj > best:
             break
-        result = P7Result(candidate, r, False, report.objective, obj)
+        result = P7Result(candidate, r, False, report.objective, obj, report.warm)
         best, scale = obj, 2.0 * scale
         coords = origin + scale * move
     return result

@@ -297,11 +297,15 @@ def dense_newton_matrix(program, v, g, w, box):
 
 
 def dense_step(H, rhs):
-    """(H + ridge I)^{-1} rhs by Cholesky, with convex_core's first ridge:
-    _RIDGE0 times the largest |H_ii|, at least 1."""
-    ridge = _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H)))))
-    L = np.linalg.cholesky(H + ridge * np.eye(len(H)))
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    """The step by Cholesky, as convex_core takes it: H^{-1} rhs when H is
+    positive definite, else with convex_core's first ridge, _RIDGE0 times
+    the largest |H_ii| (at least 1).  Returns (step, the matrix solved)."""
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
+        H = H + _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H))))) * np.eye(len(H))
+        L = np.linalg.cholesky(H)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs)), H
 
 
 def interior(program, v, margin=0.0):

@@ -108,27 +108,28 @@ class TestRunAlgorithm1:
         return reports
 
     def test_newton_step_budget(self, monkeypatch):
-        # joint at table2, U=30, seed 0 makes 4 solves, all P7, in 43 Newton
+        # joint at table2, U=30, seed 0 makes 4 solves, all P7, in 33 Newton
         # steps: position_only's placement run, each accepted move
-        # extrapolated and each P7 solved only as tightly as the last
-        # accepted gain needs, then a reduced-space stage that solves no
-        # program (its P5s are in closed form).
+        # extrapolated, each P7 solved only as tightly as the last accepted
+        # gain needs and warm-started from the previous solve's path (43
+        # steps cold), then a reduced-space stage that solves no program
+        # (its P5s are in closed form).
         reports = self.solve_reports(monkeypatch)
         run_benchmark(small_scenario(seed=0, users=30), "joint")
         assert len(reports) == 4
         assert all(r.status == "converged" for r in reports)
-        assert sum(r.barrier_iterations for r in reports) <= 43
+        assert sum(r.barrier_iterations for r in reports) <= 33
 
     def test_newton_step_budget_at_large_u(self, monkeypatch):
         # joint and no_relay at table2, U=1000, seed 0 make 13 P7 solves in
-        # 442 Newton steps, every one converged.
+        # 307 Newton steps (442 cold), every one converged.
         reports = self.solve_reports(monkeypatch)
         sc = small_scenario(seed=0, users=1000)
         for scheme in ("joint", "no_relay"):
             run_benchmark(sc, scheme)
         assert len(reports) == 13
         assert all(r.status == "converged" for r in reports)
-        assert sum(r.barrier_iterations for r in reports) <= 442
+        assert sum(r.barrier_iterations for r in reports) <= 307
 
     @pytest.mark.parametrize("scheme, fills", [("joint", 17), ("resource_only", 2),
                                                ("position_only", 11), ("relay_baseline", 1),
@@ -172,14 +173,14 @@ class TestRunAlgorithm1:
         steps, tols = [], []
         solve_p7, solve = orchestrator.solve_p7, subproblems.solve_concave
 
-        def recorded_p7(scenario, state, budget, tol):
+        def recorded_p7(scenario, state, budget, tol, warm):
             before = average_utility(state.r_tilde, utility_params(scenario.config))
-            steps.append((before, solve_p7(scenario, state, budget, tol)))
+            steps.append((before, solve_p7(scenario, state, budget, tol, warm)))
             return steps[-1][1]
 
-        def recorded_solve(program, start, tol):
+        def recorded_solve(program, start, tol, warm=None):
             tols.append(tol)
-            return solve(program, start, tol)
+            return solve(program, start, tol, warm)
 
         monkeypatch.setattr(orchestrator, "solve_p7", recorded_p7)
         monkeypatch.setattr(subproblems, "solve_concave", recorded_solve)

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 from scipy.special import lambertw
 
 from uavstream.channel import _persp_rate, fspl_rate, rate_agu, rate_gbs, rate_relay
+from uavstream.cli import apply_sweep_value
 from uavstream.convex_core import NumericError, _pieces, _solve_spd, _terms, solve_concave
 from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
@@ -846,8 +847,8 @@ class TestSolveP7:
         """Make every P7 solve report the placement solved."""
         solve = subproblems.solve_concave
 
-        def stub(program, start, tol):
-            report = solve(program, start, tol)
+        def stub(program, start, tol, warm=None):
+            report = solve(program, start, tol, warm)
             report.solution[:4] = np.concatenate(solved.uavs) / subproblems._POS_SCALE
             return report
 
@@ -909,13 +910,72 @@ class TestSolveP7:
         origin = np.concatenate(state.placement.uavs)
         reach, doubled = np.abs(solved).max(), np.abs(2.0 * solved - origin).max()
         assert not solve_p7(sc, state, budget).stalled and doubled > reach
-        monkeypatch.setattr(subproblems, "solve_concave", lambda program, start, tol: report)
+        monkeypatch.setattr(subproblems, "solve_concave",
+                            lambda program, start, tol, warm=None: report)
         monkeypatch.setattr(subproblems, "placement_extent", lambda cfg: 0.5 * (reach + doubled))
         res = solve_p7(sc, state, budget)
         assert not res.stalled
         assert np.array_equal(np.concatenate(res.placement.uavs), solved)
         assert res.exact_objective == exact_fill_objective(
             sc, budget, state.x, state.p_user, state.p_obs, state.p_relay, res.placement)[0]
+
+
+class TestP7WarmStart:
+    """Each placement step hands its solve's warm start to the next P7."""
+
+    @staticmethod
+    def next_program(steps):
+        """At table2, U=10, seed 0: the P7 after `steps` solve_p7 steps from
+        the heuristic start, each warm-started from the last, as (program,
+        start, the last step's warm start, sca_tol)."""
+        sc = generate_scenario(table2_config(num_users_U=10, rng_seed=0))
+        budget = make_link_budget(sc.config)
+        state, warm = initialize_state(sc, budget), None
+        for _ in range(steps):
+            res = solve_p7(sc, state, budget, warm=warm)
+            state = dataclasses.replace(state, placement=res.placement, r_tilde=res.r_tilde)
+            warm = res.warm
+        coeffs = sca_coefficients(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+                                  state.placement, budget)
+        return (*_p7_program(sc, coeffs, state.x), warm, sc.config.sca_tol)
+
+    def test_a_point_outside_the_next_surrogate_starts_it_cold(self):
+        # The first step moves the UAVs far enough that the rates of the
+        # first solve's path exceed the next surrogate's hop caps.
+        program, v0, warm, tol = self.next_program(1)
+        assert _terms(program, warm.point) is None
+        cold, hot = solve_concave(program, v0, tol), solve_concave(program, v0, tol, warm)
+        assert np.array_equal(hot.solution, cold.solution)
+        assert (hot.objective, hot.barrier_iterations) == (cold.objective, cold.barrier_iterations)
+
+    def test_a_point_inside_the_next_surrogate_starts_it_warm(self):
+        # Within 2 tol of the surrogate's optimum, in fewer steps than cold.
+        program, v0, warm, tol = self.next_program(2)
+        assert _terms(program, warm.point) is not None
+        cold, hot = solve_concave(program, v0, tol), solve_concave(program, v0, tol, warm)
+        best = solve_concave(program, v0, 1e-12).objective
+        assert cold.status == hot.status == "converged"
+        assert hot.barrier_iterations < cold.barrier_iterations
+        assert best - 2 * tol <= hot.objective <= best + 1e-12
+
+
+def test_weak_power_p7_newton_steps_are_exact():
+    # At power_budget 1e-6 W the rates are about 1e-6, and a ridge of
+    # 1e-10 max |H_ii| on every step would swamp the UAV coordinates'
+    # curvature (these two solves would stop 2.4e-2 apart in objective).
+    # The unridged step reaches one optimum from both starts.
+    cfg = apply_sweep_value(table2_config(rng_seed=0), "power_budget", 1e-6)
+    sc = generate_scenario(cfg)
+    budget = make_link_budget(cfg)
+    state = initialize_state(sc, budget)
+    coeffs = sca_coefficients(sc, state.x, state.p_user, state.p_obs, state.p_relay,
+                              state.placement, budget)
+    program, v0 = _p7_program(sc, coeffs, state.x)
+    halved = v0.copy()
+    halved[program.border:] *= 0.5
+    reports = [solve_concave(program, start, 1e-12) for start in (v0, halved)]
+    assert all(r.status == "converged" for r in reports)
+    assert abs(reports[0].objective - reports[1].objective) <= 1e-9
 
 
 class TestEmittedProgramGradients:
@@ -1056,12 +1116,12 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
 
     Directions are not compared entrywise: the P5 Hessian reaches cond 1e12,
     where two sound solves differ widely.  Residuals are.  Both paths solve
-    (H + rho I) d = -grad with the same ridge rho, and the dense Cholesky
-    step is backward stable for it, so against H + rho I the structured
-    residual must be below 1e-5 or the dense one.  Against H itself both
-    residuals carry the ridge term rho*|d|, which dominates at U=4 for P5
-    (about 5e-5); there the structured one may exceed the dense one by the
-    rounding of its Woodbury correction, at most 1%.
+    the system convex_core takes, H d = -grad when H is positive definite
+    (H + rho I with the first ridge rho otherwise), and the dense Cholesky
+    step is backward stable for it, so against that system the structured
+    residual must be below 1e-5 or the dense one; against H itself it may
+    exceed the dense one by the rounding of its Woodbury correction, at most
+    1%.
     """
     program, v = builder_program(name, num_users, seed=17)
     s = _terms(program, v)[2]
@@ -1073,13 +1133,12 @@ def test_structured_step_solves_the_dense_newton_system(name, num_users, t, dual
     d_block = _solve_spd(program, v, J, w, w / g, box, -grad)
 
     H = dense_newton_matrix(program, v, g, w, box)
-    d_dense = dense_step(H, -grad)
-    ridged = H + 1e-10 * max(1.0, np.max(np.abs(np.diag(H)))) * np.eye(program.n)
+    d_dense, solved = dense_step(H, -grad)
 
     def residual(M, d):
         return np.linalg.norm(M @ d + grad) / np.linalg.norm(grad)
 
-    assert residual(ridged, d_block) <= max(1e-5, residual(ridged, d_dense))
+    assert residual(solved, d_block) <= max(1e-5, residual(solved, d_dense))
     assert residual(H, d_block) <= max(1e-5, 1.01 * residual(H, d_dense))
 
 
