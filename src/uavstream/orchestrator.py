@@ -18,11 +18,10 @@ import numpy as np
 from .channel import LinkBudget
 from .scenario import Scenario, UavPlacement
 from .subproblems import (DecisionState, InfeasibleProblem, exact_fill_objective,
-                          make_link_budget, placement_extent, reduced_point, solve_p5,
-                          solve_p7, utility_params)
+                          make_link_budget, placement_extent, reduced_hessian, reduced_point,
+                          solve_p5, solve_p7, utility_params)
 from .utility import average_utility
 
-_PROBE = 1.0           # metres between the points of the reduced ascent's first Hessian
 _ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
 _SCA_KAPPA = 1e-4      # P7 tolerance per unit of the last accepted placement gain
 
@@ -124,21 +123,17 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
                                converged=converged)
 
 
-def _first_inverse(point, evaluate):
-    """The BFGS ascent's first inverse Hessian of -J*, and whether it
-    measured J*'s curvature.  The Hessian is measured by gradient differences
-    over _PROBE metres along each axis; where that is not positive definite
-    (J* is not concave everywhere), the first trial step moves _PROBE metres
-    along the gradient and the first update rescales the inverse
-    (Nocedal & Wright, Numerical Optimization, eq. 6.20)."""
-    q, g = point.state.placement.q_obs, point.gradient
-    probes = [evaluate(q + _PROBE * e) for e in np.eye(2)]
-    if all(p is not None for p in probes):
-        hess = np.array([g - p.gradient for p in probes]) / _PROBE
-        hess = 0.5 * (hess + hess.T)
-        if np.linalg.eigvalsh(hess)[0] > 0.0:
-            return np.linalg.inv(hess), True
-    return np.eye(2) * (_PROBE / float(np.linalg.norm(g))), False
+def _first_inverse(scenario, budget, point):
+    """The BFGS ascent's first inverse Hessian of -J*, and whether it is
+    J*'s own curvature: the inverse of J*'s exact Hessian at point
+    (subproblems.reduced_hessian) where that is finite and negative
+    definite.  Elsewhere (J* is not concave everywhere) the first trial step
+    moves 1 metre along the gradient and the first update rescales the
+    inverse (Nocedal & Wright, Numerical Optimization, eq. 6.20)."""
+    hess = -reduced_hessian(scenario, budget, point)
+    if np.isfinite(hess).all() and np.linalg.eigvalsh(hess)[0] > 0.0:
+        return np.linalg.inv(hess), True
+    return np.eye(2) / float(np.linalg.norm(point.gradient)), False
 
 
 def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
@@ -183,7 +178,7 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
             converged = False
             break
         if inverse is None:
-            inverse, scaled = _first_inverse(point, evaluate)
+            inverse, scaled = _first_inverse(scenario, budget, point)
         direction = inverse @ g
         slope = float(g @ direction)
         floor = cfg.sca_tol * abs(point.objective)

@@ -9,6 +9,7 @@ share across worker processes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -51,6 +52,12 @@ class SystemConfig:
     max_bcd_iters: int = 100
 
     def __post_init__(self):
+        for name in _INT_FIELDS:     # an integral float is stored as an int
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                object.__setattr__(self, name, int(value))
+            elif not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         positive = [
             ("bandwidth_B", self.bandwidth_B),
             ("noise_density_N0", self.noise_density_N0),
@@ -192,7 +199,7 @@ def distances(scenario: Scenario, placement: UavPlacement, user_index: int):
 # ref_gain_alpha0_db (dB) are converted to linear units on ingestion.
 
 # The annotations are strings (postponed evaluation).
-_INT_FIELDS = {f.name for f in fields(SystemConfig) if f.type == "int"}
+_INT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.type == "int")
 
 TABLE2 = {
     "bandwidth_B": 1e6,
@@ -223,8 +230,7 @@ def table2_config(**overrides) -> SystemConfig:
     """SystemConfig preloaded with the reference simulation parameters."""
     values = dict(TABLE2)
     values.update(overrides)
-    return SystemConfig(**{k: (int(v) if k in _INT_FIELDS else float(v))
-                           for k, v in values.items()})
+    return SystemConfig(**{k: (v if k in _INT_FIELDS else float(v)) for k, v in values.items()})
 
 
 def dbm_per_hz_to_linear(dbm: float) -> float:

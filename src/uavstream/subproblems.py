@@ -404,20 +404,21 @@ def _price_split(c, link_cap, one_m_rho, theta_over_U):
 
 def _p5_at(scenario, budget, placement):
     """P5 at a placement, whose links are measured once at budget power:
-    (state, links, nu), the state at P5's split with the exact fill there,
-    _links's answer and nu, the backhaul cap's price in objective units."""
+    (state, links, (lam, nu)), the state at P5's split with the exact fill
+    there, _links's answer and P5's prices in objective units (lam = 0
+    where P5 is flat)."""
     cfg = scenario.config
     links = _links(scenario, budget, placement, cfg.p_max_user, cfg.p_max_obs, cfg.p_max_relay)
     c, _, _, link_cap = links
     one_m_rho = 1.0 - cfg.outage_target_rho
-    x, _, nu = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / cfg.num_users_U)
+    x, *prices = _price_split(c, link_cap, one_m_rho, cfg.utility_theta / cfg.num_users_U)
     # Objective and caps are non-decreasing in every share, so the whole
     # bandwidth can always be handed out: rescale the split onto sum(x) = 1.
     x = x / x.sum()
     state = DecisionState(x=x, p_user=np.full(cfg.num_users_U, cfg.p_max_user),
                           p_obs=cfg.p_max_obs, p_relay=cfg.p_max_relay, placement=placement,
                           r_tilde=capped_fill(one_m_rho * _persp_rate(x, c), link_cap))
-    return state, links, nu
+    return state, links, tuple(prices)
 
 
 def solve_p5(scenario: Scenario, placement: UavPlacement,
@@ -479,11 +480,16 @@ def equal_hop_placement(scenario: Scenario, q_obs):
 
 @dataclass
 class ReducedPoint:
-    """J*(q_obs), the state attaining it, and its gradient in q_obs."""
+    """J*(q_obs), the state attaining it, and its gradient in q_obs; then
+    what reduced_hessian reads: P5's links there (_links's answer), its
+    prices (lam, nu) in objective units, and dD/dl (equal_hop_placement's)."""
 
     objective: float
     state: DecisionState
     gradient: np.ndarray
+    links: tuple
+    prices: tuple
+    dD_dl: float
 
 
 def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
@@ -504,7 +510,8 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
     else:    # the direct hop: D = (Hb - Ho)^2 + l^2
         placement = UavPlacement(q_obs)
         dD_dl = 2.0 * math.hypot(*(placement.q_obs - scenario.gbs_pos_wb))
-    state, (c, d2, hop_d2, _), nu = _p5_at(scenario, budget, placement)
+    state, links, prices = _p5_at(scenario, budget, placement)
+    (c, d2, hop_d2, _), nu = links, prices[1]
     x, r = state.x, state.r_tilde
 
     # cap_u = (1-rho) x log2(1 + c_u/x) with c_u proportional to 1/d2_u.
@@ -519,7 +526,72 @@ def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
         D = hop_d2[0]
         away = placement.q_obs - scenario.gbs_pos_wb
         grad = grad - nu * P * dD_dl / (D * (D + P) * LN2 * math.hypot(*away)) * away
-    return ReducedPoint(average_utility(r, utility_params(cfg)), state, grad)
+    return ReducedPoint(average_utility(r, utility_params(cfg)), state, grad, links, prices,
+                        dD_dl)
+
+
+def reduced_hessian(scenario: Scenario, budget: LinkBudget, point: ReducedPoint) -> np.ndarray:
+    """The Hessian of J* in q_obs at point, by implicit differentiation of
+    P5's optimality conditions (Fiacco, Introduction to Sensitivity and
+    Stability Analysis in Nonlinear Programming, 1983); NaN where they are
+    singular.  q moves J* through the users' c_u and the backhaul cap L.
+
+    On a flat P5, J* = theta ln L + const.  Otherwise, with a_u, b_u, e_u the
+    second derivatives of (theta/U) ln cap_u - nu cap_u in x_u x_u,
+    x_u c_u and c_u c_u, stationarity moves each share by
+    dx_u = (dlam + cap_u' dnu - b_u dc_u)/a_u; sum dx = 0 and, while nu > 0,
+    sum dcap = dL give M (dlam, dnu) = R dq, M = sum_u [1, cap_u']^T [1, cap_u'] / a_u
+    (M_00 and R's first row alone while nu = 0), and Hess J* = R^T M^-1 R + nu Hess L
+    + sum_u (e_u - b_u^2/a_u) grad c_u grad c_u^T + dJ*/dc_u Hess c_u.
+    """
+    cfg = scenario.config
+    placement = point.state.placement
+    (c, d2, hop_d2, link_cap), (lam, nu), dD = point.links, point.prices, point.dD_dl
+    # L = log2(1 + P/D) on the observation hop, D a function of
+    # l = |q_obs - gbs|.  D'' is 2 on the direct hop, and 2 s'^2 + 2 s s'' along
+    # the relay's offset s = t l, where p_obs (a^2 + (l - s)^2) = p_relay (b^2 + s^2).
+    # A relay at an end leaves L constant (dD = 0).
+    grad_L, hess_L = np.zeros(2), np.zeros((2, 2))
+    if dD:
+        away = placement.q_obs - scenario.gbs_pos_wb
+        l, d2D = math.hypot(*away), 2.0
+        if placement.q_relay is not None:
+            p_o, p_r = cfg.p_max_obs, cfg.p_max_relay
+            s = math.hypot(*(placement.q_relay - placement.q_obs))
+            den = p_o * (l - s) + p_r * s
+            ds = p_o * (l - s) / den
+            d2D = 2.0 * ds * ds + 2.0 * s * (p_o * (1.0 - ds) ** 2 - p_r * ds * ds) / den
+        P, D = cfg.p_max_obs * budget.mu0, hop_d2[0]
+        L_D, L_DD = -P / (D * (D + P) * LN2), P * (2.0 * D + P) / ((D * (D + P)) ** 2 * LN2)
+        u = away / l
+        grad_L = L_D * dD * u
+        hess_L = ((L_DD * dD * dD + L_D * d2D - L_D * dD / l) * np.outer(u, u)
+                  + (L_D * dD / l) * np.eye(2))
+    if lam == 0.0:      # flat
+        return cfg.utility_theta * (hess_L - np.outer(grad_L, grad_L) / link_cap) / link_cap
+
+    tau, x = cfg.utility_theta / cfg.num_users_U, point.state.x
+    cap, slope, _ = _share_terms(x, c, 1.0 - cfg.outage_target_rho)
+    k, xc = (1.0 - cfg.outage_target_rho) / LN2, x + c
+    cap_c, cap_cc, cap_xc = k * x / xc, -k * x / (xc * xc), k * c / (xc * xc)
+    mu = tau / cap - nu
+    a = -mu * cap_xc * c / x - tau * (slope / cap) ** 2
+    b = mu * cap_xc - tau * slope * cap_c / (cap * cap)
+    e = mu * cap_cc - tau * (cap_c / cap) ** 2
+    offsets = placement.q_obs - scenario.agu_pos_wu
+    grad_c = (-2.0 * c / d2)[:, None] * offsets
+    # Hess c_u = c_u (8 o o^T / d2^2 - 2 I / d2), o the user's offset.
+    m, b_a, inv_a = mu * cap_c * c / d2, b / a, 1.0 / a
+    hess = (((e - b * b_a)[:, None] * grad_c).T @ grad_c
+            + 8.0 * ((m / d2)[:, None] * offsets).T @ offsets - 2.0 * m.sum() * np.eye(2))
+    R = np.array([b_a @ grad_c, grad_L - (cap_c - slope * b_a) @ grad_c])
+    m00, m01, m11 = inv_a.sum(), slope @ inv_a, (slope * slope) @ inv_a
+    if nu == 0.0:       # the cap's row is out
+        return hess + np.outer(R[0], R[0]) / m00
+    det = m00 * m11 - m01 * m01
+    if not det > 0.0:   # every cap' equal: M is singular
+        return np.full((2, 2), np.nan)
+    return hess + nu * hess_L + R.T @ np.array([[m11, -m01], [-m01, m00]]) @ R / det
 
 
 # --- SCA linearization of the placement problem ----------------------------

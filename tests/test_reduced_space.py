@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavstream.channel import fspl_rate
-from uavstream.orchestrator import run_algorithm1
+from uavstream.orchestrator import run_algorithm1, run_benchmark
 from uavstream.scenario import generate_scenario, table2_config
 from uavstream.subproblems import (_price_split, equal_hop_placement, make_link_budget,
-                                   reduced_point)
+                                   reduced_hessian, reduced_point)
 
 from dense_reference import p5_constants
 from reduced_oracle import oracle_placement, reduced_optimum
@@ -27,6 +27,12 @@ CONFIGS = {
     "high_relay": {"height_relay_Hr": 250.0, "p_max_relay": 0.5, "network_size_D": 900.0},
     "weak_users": {"p_max_user": 0.01},
     "wide_area": {"area_side": 3000.0},
+}
+# The relay clamped at one end (test_equal_hop_relay_clamps_where_one_hop_is_always_weaker).
+CLAMPED = {
+    "clamped_obs": {"height_relay_Hr": 500.0, "p_max_obs": 1e-3},
+    "clamped_gbs": {"height_obs_Ho": 500.0, "height_relay_Hr": 500.0, "p_max_obs": 1.0,
+                    "p_max_relay": 1e-3},
 }
 
 
@@ -67,9 +73,7 @@ def test_equal_hop_relay_clamps_where_one_hop_is_always_weaker():
     # A relay 400 m above a weak observation UAV: the first hop is weaker
     # even with the relay straight above it.  A weak relay 480 m above the
     # GBS: the second hop is weaker even with the relay straight above it.
-    for overrides, end in (({"height_relay_Hr": 500.0, "p_max_obs": 1e-3}, "obs"),
-                           ({"height_obs_Ho": 500.0, "height_relay_Hr": 500.0,
-                             "p_max_obs": 1.0, "p_max_relay": 1e-3}, "gbs")):
+    for overrides, end in ((CLAMPED["clamped_obs"], "obs"), (CLAMPED["clamped_gbs"], "gbs")):
         sc = generate_scenario(table2_config(num_users_U=2, **overrides))
         q_obs = np.array([10.0, 20.0])
         placement, slope = equal_hop_placement(sc, q_obs)
@@ -107,6 +111,63 @@ def test_reduced_gradient_matches_central_differences(config, num_users):
             scale = max(np.abs(fd).max(), 1e-12)
             assert np.abs(point.gradient - fd).max() <= 1e-6 * scale, (q_obs, point.gradient, fd)
     assert checked >= 6
+
+
+def p5_regime(point):
+    """Flat, nu = 0 or nu > 0: where P5 changes regime, J* has a kink."""
+    lam, nu = point.prices
+    return "flat" if lam == 0.0 else "nu = 0" if nu == 0.0 else "nu > 0"
+
+
+def hessian_error(sc, budget, q_obs, relay, h=1e-3):
+    """reduced_hessian's largest deviation from central differences of the
+    gradient, relative to their largest entry, and the P5 regimes the
+    stencil meets."""
+    point = reduced_point(sc, budget, q_obs, relay)
+    hess = reduced_hessian(sc, budget, point)
+    fd = np.empty((2, 2))
+    regimes = {p5_regime(point)}
+    for i, e in enumerate(np.eye(2)):
+        ends = [reduced_point(sc, budget, q_obs + sign * h * e, relay) for sign in (1, -1)]
+        regimes |= {p5_regime(p) for p in ends}
+        fd[i] = (ends[0].gradient - ends[1].gradient) / (2 * h)
+    return np.abs(hess - fd).max() / max(np.abs(fd).max(), 1e-300), regimes
+
+
+@pytest.mark.parametrize("num_users", [1, 5, 8])
+@pytest.mark.parametrize("config", [*CONFIGS, *CLAMPED, "one_hop"])
+def test_reduced_hessian_matches_central_differences(config, num_users):
+    # J*'s Hessian by implicit differentiation of P5's optimality
+    # conditions; a stencil whose ends differ in P5 regime straddles a kink
+    # of J* and is skipped.  A clamped relay leaves the backhaul cap
+    # constant, where a flat P5 has a zero Hessian.
+    relay = config != "one_hop"
+    overrides = {**CONFIGS, **CLAMPED}.get(config, {})
+    sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=num_users, **overrides))
+    budget = make_link_budget(sc.config)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for q_obs in random_points(sc, np.random.default_rng(num_users), 8):
+            error, regimes = hessian_error(sc, budget, q_obs, relay)
+            if len(regimes) > 1:
+                continue
+            checked += 1
+            assert error <= 1e-6, (q_obs, regimes, error)
+    assert checked >= 6
+
+
+def test_reduced_hessian_at_the_stage_start():
+    # joint's stage starts at position_only's answer, on the backhaul cap
+    # with nu > 0 (table2, U=10, seed 0).
+    sc = generate_scenario(table2_config(num_users_U=10))
+    start = run_benchmark(sc, "position_only").state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error, regimes = hessian_error(sc, make_link_budget(sc.config),
+                                       start.placement.q_obs, True)
+    assert regimes == {"nu > 0"}
+    assert error <= 1e-6, error
 
 
 def test_reduced_gradient_sees_flat_and_non_flat_p5():

@@ -46,6 +46,23 @@ class TestSystemConfig:
         with pytest.raises(ConfigError):
             table2_config(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_users_U", 2.5), ("rng_seed", 1.5), ("max_bcd_iters", 2.5),
+        ("num_users_U", float("nan")), ("rng_seed", float("inf")), ("max_bcd_iters", "3"),
+    ])
+    def test_non_integral_integer_fields_rejected(self, field, value):
+        # Truncated, 2.5 users would run U = 2; a fractional max_bcd_iters
+        # would pass and then fail in the placement run's range().
+        with pytest.raises(ConfigError, match=field):
+            table2_config(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            replace(table2_config(), **{field: value})
+
+    def test_integral_integer_fields_accepted(self):
+        cfg = replace(table2_config(num_users_U=np.int64(3), rng_seed=4.0), max_bcd_iters=2.0)
+        assert (cfg.num_users_U, cfg.rng_seed, cfg.max_bcd_iters) == (3, 4, 2)
+        assert type(cfg.rng_seed) is int and type(cfg.max_bcd_iters) is int
+
     def test_degenerate_area_allowed(self):
         cfg = table2_config(num_users_U=1, area_side=0.0)
         sc = generate_scenario(cfg)
