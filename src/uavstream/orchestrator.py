@@ -11,18 +11,22 @@ chain.  Every scheme reports the same exact-rate objective.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import LinkBudget
+from .convex_core import NumericError
 from .scenario import Scenario, UavPlacement
 from .subproblems import (DecisionState, InfeasibleProblem, exact_fill_objective,
-                          make_link_budget, placement_extent, reduced_hessian, reduced_point,
+                          make_link_budget, placement_extent, reduced_point,
                           solve_p5, solve_p7, utility_params)
 from .utility import average_utility
 
-_ARMIJO = 1e-4         # sufficient-increase fraction of the reduced ascent's line search
+_TR_SHRINK, _TR_GROW = 0.25, 0.75   # gain ratios that shrink and grow the trust region
+_TR_ACCEPT = 1e-4                   # gain ratio above which a trial point is accepted
+_TR_BISECTIONS = 100                # most halvings of the trust-region step's bisection
 _SCA_KAPPA = 1e-4      # P7 tolerance per unit of the last accepted placement gain
 
 SCHEMES = ("joint", "resource_only", "position_only", "relay_baseline", "no_relay")
@@ -97,7 +101,8 @@ def _start(scenario, state: DecisionState, scheme: str) -> SchemeResult:
 def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
     """A trace record at state (exactly filled, as in _start), then SCA
     placement steps (P7) at its split, one record each, until a step stalls
-    or gains less than bcd_tol; unconverged after max_bcd_iters steps.
+    or gains less than bcd_tol; unconverged after max_bcd_iters steps, or
+    if any P7 solve spent its Newton step budget (status max_iters).
 
     Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
     exact-objective gain of the run's last accepted step (|objective| before
@@ -106,11 +111,11 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
     from an iterate of the previous one's path (solve_p7's warm)."""
     cfg = scenario.config
     result = _start(scenario, state, scheme)
-    state, obj, gain, warm = result.state, result.avg_utility, None, None
+    state, obj, gain, warm, capped = result.state, result.avg_utility, None, None, False
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
         p7 = solve_p7(scenario, state, budget, max(cfg.sca_tol, _SCA_KAPPA * scale), warm)
-        warm = p7.warm
+        warm, capped = p7.warm, capped or p7.status == "max_iters"
         state = dataclasses.replace(state, placement=p7.placement, r_tilde=p7.r_tilde)
         result.trace.add(step, p7.exact_objective, p7.lb_objective)
         converged = p7.exact_objective - obj < cfg.bcd_tol
@@ -120,86 +125,91 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
         if converged:
             break
     return dataclasses.replace(result, state=state, avg_utility=obj, iterations=step,
-                               converged=converged)
+                               converged=converged and not capped)
 
 
-def _first_inverse(scenario, budget, point):
-    """The BFGS ascent's first inverse Hessian of -J*, and whether it is
-    J*'s own curvature: the inverse of J*'s exact Hessian at point
-    (subproblems.reduced_hessian) where that is finite and negative
-    definite.  Elsewhere (J* is not concave everywhere) the first trial step
-    moves 1 metre along the gradient and the first update rescales the
-    inverse (Nocedal & Wright, Numerical Optimization, eq. 6.20)."""
-    hess = -reduced_hessian(scenario, budget, point)
-    if np.isfinite(hess).all() and np.linalg.eigvalsh(hess)[0] > 0.0:
-        return np.linalg.inv(hess), True
-    return np.eye(2) / float(np.linalg.norm(point.gradient)), False
+def _trust_step(g, hess, radius):
+    """The step s, |s| <= radius, that maximizes the model g.s + s.H s / 2,
+    and its gain, exactly in two dimensions (Moré and Sorensen, "Computing a
+    trust region step", 1983); a non-finite H is taken as zero.  With H's
+    eigenvalues h_i and g's components gamma_i in its eigenbasis,
+    s_i = gamma_i / (sigma - h_i) for the least sigma >= max(h_top, 0) whose
+    step fits (by bisection on sigma - max(h_top, 0)).  Where h_top > 0 and
+    that step falls short of the radius (the hard case, as at a saddle where
+    g = 0), it is filled to the radius along the top eigenvector."""
+    if not np.isfinite(hess).all():
+        hess = np.zeros((2, 2))
+    eig, vec = np.linalg.eigh(hess)
+    (g0, g1), (h0, h1) = vec.T @ g, eig
+    b0, b1 = max(h1, 0.0) - h0, max(h1, 0.0) - h1
+    newton_fits = b1 > 0.0 and math.hypot(g0 / b0, g1 / b1) <= radius
+    lo, hi = 0.0, 0.0 if newton_fits else math.hypot(g0, g1) / radius
+    for _ in range(_TR_BISECTIONS):    # on t = sigma - max(h_top, 0) in (lo, hi]
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if math.hypot(g0 / (b0 + mid), g1 / (b1 + mid)) > radius:
+            lo = mid
+        else:
+            hi = mid
+    s0, s1 = (g0 / (b0 + hi), g1 / (b1 + hi)) if b1 + hi > 0.0 else (0.0, 0.0)
+    if h1 > 0.0:        # the hard case, if the step falls short of the radius
+        s1 += math.copysign(math.sqrt(max(radius * radius - s0 * s0 - s1 * s1, 0.0)), g1)
+    return vec @ (s0, s1), g0 * s0 + g1 * s1 + 0.5 * (h0 * s0 * s0 + h1 * s1 * s1)
 
 
 def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
     """Ascend the reduced objective J*(q_obs) (subproblems.reduced_point)
-    from the observation UAV's position in result, by BFGS on q_obs with
-    Armijo backtracking on J* itself, on the chain of result's placement.
+    from the observation UAV's position in result, by trust-region Newton
+    steps on J*'s exact Hessian (_trust_step; Nocedal and Wright, Numerical
+    Optimization, ch. 4), on the chain of result's placement.
 
     J* re-solves P5 at every q_obs, so its ascent moves the split and the
-    UAVs together, where SCA steps move the UAVs alone at a fixed split.  A
-    point enters result's trace, as its own lower bound, only if it strictly
+    UAVs together, where SCA steps move the UAVs alone at a fixed split.
+    The radius starts at max(D, area_side).  A trial point outside P7's box,
+    with a zero-length hop or with a P5 that raises NumericError is rejected
+    and shrinks it.  A point enters result's trace, as its own lower bound, only if it strictly
     raises the last recorded objective, so the trace never falls and the
-    result is never below result.  The ascent stops after a step that gains
-    less than sca_tol * |J*|, or when the line search fails; it stops
-    unconverged after max_bcd_iters steps, or when the trace holds
-    max_bcd_iters records past its start.
+    result is never below result.  The ascent stops where the model gains at
+    most sca_tol * |J*|; it stops unconverged after max_bcd_iters trial
+    points, or when the trace holds max_bcd_iters records past its start.
     """
     cfg = scenario.config
     trace = result.trace
     extent = placement_extent(cfg)
     relay = result.state.placement.q_relay is not None
 
-    def evaluate(q):
+    def evaluate(q, rejected=(InfeasibleProblem, NumericError)):
         if not np.abs(q).max() < extent:
             return None
         try:
             return reduced_point(scenario, budget, q, relay)
-        except InfeasibleProblem:    # a zero-length hop
+        except rejected:
             return None
 
     state, best = result.state, trace.exact_objectives[-1]
-    point, inverse, last, converged = evaluate(state.placement.q_obs), None, False, True
-    for step in range(cfg.max_bcd_iters + 1):
+    point = evaluate(state.placement.q_obs, InfeasibleProblem)    # the start's P5 raises
+    radius, converged = 0.25 * extent, True
+    for trials in range(cfg.max_bcd_iters + 1):
         if point is None:
             break
         if point.objective > best and len(trace.records) <= cfg.max_bcd_iters:
             state, best = point.state, point.objective
             trace.add(trace.records[-1].iteration + 1, best, best)
-        g = point.gradient
-        if last or not np.any(g):
+        step, gain = _trust_step(point.gradient, point.hessian, radius)
+        if not gain > cfg.sca_tol * abs(point.objective):
             break
-        if step == cfg.max_bcd_iters or len(trace.records) > cfg.max_bcd_iters:
+        if trials == cfg.max_bcd_iters or len(trace.records) > cfg.max_bcd_iters:
             converged = False
             break
-        if inverse is None:
-            inverse, scaled = _first_inverse(scenario, budget, point)
-        direction = inverse @ g
-        slope = float(g @ direction)
-        floor = cfg.sca_tol * abs(point.objective)
-        alpha = 1.0
-        while alpha * slope > floor:     # a shorter step could not gain floor
-            trial = evaluate(point.state.placement.q_obs + alpha * direction)
-            if trial is not None and trial.objective >= point.objective + _ARMIJO * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break
-        last = trial.objective - point.objective < floor
-        # BFGS update of the inverse Hessian of -J*, whose gradient is -g.
-        s, y = alpha * direction, g - trial.gradient
-        ys = float(y @ s)
-        if ys > 0.0:
-            if not scaled:
-                inverse, scaled = np.eye(2) * (ys / float(y @ y)), True
-            left = np.eye(2) - np.outer(s, y) / ys
-            inverse = left @ inverse @ left.T + np.outer(s, s) / ys
-        point = trial
+        trial = evaluate(point.state.placement.q_obs + step)
+        ratio = -math.inf if trial is None else (trial.objective - point.objective) / gain
+        if ratio < _TR_SHRINK:
+            radius = 0.25 * math.hypot(*step)
+        elif ratio > _TR_GROW:
+            radius = max(radius, 2.0 * math.hypot(*step))
+        if ratio > _TR_ACCEPT:
+            point = trial
     return dataclasses.replace(result, state=state, avg_utility=best,
                                iterations=trace.records[-1].iteration,
                                converged=result.converged and converged)
@@ -214,13 +224,17 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
     and stalls where each is optimal given the other; the ascent moves the
     split and the UAVs together.  The result starts as a zero-iteration one
     at initial_state, so its trace is that state's exact objective, then the
-    ascent's records, which iterations counts.  It is never below its start:
+    ascent's records, which iterations counts; by default it is unconverged
+    where position_only's run is.  It is never below its start:
     the ascent records only strict gains, and the result is the last record.
     """
     budget = make_link_budget(scenario.config)
-    state = (_filled(scenario, budget, initial_state) if initial_state is not None else
-             _placement_run(scenario, budget, initialize_state(scenario, budget), "joint").state)
-    return _reduced_ascent(scenario, budget, _start(scenario, state, "joint"))
+    if initial_state is not None:
+        start = _start(scenario, _filled(scenario, budget, initial_state), "joint")
+    else:
+        run = _placement_run(scenario, budget, initialize_state(scenario, budget), "joint")
+        start = dataclasses.replace(_start(scenario, run.state, "joint"), converged=run.converged)
+    return _reduced_ascent(scenario, budget, start)
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,

@@ -11,7 +11,7 @@ relay).  The resource step is solved in closed form, from its optimality
 conditions; the placement step reduces to a ConcaveProgram for the barrier
 solver.  The reduced problem fixes the observation UAV alone: the relay, if
 the chain has one, then sits at its equal-hop point and P5 is solved there,
-which gives the objective J*(q_obs) and its gradient.
+which gives the objective J*(q_obs), its gradient and its Hessian.
 """
 
 from __future__ import annotations
@@ -480,77 +480,51 @@ def equal_hop_placement(scenario: Scenario, q_obs):
 
 @dataclass
 class ReducedPoint:
-    """J*(q_obs), the state attaining it, and its gradient in q_obs; then
-    what reduced_hessian reads: P5's links there (_links's answer), its
-    prices (lam, nu) in objective units, and dD/dl (equal_hop_placement's)."""
+    """J*(q_obs), the state attaining it, and J*'s gradient and Hessian in q_obs."""
 
     objective: float
     state: DecisionState
     gradient: np.ndarray
-    links: tuple
-    prices: tuple
-    dD_dl: float
+    hessian: np.ndarray
 
 
 def reduced_point(scenario: Scenario, budget: LinkBudget, q_obs,
                   relay: bool = True) -> ReducedPoint:
     """The reduced objective J*(q_obs): the exact-fill objective with the
     relay at its equal-hop point (equal_hop_placement), or with no relay
-    when relay is False, and P5 solved there.
+    when relay is False, and P5 solved there; with its gradient and Hessian.
+    q moves J* through the users' rate constants c_u and the backhaul cap L.
 
-    Its gradient is Danskin's, P5's multipliers times the q_obs-gradients of
-    the caps they price: sum_u mu_u dcap_u/dq + nu dlink_cap/dq, with
+    The gradient is Danskin's, P5's multipliers times the q_obs-gradients of
+    the caps they price: sum_u mu_u dcap_u/dq + nu grad L, with
     mu_u = theta/(U r_u) - nu from stationarity in r_u.  Off a flat P5 every
-    user sits at its cap, r_u = cap_u; on a flat one r_u = link_cap/U and
-    nu = theta/link_cap, so mu = 0.
-    """
-    cfg = scenario.config
-    if relay:
-        placement, dD_dl = equal_hop_placement(scenario, q_obs)
-    else:    # the direct hop: D = (Hb - Ho)^2 + l^2
-        placement = UavPlacement(q_obs)
-        dD_dl = 2.0 * math.hypot(*(placement.q_obs - scenario.gbs_pos_wb))
-    state, links, prices = _p5_at(scenario, budget, placement)
-    (c, d2, hop_d2, _), nu = links, prices[1]
-    x, r = state.x, state.r_tilde
+    user sits at its cap, r_u = cap_u; on a flat one r_u = L/U and
+    nu = theta/L, so mu = 0 and J* = theta ln L + const.
 
-    # cap_u = (1-rho) x log2(1 + c_u/x) with c_u proportional to 1/d2_u.
-    offsets = placement.q_obs - scenario.agu_pos_wu
-    dcap = (-2.0 * (1.0 - cfg.outage_target_rho) / LN2 * c * x / ((x + c) * d2))[:, None] * offsets
-    mu = cfg.utility_theta / (cfg.num_users_U * r) - nu
-    grad = mu @ dcap
-    if dD_dl:
-        # link_cap = log2(1 + P/D) on the observation hop (to the relay or
-        # the GBS), D a function of l.
-        P = cfg.p_max_obs * budget.mu0
-        D = hop_d2[0]
-        away = placement.q_obs - scenario.gbs_pos_wb
-        grad = grad - nu * P * dD_dl / (D * (D + P) * LN2 * math.hypot(*away)) * away
-    return ReducedPoint(average_utility(r, utility_params(cfg)), state, grad, links, prices,
-                        dD_dl)
-
-
-def reduced_hessian(scenario: Scenario, budget: LinkBudget, point: ReducedPoint) -> np.ndarray:
-    """The Hessian of J* in q_obs at point, by implicit differentiation of
-    P5's optimality conditions (Fiacco, Introduction to Sensitivity and
-    Stability Analysis in Nonlinear Programming, 1983); NaN where they are
-    singular.  q moves J* through the users' c_u and the backhaul cap L.
-
-    On a flat P5, J* = theta ln L + const.  Otherwise, with a_u, b_u, e_u the
-    second derivatives of (theta/U) ln cap_u - nu cap_u in x_u x_u,
-    x_u c_u and c_u c_u, stationarity moves each share by
-    dx_u = (dlam + cap_u' dnu - b_u dc_u)/a_u; sum dx = 0 and, while nu > 0,
-    sum dcap = dL give M (dlam, dnu) = R dq, M = sum_u [1, cap_u']^T [1, cap_u'] / a_u
-    (M_00 and R's first row alone while nu = 0), and Hess J* = R^T M^-1 R + nu Hess L
+    Off a flat P5 the Hessian comes from implicit differentiation of P5's
+    optimality conditions (Fiacco, Introduction to Sensitivity and Stability
+    Analysis in Nonlinear Programming, 1983); it is NaN where they are
+    singular.  With a_u, b_u, e_u the second derivatives of
+    (theta/U) ln cap_u - nu cap_u in x_u x_u, x_u c_u and c_u c_u,
+    stationarity moves each share by dx_u = (dlam + cap_u' dnu - b_u dc_u)/a_u;
+    sum dx = 0 and, while nu > 0, sum dcap = dL give M (dlam, dnu) = R dq,
+    M = sum_u [1, cap_u']^T [1, cap_u'] / a_u (M_00 and R's first row alone
+    while nu = 0), and Hess J* = R^T M^-1 R + nu Hess L
     + sum_u (e_u - b_u^2/a_u) grad c_u grad c_u^T + dJ*/dc_u Hess c_u.
     """
     cfg = scenario.config
-    placement = point.state.placement
-    (c, d2, hop_d2, link_cap), (lam, nu), dD = point.links, point.prices, point.dD_dl
-    # L = log2(1 + P/D) on the observation hop, D a function of
-    # l = |q_obs - gbs|.  D'' is 2 on the direct hop, and 2 s'^2 + 2 s s'' along
-    # the relay's offset s = t l, where p_obs (a^2 + (l - s)^2) = p_relay (b^2 + s^2).
-    # A relay at an end leaves L constant (dD = 0).
+    if relay:
+        placement, dD = equal_hop_placement(scenario, q_obs)
+    else:    # the direct hop: D = (Hb - Ho)^2 + l^2
+        placement = UavPlacement(q_obs)
+        dD = 2.0 * math.hypot(*(placement.q_obs - scenario.gbs_pos_wb))
+    state, (c, d2, hop_d2, link_cap), (lam, nu) = _p5_at(scenario, budget, placement)
+    objective = average_utility(state.r_tilde, utility_params(cfg))
+    # L = log2(1 + P/D) on the observation hop (to the relay or the GBS), D a
+    # function of l = |q_obs - gbs|.  D'' is 2 on the direct hop, and
+    # 2 s'^2 + 2 s s'' along the relay's offset s = t l, where
+    # p_obs (a^2 + (l - s)^2) = p_relay (b^2 + s^2).  A relay at an end
+    # leaves L constant (dD = 0).
     grad_L, hess_L = np.zeros(2), np.zeros((2, 2))
     if dD:
         away = placement.q_obs - scenario.gbs_pos_wb
@@ -568,30 +542,35 @@ def reduced_hessian(scenario: Scenario, budget: LinkBudget, point: ReducedPoint)
         hess_L = ((L_DD * dD * dD + L_D * d2D - L_D * dD / l) * np.outer(u, u)
                   + (L_D * dD / l) * np.eye(2))
     if lam == 0.0:      # flat
-        return cfg.utility_theta * (hess_L - np.outer(grad_L, grad_L) / link_cap) / link_cap
+        hess = cfg.utility_theta * (hess_L - np.outer(grad_L, grad_L) / link_cap) / link_cap
+        return ReducedPoint(objective, state, nu * grad_L, hess)
 
-    tau, x = cfg.utility_theta / cfg.num_users_U, point.state.x
+    # cap_u = (1-rho) x log2(1 + c_u/x) with c_u proportional to 1/d2_u.
+    tau, x = cfg.utility_theta / cfg.num_users_U, state.x
     cap, slope, _ = _share_terms(x, c, 1.0 - cfg.outage_target_rho)
     k, xc = (1.0 - cfg.outage_target_rho) / LN2, x + c
     cap_c, cap_cc, cap_xc = k * x / xc, -k * x / (xc * xc), k * c / (xc * xc)
-    mu = tau / cap - nu
+    offsets = placement.q_obs - scenario.agu_pos_wu
+    grad_c = (-2.0 * c / d2)[:, None] * offsets
+    mu = tau / state.r_tilde - nu
+    gradient = (mu * cap_c) @ grad_c + nu * grad_L
     a = -mu * cap_xc * c / x - tau * (slope / cap) ** 2
     b = mu * cap_xc - tau * slope * cap_c / (cap * cap)
     e = mu * cap_cc - tau * (cap_c / cap) ** 2
-    offsets = placement.q_obs - scenario.agu_pos_wu
-    grad_c = (-2.0 * c / d2)[:, None] * offsets
     # Hess c_u = c_u (8 o o^T / d2^2 - 2 I / d2), o the user's offset.
     m, b_a, inv_a = mu * cap_c * c / d2, b / a, 1.0 / a
     hess = (((e - b * b_a)[:, None] * grad_c).T @ grad_c
             + 8.0 * ((m / d2)[:, None] * offsets).T @ offsets - 2.0 * m.sum() * np.eye(2))
     R = np.array([b_a @ grad_c, grad_L - (cap_c - slope * b_a) @ grad_c])
     m00, m01, m11 = inv_a.sum(), slope @ inv_a, (slope * slope) @ inv_a
-    if nu == 0.0:       # the cap's row is out
-        return hess + np.outer(R[0], R[0]) / m00
     det = m00 * m11 - m01 * m01
-    if not det > 0.0:   # every cap' equal: M is singular
-        return np.full((2, 2), np.nan)
-    return hess + nu * hess_L + R.T @ np.array([[m11, -m01], [-m01, m00]]) @ R / det
+    if nu == 0.0:       # the cap's row is out
+        hess = hess + np.outer(R[0], R[0]) / m00
+    elif det > 0.0:
+        hess = hess + nu * hess_L + R.T @ np.array([[m11, -m01], [-m01, m00]]) @ R / det
+    else:               # every cap' equal: M is singular
+        hess = np.full((2, 2), np.nan)
+    return ReducedPoint(objective, state, gradient, hess)
 
 
 # --- SCA linearization of the placement problem ----------------------------
@@ -666,6 +645,7 @@ class P7Result:
     lb_objective: float
     exact_objective: float
     warm: WarmStart | None = None    # the surrogate solve's report.warm
+    status: str = "converged"        # the surrogate solve's report.status
 
 
 def placement_extent(cfg: SystemConfig) -> float:
@@ -801,7 +781,8 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
     the exact objective at q* and hence at the returned placement.  tol is
     the surrogate solve's gap tolerance, sca_tol by default.  warm, the
     previous step's P7Result.warm, warm-starts the surrogate solve (see
-    solve_concave), and the result carries this solve's own for the next.
+    solve_concave), and the result carries this solve's own for the next,
+    and its status ("converged" where no surrogate was solved).
     """
     cfg = scenario.config
     budget = budget if budget is not None else make_link_budget(cfg)
@@ -813,7 +794,8 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
     except InfeasibleProblem:
         return P7Result(q_i, state.r_tilde, True, best, best)
     report = solve_concave(program, v0, cfg.sca_tol if tol is None else tol, warm=warm)
-    result = P7Result(q_i, state.r_tilde, True, report.objective, best, report.warm)
+    result = P7Result(q_i, state.r_tilde, True, report.objective, best, report.warm,
+                      report.status)
 
     origin = np.concatenate(q_i.uavs)
     coords = report.solution[:len(origin)] * _POS_SCALE
@@ -831,7 +813,8 @@ def solve_p7(scenario: Scenario, state: DecisionState, budget: LinkBudget | None
         # the UAVs without touching the objective, and such drift must not loop.
         if not obj > best:
             break
-        result = P7Result(candidate, r, False, report.objective, obj, report.warm)
+        result = P7Result(candidate, r, False, report.objective, obj, report.warm,
+                          report.status)
         best, scale = obj, 2.0 * scale
         coords = origin + scale * move
     return result

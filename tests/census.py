@@ -1,10 +1,13 @@
 """Valid-domain census: all five schemes on random valid configurations.
 
     python tests/census.py --draws 150 --seed 11
+    python tests/census.py --widened --draws 40 --seed 7
 
 Each draw is a table2 configuration with U in 1..40 and the other fields
 over the ranges of test_properties.config_strategy, each power budget
-log-uniform over its range (numpy default_rng(seed)).  Every scheme runs on
+log-uniform over its range (numpy default_rng(seed)).  --widened draws over
+the wider ranges of WIDENED instead: every power budget from 1e-7 to 1 W,
+area_side up to 5000 m and network_size_D up to 20,000 m.  Every scheme runs on
 every draw under warnings-as-errors, and each answer's state is validated.
 The script prints the number of runs, then the counts that must be zero:
 exceptions (a failed validation included), leaked warnings, P7 solves that
@@ -33,18 +36,23 @@ POWERS = {"p_max_user": (1e-4, 1.0), "p_max_obs": (1e-3, 1.0), "p_max_relay": (1
 UNIFORM = {"rician_K": (0.0, 20.0), "outage_target_rho": (1e-3, 0.3),
            "area_side": (0.0, 3000.0), "network_size_D": (200.0, 5000.0),
            "height_obs_Ho": (20.0, 300.0), "height_relay_Hr": (20.0, 300.0)}
+WIDENED = {**dict.fromkeys(POWERS, (1e-7, 1.0)), "area_side": (0.0, 5000.0),
+           "network_size_D": (200.0, 20_000.0)}
 
 
-def draw_config(rng):
+def draw_config(rng, widened=False):
+    """One configuration, over WIDENED's ranges where it has one if widened."""
+    ranges = {**POWERS, **UNIFORM, **(WIDENED if widened else {})}
     fields = {"num_users_U": int(rng.integers(1, 41)), "rng_seed": int(rng.integers(0, 10_001))}
-    for name, (lo, hi) in POWERS.items():
+    for name in POWERS:
+        lo, hi = ranges[name]
         fields[name] = math.exp(rng.uniform(math.log(lo), math.log(hi)))
-    for name, (lo, hi) in UNIFORM.items():
-        fields[name] = rng.uniform(lo, hi)
+    for name in UNIFORM:
+        fields[name] = rng.uniform(*ranges[name])
     return table2_config(**fields)
 
 
-def census(draws, seed):
+def census(draws, seed, widened=False):
     """The counts, by name, over `draws` configurations."""
     counts = dict.fromkeys(("runs", "exceptions", "warnings", "unconverged_p7",
                             "falling_traces", "joint_below_position_only"), 0)
@@ -60,7 +68,7 @@ def census(draws, seed):
     rng = np.random.default_rng(seed)
     try:
         for draw in range(draws):
-            cfg = draw_config(rng)
+            cfg = draw_config(rng, widened)
             answers = {}
             for scheme in SCHEMES:
                 counts["runs"] += 1
@@ -89,8 +97,10 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--draws", type=int, default=150)
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--widened", action="store_true",
+                        help="draw over the wider ranges of WIDENED")
     args = parser.parse_args(argv)
-    counts = census(args.draws, args.seed)
+    counts = census(args.draws, args.seed, args.widened)
     for name, count in counts.items():
         print(f"{name}: {count}")
     return int(any(count for name, count in counts.items() if name != "runs"))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from uavstream.channel import rate_agu, rate_gbs
+from uavstream.convex_core import NumericError
 from uavstream.orchestrator import (SCHEMES, initialize_state, run_algorithm1,
                                     run_benchmark)
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
@@ -131,9 +132,9 @@ class TestRunAlgorithm1:
         assert all(r.status == "converged" for r in reports)
         assert sum(r.barrier_iterations for r in reports) <= 307
 
-    @pytest.mark.parametrize("scheme, fills", [("joint", 15), ("resource_only", 2),
+    @pytest.mark.parametrize("scheme, fills", [("joint", 14), ("resource_only", 2),
                                                ("position_only", 11), ("relay_baseline", 1),
-                                               ("no_relay", 17)])
+                                               ("no_relay", 16)])
     def test_exact_fill_budget(self, monkeypatch, scheme, fills):
         # At table2, U=30, seed 0.  The heuristic start is filled once, on
         # the scheme's own chain (no_relay's has no relay), and its exact
@@ -142,7 +143,7 @@ class TestRunAlgorithm1:
         # step's answer, or the start's fill) instead of recomputing it, P5
         # takes the fill of its start split from the start, and joint's stage
         # starts from position_only's answer with the fill that run ended on;
-        # the stage's first Hessian is read off its start's P5 prices.
+        # each stage point's gradient and Hessian come with its P5.
         # A fill is a call of exact_fill_objective or a P5 solved at a
         # placement (subproblems._p5_at, behind solve_p5 and J*), which fills
         # from the links it measured.  Each fill measures its placement's
@@ -208,35 +209,164 @@ class TestRunAlgorithm1:
             tight = run_benchmark(sc, scheme).avg_utility
             assert value == pytest.approx(tight, abs=1e-9 if scheme == "joint" else 1e-6)
 
-    @pytest.mark.parametrize("hessian", [np.full((2, 2), np.nan), np.eye(2)])
-    def test_stage_starts_from_the_scaled_identity_without_a_usable_hessian(self, monkeypatch,
-                                                                          hessian):
-        # A Hessian of J* that is not finite, or not negative definite, is
-        # not used: the stage's first trial step moves 1 m along the
-        # gradient, and BFGS reaches the same answer.
+    def test_a_nan_first_hessian_reaches_the_same_answer(self, monkeypatch):
+        # A non-finite Hessian of J* is taken as zero: the stage's first step
+        # runs along the gradient to the trust region's edge, and the exact
+        # Hessians after it reach the same answer.
         from uavstream import orchestrator
         sc = small_scenario(seed=0, users=10)
         start = run_benchmark(sc, "position_only").state
         exact = run_algorithm1(sc, start)
-        monkeypatch.setattr(orchestrator, "reduced_hessian", lambda *args: hessian)
+        reduced_point, calls = orchestrator.reduced_point, []
+
+        def first_nan(*args):
+            point = reduced_point(*args)
+            calls.append(point)
+            if len(calls) == 1:
+                point = dataclasses.replace(point, hessian=np.full((2, 2), np.nan))
+            return point
+
+        monkeypatch.setattr(orchestrator, "reduced_point", first_nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fallback = run_algorithm1(sc, start)
-        assert fallback.avg_utility == pytest.approx(exact.avg_utility, abs=1e-9)
         assert fallback.avg_utility > fallback.trace.exact_objectives[0]
+        assert fallback.avg_utility == pytest.approx(exact.avg_utility, abs=1e-9)
 
-    @pytest.mark.xfail(strict=True, reason="the run does not read its P7 solves' status "
-                                           "(ROADMAP item 3)")
+    def test_a_trial_whose_p5_raises_is_rejected(self, monkeypatch):
+        # The second trial point's P5 raises: the radius shrinks and the
+        # stage goes on, to a valid answer whose trace never falls.
+        from uavstream import orchestrator
+        sc = small_scenario(seed=0, users=10)
+        start = run_benchmark(sc, "position_only").state
+        reduced_point, calls = orchestrator.reduced_point, []
+
+        def third_raises(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise NumericError("P5's Newton search stalled")
+            return reduced_point(*args)
+
+        monkeypatch.setattr(orchestrator, "reduced_point", third_raises)
+        result = run_algorithm1(sc, start)
+        assert len(calls) > 3
+        exact = result.trace.exact_objectives
+        assert all(b >= a for a, b in zip(exact, exact[1:]))
+        assert result.avg_utility > exact[0]
+        result.state.validate(sc, make_link_budget(sc.config))
+
+    def test_a_start_whose_p5_raises_raises(self, monkeypatch):
+        from uavstream import orchestrator
+
+        def raises(*args):
+            raise NumericError("P5's Newton search stalled")
+
+        sc = small_scenario(seed=0, users=10)
+        start = run_benchmark(sc, "position_only").state
+        monkeypatch.setattr(orchestrator, "reduced_point", raises)
+        with pytest.raises(NumericError):
+            run_algorithm1(sc, start)
+
+    def test_stage_stops_where_the_model_gains_nothing(self, monkeypatch):
+        # g = 0 and H negative semidefinite: the step is zero, and the stage
+        # stops at its start after one evaluation.
+        from uavstream import orchestrator
+        sc = small_scenario(seed=0, users=10)
+        start = run_benchmark(sc, "position_only").state
+        reduced_point, calls = orchestrator.reduced_point, []
+
+        def stationary(*args):
+            calls.append(args)
+            return dataclasses.replace(reduced_point(*args), gradient=np.zeros(2),
+                                       hessian=np.diag([-1.0, 0.0]))
+
+        monkeypatch.setattr(orchestrator, "reduced_point", stationary)
+        result = run_algorithm1(sc, start)
+        assert len(calls) == 1
+        assert result.converged and len(result.trace.records) <= 2
+
+    def test_stage_escapes_a_saddle_of_j_star(self):
+        # Census seed 11, draw 116 (tests/census.py's draw_config): position_only
+        # ends at a saddle of J*, where |g| = 2e-21 and H's eigenvalues are
+        # -6.3e-7 and +3.7e-7.  A step along the gradient makes no record
+        # there; the trust-region step follows the top eigenvector.
+        sc = generate_scenario(table2_config(
+            num_users_U=2, rng_seed=8617, p_max_user=0.7788767526747408,
+            p_max_obs=0.16664923513809368, p_max_relay=0.27475918665063515,
+            rician_K=1.5716301437178926, outage_target_rho=0.011880074345145951,
+            area_side=2770.204813550651, network_size_D=1341.02914293388,
+            height_obs_Ho=105.49186445040012, height_relay_Hr=57.863283429003054))
+        position_only = run_benchmark(sc, "position_only")
+        joint = run_benchmark(sc, "joint", position_only.state)
+        assert position_only.avg_utility == pytest.approx(3.5585, abs=1e-4)
+        assert joint.avg_utility >= position_only.avg_utility + 0.2
+        joint.state.validate(sc, make_link_budget(sc.config))
+
     @pytest.mark.parametrize("scheme", ["position_only", "no_relay", "joint"])
     def test_a_run_of_capped_p7_solves_is_not_converged(self, monkeypatch, scheme):
         # With a 3-step Newton budget every P7 solve of these runs (table2,
-        # U=10, seed 0) ends max_iters, yet each run reports converged.
+        # U=10, seed 0) ends max_iters, and the run reports it.
         from uavstream import convex_core
         monkeypatch.setattr(convex_core, "_MAX_NEWTON", 3)
         reports = self.solve_reports(monkeypatch)
         result = run_benchmark(small_scenario(seed=0, users=10), scheme)
         assert reports and all(r.status == "max_iters" for r in reports)
         assert not result.converged
+
+
+class TestTrustStep:
+    """orchestrator._trust_step: the exact 2-D trust-region step."""
+
+    @staticmethod
+    def step(g, hess, radius):
+        from uavstream.orchestrator import _trust_step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return _trust_step(np.asarray(g, float), np.asarray(hess, float), radius)
+
+    def test_interior_newton_step(self):
+        g, hess = np.array([1.0, -2.0]), np.array([[-4.0, 1.0], [1.0, -3.0]])
+        s, gain = self.step(g, hess, 10.0)
+        newton = -np.linalg.solve(hess, g)
+        assert np.allclose(s, newton, rtol=1e-14, atol=0.0)
+        assert gain == pytest.approx(0.5 * g @ newton, rel=1e-14)
+
+    def test_boundary_step(self):
+        # The Newton step is longer than the radius: the step ends on the
+        # boundary, where (sigma I - H) s = g for some sigma > 0.
+        g, hess = np.array([3.0, 1.0]), np.array([[-1.0, 0.2], [0.2, -0.5]])
+        s, gain = self.step(g, hess, 0.5)
+        assert np.linalg.norm(s) == pytest.approx(0.5, rel=1e-12)
+        sigma = (g + hess @ s) / s
+        assert sigma[0] == pytest.approx(sigma[1], rel=1e-9) and sigma[0] > 0.0
+        assert gain == pytest.approx(g @ s + 0.5 * s @ hess @ s, rel=1e-14)
+        # No point of the circle gains more.
+        angles = np.linspace(0.0, 2.0 * np.pi, 3601)
+        circle = 0.5 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        model = circle @ g + 0.5 * np.einsum("ij,jk,ik->i", circle, hess, circle)
+        assert gain >= model.max() - 1e-12
+
+    def test_saddle_hard_case(self):
+        # g = 0 and one positive eigenvalue: a step of the full radius along
+        # its eigenvector, with a positive gain.
+        hess = np.array([[-1.0, 2.0], [2.0, 0.5]])
+        eig, vec = np.linalg.eigh(hess)
+        s, gain = self.step([0.0, 0.0], hess, 3.0)
+        assert np.linalg.norm(s) == pytest.approx(3.0, rel=1e-14)
+        assert abs(s @ vec[:, 1]) == pytest.approx(3.0, rel=1e-14)
+        assert gain == pytest.approx(0.5 * eig[1] * 9.0, rel=1e-14) and gain > 0.0
+
+    @pytest.mark.parametrize("hess", [np.diag([-1.0, -2.0]), np.diag([0.0, -1.0]),
+                                      np.zeros((2, 2))])
+    def test_zero_gradient_at_a_maximum_gives_a_zero_step(self, hess):
+        s, gain = self.step([0.0, 0.0], hess, 3.0)
+        assert not s.any() and gain == 0.0
+
+    def test_nan_hessian_steps_along_the_gradient(self):
+        g = np.array([3.0, -4.0])
+        s, gain = self.step(g, np.full((2, 2), np.nan), 2.0)
+        assert np.allclose(s, 2.0 * g / 5.0, rtol=1e-14, atol=0.0)
+        assert gain == pytest.approx(10.0, rel=1e-14)
 
 
 class TestBenchmarks:

@@ -1,6 +1,6 @@
 """The reduced problem over the observation UAV: the equal-hop relay, the
-gradient of J* on either chain, and joint's answer against the brute-force
-oracle."""
+gradient and Hessian of J* on either chain, and joint's answer against the
+brute-force oracle."""
 
 import warnings
 
@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from uavstream.channel import fspl_rate
 from uavstream.orchestrator import run_algorithm1, run_benchmark
 from uavstream.scenario import generate_scenario, table2_config
-from uavstream.subproblems import (_price_split, equal_hop_placement, make_link_budget,
-                                   reduced_hessian, reduced_point)
+from uavstream.subproblems import (_p5_at, _price_split, equal_hop_placement, make_link_budget,
+                                   reduced_point)
 
 from dense_reference import p5_constants
 from reduced_oracle import oracle_placement, reduced_optimum
@@ -113,31 +113,30 @@ def test_reduced_gradient_matches_central_differences(config, num_users):
     assert checked >= 6
 
 
-def p5_regime(point):
+def p5_regime(sc, budget, point):
     """Flat, nu = 0 or nu > 0: where P5 changes regime, J* has a kink."""
-    lam, nu = point.prices
+    lam, nu = _p5_at(sc, budget, point.state.placement)[2]
     return "flat" if lam == 0.0 else "nu = 0" if nu == 0.0 else "nu > 0"
 
 
 def hessian_error(sc, budget, q_obs, relay, h=1e-3):
-    """reduced_hessian's largest deviation from central differences of the
+    """The Hessian's largest deviation from central differences of the
     gradient, relative to their largest entry, and the P5 regimes the
     stencil meets."""
     point = reduced_point(sc, budget, q_obs, relay)
-    hess = reduced_hessian(sc, budget, point)
     fd = np.empty((2, 2))
-    regimes = {p5_regime(point)}
+    regimes = {p5_regime(sc, budget, point)}
     for i, e in enumerate(np.eye(2)):
         ends = [reduced_point(sc, budget, q_obs + sign * h * e, relay) for sign in (1, -1)]
-        regimes |= {p5_regime(p) for p in ends}
+        regimes |= {p5_regime(sc, budget, p) for p in ends}
         fd[i] = (ends[0].gradient - ends[1].gradient) / (2 * h)
-    return np.abs(hess - fd).max() / max(np.abs(fd).max(), 1e-300), regimes
+    return np.abs(point.hessian - fd).max() / max(np.abs(fd).max(), 1e-300), regimes
 
 
 @pytest.mark.parametrize("num_users", [1, 5, 8])
 @pytest.mark.parametrize("config", [*CONFIGS, *CLAMPED, "one_hop"])
 def test_reduced_hessian_matches_central_differences(config, num_users):
-    # J*'s Hessian by implicit differentiation of P5's optimality
+    # J*'s Hessian (reduced_point's) by implicit differentiation of P5's optimality
     # conditions; a stencil whose ends differ in P5 regime straddles a kink
     # of J* and is skipped.  A clamped relay leaves the backhaul cap
     # constant, where a flat P5 has a zero Hessian.
