@@ -59,6 +59,8 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
         if not all(math.isfinite(v) for v in self.grid):
             raise ConfigError(f"grid values must be finite: {self.grid}")
+        if self.variable == "num_users" and not all(float(v).is_integer() for v in self.grid):
+            raise ConfigError(f"num_users grid values must be whole numbers: {self.grid}")
         if len(self.grid) == 0 or any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ConfigError("grid must be non-empty and strictly increasing")
         if self.seeds < 1:
@@ -73,7 +75,7 @@ class SweepSpec:
 
 def apply_sweep_value(config: SystemConfig, variable: str, value: float) -> SystemConfig:
     if variable == "num_users":
-        return replace(config, num_users_U=int(round(value)))
+        return replace(config, num_users_U=value)
     if variable == "power_budget":
         # One axis drives all three budgets, scaled by their preset ratios.
         factor = value / config.p_max_user
@@ -90,10 +92,12 @@ def _run_scenario(args):
 
     position_only runs first, and joint starts from its answer: that is the
     start joint's own warm-up would compute, so joint's row is the same
-    whether or not position_only is requested.  A position_only run that
-    raised hands nothing on.  Each row's wall_ms is what its scheme cost on
-    this scenario: generating the scenario, the scheme's run and, for a joint
-    run handed position_only's answer, that run too.
+    whether or not position_only is requested.  Only a converged answer is
+    handed on: after a position_only run that raised or stopped unconverged,
+    joint runs its own warm-up, which reports that it did not converge.  Each
+    row's wall_ms is what its scheme cost on this scenario: generating the
+    scenario, the scheme's run and, for a joint run handed position_only's
+    answer, that run too.
     """
     base_config, variable, value, seed, schemes = args
     t0 = time.perf_counter()
@@ -112,7 +116,7 @@ def _run_scenario(args):
             result = run_benchmark(scenario, scheme, *extra)
             row.update(avg_utility=f"{result.avg_utility:.9f}", iters=result.iterations,
                        status="ok" if result.converged else "max_iters")
-            if scheme == "position_only":
+            if scheme == "position_only" and result.converged:
                 start, start_s = (result.state,), time.perf_counter() - t0
         except InfeasibleProblem:
             row.update(avg_utility="nan", iters=0, status="infeasible")

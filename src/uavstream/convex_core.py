@@ -18,14 +18,14 @@ barrier at t whose constraint weights are the multipliers (every program
 supplies its exact combined curvature), updates the multipliers along their
 own Newton direction (kept positive by a fraction-to-boundary rule), and
 backtracks both by Armijo on the barrier value at t.  With the multipliers on
-the central path this step is the log-barrier Newton step; a failed line
-search returns them there.  The solve stops once t is at its cap and the
-Newton decrement is below tolerance (status converged), where the line
-search fails at the capped t (stalled), or after _MAX_NEWTON steps
-(max_iters).  In a placement run, where each P7 solve is warm-started from
-the last, a P7 solve takes about 8 Newton steps at U <= 30, 10 at U = 100
-and 24 at U = 1000 (9-10, 13 and 36 cold).  The caller supplies a strictly
-interior start with a finite objective.  Each line-search trial builds every
+the central path this step is the log-barrier Newton step.  The solve stops
+once t is at its cap and the Newton decrement is below tolerance (status
+converged), at the first Newton matrix that is not positive definite or
+line search that fails (stalled), or after _MAX_NEWTON steps (max_iters).
+In a placement run, where each P7 solve is warm-started from the last, a P7
+solve takes about 8 Newton steps at U <= 30, 10 at U = 100 and 24 at
+U = 1000 (9-10, 13 and 36 cold).  The caller supplies a strictly interior
+start with a finite objective.  Each line-search trial builds every
 slack in one vector and takes one log over it; each accepted point keeps
 that vector and derives its gradients once, from the slacks' reciprocals.
 
@@ -37,10 +37,9 @@ local ones.  Its Jacobian and curvature callbacks answer in block form (the
 curvature is a diagonal plus a border matrix), and each Newton step is
 solved by block elimination of the border plus a Sherman-Morrison-Woodbury
 correction for the coupling rows, in O(n) time and memory: one small dense
-system in the border and the coupling rows per step.  The step is exact;
-only where it fails does a ridge keep it downhill (see _solve_spd).  A
-generic program declares border = n: no blocks, and every row a coupling
-row.
+system in the border and the coupling rows per step.  The step is exact,
+with no fallback (see _solve_spd).  A generic program declares border = n:
+no blocks, and every row a coupling row.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ _ARMIJO_SLOPE = 0.25
 _BACKTRACK = 0.5
 _GAP_SHRINK = 10.0      # t = 10 m / eta
 _TO_BOUNDARY = 0.99     # fraction of the step to the multipliers' boundary
-_RIDGE0 = 1e-10
 _MAX_NEWTON = 200      # Newton steps per solve
 _WARM_GAP = 1e-5        # hand on the first iterate with m/t <= _WARM_GAP * m
 
@@ -111,7 +109,9 @@ class ConcaveProgram:
     (m may be zero) and its Jacobian, as a BlockJacobian.
     lower/upper: finite box bounds.
     curvature: callback (v, w) -> hess f(v) + sum_j w_j hess g_j(v), as a
-    BlockCurvature, for the Newton steps.
+    BlockCurvature, for the Newton steps.  It must be exact: with exact
+    curvature of a concave program every Newton matrix is positive definite,
+    and one that is not ends the solve, stalled.
     border: b, the number of leading border variables both callbacks answer
     in; variable b + j is the one-variable block of local row j.
     """
@@ -141,12 +141,11 @@ class ConcaveProgram:
 
 
 class WarmStart(NamedTuple):
-    """An iterate of a solve's path: the point, the multipliers of every
-    slack (as _terms orders them) and the gap there."""
+    """An iterate of a solve's path: the point and the multipliers of every
+    slack (as _terms orders them)."""
 
     point: np.ndarray
     multipliers: np.ndarray
-    gap: float
 
 
 @dataclass
@@ -192,9 +191,9 @@ def _pieces(p: ConcaveProgram, v, inv_s):
 
 
 def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
-    """The Newton step H^{-1} rhs, or (H + ridge I)^{-1} rhs where that
-    fails.  H is the Newton matrix: the Gauss-Newton part of the constraint
-    terms with weights gn = w/g, the box diagonal, and minus the program's
+    """The Newton step H^{-1} rhs, or None where H is not positive definite.
+    H is the Newton matrix: the Gauss-Newton part of the constraint terms
+    with weights gn = w/g, the box diagonal, and minus the program's
     curvature at the multipliers w.
 
     H = M + Uc Uc^T, where M is diagonal over the blocks except for the dense
@@ -204,26 +203,19 @@ def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
     of size b + k: the border's Schur complement and the Woodbury capacitance
     in one matrix.
 
-    The system is solved unridged first.  A block pivot that is not
-    positive, a singular small system, or a step d that fails the curvature
-    test rhs . d = d . (H + ridge I) d >= 0 (the step must not point
-    uphill, which is what the line search needs) starts a ridge at _RIDGE0
-    times the largest |H_ii| (at least 1), computed only then, which grows
-    100-fold while any of the three fails.  The test stands in for a proof
-    that H + ridge I is positive definite (a curvature test in place of an
-    inertia check, as in Chiang & Zavala, Comput. Optim. Appl. 64, 2016).
     On a concave program with exact curvature H is positive definite (its
-    border Schur complement is at least the box weights), and the unridged
-    step passes.  A ridge on every step would swamp curvature that is small
-    against the largest |H_ii|: P7's UAV coordinates when rates are about
-    1e-6."""
+    border Schur complement is at least the box weights).  A block pivot
+    that is not positive, a singular small system, or a step that points
+    uphill (rhs . d = d . H d < 0) shows that it is not, and gives None."""
     b, k = p.border, len(J.coupling)
     nb, size = p.n - b, b + k
     curv = p.curvature(v, w)
     diag = box - curv.diag
     gn_local = gn[:nb]
     cross = J.local * gn_local                  # each block's entries with the border
-    blocks = J.local * cross + diag[b:]         # M's diagonal over the blocks
+    pivots = J.local * cross + diag[b:]         # M's diagonal over the blocks
+    if not (pivots > 0).all():                  # NaN included
+        return None
     uc = J.coupling * np.sqrt(gn[nb:, None])    # Uc^T, (k, n)
     border = (J.border_part * gn_local) @ J.border_part.T - curv.border
     border.flat[::b + 1] += diag[:b]
@@ -235,33 +227,17 @@ def _solve_spd(p: ConcaveProgram, v, J, w, gn, box, rhs):
     system.flat[b * (size + 1)::size + 1] = -1.0
     # M's border-block entries, then Uc^T on the blocks: (b + k, nb).
     rows = np.concatenate((J.border_part * cross, uc[:, b:]))
-    ridge = 0.0
-    for _ in range(13):
-        pivots = blocks + ridge
-        try:
-            if pivots.size and pivots.min() <= 0:
-                raise np.linalg.LinAlgError("block not positive definite")
-            scaled = rows / pivots
-            small = system - scaled @ rows.T
-            small.flat[:b * (size + 1):size + 1] += ridge
-            q = rhs[b:] / pivots
-            small_rhs = -(rows @ q)
-            small_rhs[:b] += rhs[:b]
-            border_and_y = np.linalg.solve(small, small_rhs)
-            d = np.concatenate((border_and_y[:b], q - border_and_y @ scaled))
-            if rhs @ d >= 0.0:
-                return d
-        except np.linalg.LinAlgError:
-            pass
-        if ridge:
-            ridge *= 100.0
-        else:
-            # The largest |H_ii| (H_ii is M_ii plus the squared norm of row i of Uc).
-            diagonal = gn[nb:] @ np.square(J.coupling)
-            diagonal[:b] += border.diagonal()
-            diagonal[b:] += blocks
-            ridge = _RIDGE0 * max(1.0, float(np.abs(diagonal).max()))
-    return rhs / ridge     # the ridge dominates H: a scaled steepest-descent step
+    scaled = rows / pivots
+    small = system - scaled @ rows.T
+    q = rhs[b:] / pivots
+    small_rhs = -(rows @ q)
+    small_rhs[:b] += rhs[:b]
+    try:
+        border_and_y = np.linalg.solve(small, small_rhs)
+    except np.linalg.LinAlgError:
+        return None
+    d = np.concatenate((border_and_y[:b], q - border_and_y @ scaled))
+    return d if rhs @ d >= 0.0 else None
 
 
 def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
@@ -273,8 +249,12 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
     warm, another solve's report.warm, is taken in place of the start when
     its point is strictly inside this program and it has a multiplier for
     each slack: the solve starts there with those multipliers, at gap
-    max(tol, y . s).  A warm start leaves the central path, so its first
-    failed line search returns the multipliers there.
+    max(tol, y . s).
+
+    A Newton matrix that is not positive definite (_solve_spd gives None)
+    or a failed line search ends the solve at the current point, stalled;
+    the failed step counts among barrier_iterations, and a Newton matrix
+    that is not positive definite leaves kkt_residual infinite.
     """
     current = None
     if warm is not None and warm.point.shape == (program.n,):
@@ -300,9 +280,9 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
     # but only after a step the line search did not shorten: while steps are
     # damped, t stays and the iterates centre as in a barrier stage.
     if warm is None:
-        gap, y, central = m / _GAP_SHRINK, inv_s / _GAP_SHRINK, True
+        gap, y = m / _GAP_SHRINK, inv_s / _GAP_SHRINK
     else:
-        y, central = warm.multipliers, False
+        y = warm.multipliers
         gap = max(tol, float(y @ s))
     undamped, handed_on = False, None
     steps = 0
@@ -310,7 +290,7 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
         if undamped:
             gap = max(tol, min(gap, float(y @ s) / _GAP_SHRINK))
         if handed_on is None and gap <= _WARM_GAP * m:
-            handed_on = WarmStart(v.copy(), y, gap)
+            handed_on = WarmStart(v.copy(), y)
         t = m / gap
         descent = grad_f - log_grad / t      # minus the barrier's gradient
         if not np.isfinite(descent).all():
@@ -318,8 +298,8 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
         weight = y * inv_s
         d = _solve_spd(program, v, J, y[:k], weight[:k], weight[lo] + weight[hi], descent)
         steps += 1
-        decrement = float(descent @ d)
-        if gap <= tol and decrement <= tol:
+        decrement = math.inf if d is None else float(descent @ d)   # inf: no step
+        if d is None or (gap <= tol and decrement <= tol):
             break
         # The multipliers' Newton step, and the largest step that moves each
         # at most _TO_BOUNDARY of the way to zero: the least dy_j / y_j.
@@ -335,16 +315,8 @@ def solve_concave(program: ConcaveProgram, start, tol: float = 1e-9,
                 break
             alpha *= _BACKTRACK
         else:
-            # Back to the central path at t, where the step is the barrier
-            # Newton step; once that fails too, t grows as a barrier stage ends.
-            if central:
-                if gap <= tol:
-                    break
-                gap = max(tol, gap / _GAP_SHRINK)
-            y = (gap / m) * inv_s
-            central, undamped = True, False
-            continue
-        v, y, central, undamped = trial, y + alpha * dy, False, alpha == alpha_max
+            break
+        v, y, undamped = trial, y + alpha * dy, alpha == alpha_max
         f, logs, s = terms
         if not math.isfinite(logs):      # a g of +inf, which 1/s would hide
             raise NumericError(f"non-finite constraint value at v={v}")

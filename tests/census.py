@@ -11,9 +11,11 @@ area_side up to 5000 m and network_size_D up to 20,000 m.  Every scheme runs on
 every draw under warnings-as-errors, and each answer's state is validated.
 The script prints the number of runs, then the counts that must be zero:
 exceptions (a failed validation included), leaked warnings, P7 solves that
-did not converge, traces whose exact objective falls, and draws where joint
-ends below position_only.  Each exception or warning is reported on stderr
-with its draw and scheme.  It exits 1 if any of those counts is nonzero.
+stalled (at a failed line search or a Newton matrix that is not positive
+definite), P7 solves that spent their Newton step budget, traces whose exact
+objective falls, and draws where joint ends below position_only.  Each
+exception or warning is reported on stderr with its draw and scheme.  It
+exits 1 if any of those counts is nonzero.
 pytest does not collect it (its name has no test_ prefix).
 """
 
@@ -54,7 +56,7 @@ def draw_config(rng, widened=False):
 
 def census(draws, seed, widened=False):
     """The counts, by name, over `draws` configurations."""
-    counts = dict.fromkeys(("runs", "exceptions", "warnings", "unconverged_p7",
+    counts = dict.fromkeys(("runs", "exceptions", "warnings", "stalled_p7", "capped_p7",
                             "falling_traces", "joint_below_position_only"), 0)
     statuses = []
     solve = subproblems.solve_concave
@@ -89,7 +91,8 @@ def census(draws, seed, widened=False):
                 counts["joint_below_position_only"] += answers["joint"] < answers["position_only"]
     finally:
         subproblems.solve_concave = solve
-    counts["unconverged_p7"] = sum(status != "converged" for status in statuses)
+    counts["stalled_p7"] = statuses.count("stalled")
+    counts["capped_p7"] = statuses.count("max_iters")
     return counts
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from uavstream import subproblems
 from uavstream.channel import _persp_rate
-from uavstream.convex_core import (_RIDGE0, BlockCurvature, BlockJacobian, ConcaveProgram,
-                                   NumericError, solve_concave)
+from uavstream.convex_core import (BlockCurvature, BlockJacobian, ConcaveProgram, NumericError,
+                                   solve_concave)
 from uavstream.subproblems import (LN2, _links, _log_utility, _price_split, capped_fill,
                                    exact_fill_objective, solve_p5)
 
@@ -297,15 +297,10 @@ def dense_newton_matrix(program, v, g, w, box):
 
 
 def dense_step(H, rhs):
-    """The step by Cholesky, as convex_core takes it: H^{-1} rhs when H is
-    positive definite, else with convex_core's first ridge, _RIDGE0 times
-    the largest |H_ii| (at least 1).  Returns (step, the matrix solved)."""
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        H = H + _RIDGE0 * max(1.0, float(np.max(np.abs(np.diag(H))))) * np.eye(len(H))
-        L = np.linalg.cholesky(H)
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs)), H
+    """The Newton step H^{-1} rhs by Cholesky, H positive definite (LinAlgError
+    otherwise)."""
+    L = np.linalg.cholesky(H)
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
 
 
 def interior(program, v, margin=0.0):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uavstream import convex_core
 from uavstream.cli import (DEFAULT_GRIDS, SweepSpec, apply_sweep_value, build_parser,
                            cmd_converge, cmd_presets, cmd_sweep, main, read_rows)
 from uavstream.scenario import (ConfigError, format_config, load_config, table2_config)
@@ -98,18 +99,26 @@ class TestSweep:
         u2 = [r["avg_utility"] for r in read_csv(out2)]
         assert u1 == u2
 
-    def test_joint_rows_do_not_depend_on_position_only_being_listed(self, tmp_path):
+    def test_joint_rows_do_not_depend_on_position_only_being_listed(self, tmp_path,
+                                                                    monkeypatch):
         # joint handed position_only's answer computes what its own warm-up
-        # would have.
-        cfg = table2_config(num_users_U=3)
-        outputs = {}
-        for schemes in (("joint",), ("joint", "position_only")):
-            spec = SweepSpec(variable="num_users", grid=(2.0, 3.0), seeds=2, schemes=schemes)
-            out = tmp_path / f"{len(schemes)}.csv"
-            cmd_sweep(spec, cfg, 0, out)
-            outputs[schemes] = [strip_wall(r) for r in read_csv(out) if r["scheme"] == "joint"]
-        assert outputs[("joint",)] == outputs[("joint", "position_only")]
-        assert len(outputs[("joint",)]) == 4
+        # would have.  With every P7 solve cut at three Newton steps, the
+        # U = 10 placement run ends unconverged: position_only hands nothing
+        # on, and joint's own warm-up reports the cap in both sweeps.
+        cases = [((2.0, 3.0), 2, convex_core._MAX_NEWTON, {"ok"}),
+                 ((10.0,), 1, 3, {"max_iters"})]
+        for grid, seeds, max_newton, statuses in cases:
+            monkeypatch.setattr(convex_core, "_MAX_NEWTON", max_newton)
+            outputs = {}
+            for schemes in (("joint",), ("joint", "position_only")):
+                spec = SweepSpec(variable="num_users", grid=grid, seeds=seeds, schemes=schemes)
+                out = tmp_path / f"{len(schemes)}.csv"
+                cmd_sweep(spec, table2_config(), 0, out)
+                outputs[schemes] = [strip_wall(r) for r in read_csv(out)
+                                    if r["scheme"] == "joint"]
+            assert outputs[("joint",)] == outputs[("joint", "position_only")]
+            assert len(outputs[("joint",)]) == len(grid) * seeds
+            assert {r["status"] for r in outputs[("joint",)]} == statuses
 
     def test_handoff_is_worker_independent(self, tmp_path):
         cfg = table2_config(num_users_U=2)
@@ -205,6 +214,17 @@ class TestSweep:
                      "--seeds", "3", "--schemes", "joint,no_relay", "--out", str(out)]) == 0
         rows = read_csv(out)
         assert len(rows) == 12 and {r["status"] for r in rows} == {"ok"}
+
+    def test_fractional_num_users_grid_is_rejected(self, tmp_path, capsys):
+        # A user count of 2.5 is no count: the sweep exits 1 before any cell
+        # runs, where rounding would run U = 2 and U = 4 under the labels 2.5
+        # and 3.5.  A whole number given as a float is a count.
+        out = tmp_path / "fractional.csv"
+        assert main(["sweep", "--var", "num_users", "--grid", "2.5,3.5", "--seeds", "1",
+                     "--schemes", "relay_baseline", "--out", str(out)]) == 1
+        assert "num_users" in capsys.readouterr().err and not out.exists()
+        users = apply_sweep_value(table2_config(), "num_users", 4.0).num_users_U
+        assert users == 4 and isinstance(users, int)
 
     def test_power_budget_scales_all_three(self):
         cfg = apply_sweep_value(table2_config(), "power_budget", 0.4)
