@@ -87,8 +87,8 @@ def apply_sweep_value(config: SystemConfig, variable: str, value: float) -> Syst
 
 
 def _run_scenario(args):
-    """Worker entry: one (sweep value, seed) scenario and a row for each
-    requested scheme on it.
+    """Worker entry: one (sweep value, seed) scenario, from its config, and
+    a row for each requested scheme on it.
 
     position_only runs first, and joint starts from its answer: that is the
     start joint's own warm-up would compute, so joint's row is the same
@@ -99,14 +99,14 @@ def _run_scenario(args):
     scenario, the scheme's run and, for a joint run handed position_only's
     answer, that run too.
     """
-    base_config, variable, value, seed, schemes = args
+    cfg, variable, value, schemes = args
     t0 = time.perf_counter()
-    cfg = replace(apply_sweep_value(base_config, variable, value), rng_seed=seed)
     scenario = generate_scenario(cfg)
     setup_s = time.perf_counter() - t0
     start, start_s, rows = (), 0.0, []
     for scheme in sorted(schemes, key=lambda s: s != "position_only"):
-        row = {"scheme": scheme, "sweep_var": variable, "sweep_value": value, "seed": seed}
+        row = {"scheme": scheme, "sweep_var": variable, "sweep_value": value,
+               "seed": cfg.rng_seed}
         extra = start if scheme == "joint" else ()
         t0 = time.perf_counter()
         try:
@@ -157,7 +157,9 @@ def cmd_sweep(spec: SweepSpec, config: SystemConfig, base_seed: int,
               out_path: Path, workers: int = 1) -> int:
     if workers < 1:
         raise ConfigError(f"need at least one worker, got {workers}")
-    tasks = [(config, spec.variable, value, base_seed + k, spec.schemes)
+    # Every cell's config is built, and so checked, before any cell runs.
+    tasks = [(replace(apply_sweep_value(config, spec.variable, value), rng_seed=base_seed + k),
+              spec.variable, value, spec.schemes)
              for value in spec.grid
              for k in range(spec.seeds)]
     if workers > 1:

@@ -4,8 +4,9 @@ relay_baseline keeps the start, and resource_only solves the resource
 subproblem (P5) there once.  position_only takes SCA placement steps (P7) at
 the equal split until they stall.  joint then ascends the reduced objective
 J*(q_obs) over the observation UAV, with P5 solved and the relay at its
-equal-hop point at every q_obs; no_relay runs both stages on the one-hop
-chain.  Every scheme reports the same exact-rate objective.
+equal-hop point at every q_obs; no_relay ascends J* alone, on the one-hop
+chain from the user centroid.  Every scheme reports the same exact-rate
+objective.
 """
 
 from __future__ import annotations
@@ -158,6 +159,18 @@ def _trust_step(g, hess, radius):
     return vec @ (s0, s1), g0 * s0 + g1 * s1 + 0.5 * (h0 * s0 * s0 + h1 * s1 * s1)
 
 
+def _kink_fraction(point, trial, step):
+    """The fraction of step at which J*'s linear models at point and at
+    trial meet, clipped to [0.1, 0.5]: where J* is nearly linear on each
+    side of a kink between the two (as where sum cap_u = L), the kink.
+    0.25 where the models do not close along the step (the trial's slope
+    along it is not below the point's)."""
+    g0, gt = point.gradient @ step, trial.gradient @ step
+    if not g0 > gt:
+        return 0.25
+    return min(max((trial.objective - gt - point.objective) / (g0 - gt), 0.1), 0.5)
+
+
 def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
     """Ascend the reduced objective J*(q_obs) (subproblems.reduced_point)
     from the observation UAV's position in result, by trust-region Newton
@@ -168,8 +181,12 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
     UAVs together, where SCA steps move the UAVs alone at a fixed split.
     The radius starts at max(D, area_side).  A trial point outside P7's box,
     with a zero-length hop or with a P5 that raises NumericError is rejected
-    and shrinks it.  A point enters result's trace, as its own lower bound, only if it strictly
-    raises the last recorded objective, so the trace never falls and the
+    and shrinks it to a quarter of the step.  Any other trial that gains less
+    than _TR_SHRINK of the model's gain shrinks it to where the linear models
+    of J* at the point and at the trial meet (_kink_fraction), so that a
+    step that overshot a kink of J* is cut back to the kink.  A point enters
+    result's trace, as its own lower bound, only if it strictly raises the
+    last recorded objective, so the trace never falls and the
     result is never below result.  The ascent stops where the model gains at
     most sca_tol * |J*|; it stops unconverged after max_bcd_iters trial
     points, or when the trace holds max_bcd_iters records past its start.
@@ -204,10 +221,11 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
             break
         trial = evaluate(point.state.placement.q_obs + step)
         ratio = -math.inf if trial is None else (trial.objective - point.objective) / gain
+        length = math.hypot(*step)
         if ratio < _TR_SHRINK:
-            radius = 0.25 * math.hypot(*step)
+            radius = length * (0.25 if trial is None else _kink_fraction(point, trial, step))
         elif ratio > _TR_GROW:
-            radius = max(radius, 2.0 * math.hypot(*step))
+            radius = max(radius, 2.0 * length)
         if ratio > _TR_ACCEPT:
             point = trial
     return dataclasses.replace(result, state=state, avg_utility=best,
@@ -240,7 +258,9 @@ def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = Non
 def run_benchmark(scenario: Scenario, scheme_id: str,
                   initial_state: DecisionState | None = None) -> SchemeResult:
     """Run one scheme from initial_state, by default the heuristic start;
-    'joint' dispatches to run_algorithm1."""
+    'joint' dispatches to run_algorithm1.  no_relay's start (the user
+    centroid, or initial_state's observation UAV, on the one-hop chain) goes
+    straight to the reduced-space stage, with no P7 solve."""
     if scheme_id not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {SCHEMES}")
     if scheme_id == "joint":
@@ -256,9 +276,9 @@ def run_benchmark(scenario: Scenario, scheme_id: str,
         state = _filled(scenario, budget, state)
     if scheme_id == "position_only":
         return _placement_run(scenario, budget, state, scheme_id)
-    if scheme_id == "no_relay":
-        return _reduced_ascent(scenario, budget, _placement_run(scenario, budget, state, scheme_id))
     result = _start(scenario, state, scheme_id)
+    if scheme_id == "no_relay":
+        return _reduced_ascent(scenario, budget, result)
     if scheme_id == "resource_only":
         state = solve_p5(scenario, state.placement, state, budget)
         obj = average_utility(state.r_tilde, utility_params(scenario.config))

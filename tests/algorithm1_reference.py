@@ -4,8 +4,9 @@ Block coordinate descent from the heuristic start: the resource step (P5),
 then SCA placement steps (P7) at its split until one stalls or gains less
 than bcd_tol, repeated until a round gains less than bcd_tol, on the relay
 chain or on the one-hop chain.  It stalls where each block is optimal given
-the other.  joint and no_relay ascend the reduced objective from
-position_only's answer instead, and should never end below it.
+the other.  joint ascends the reduced objective from position_only's
+answer instead, and no_relay from the user centroid on the one-hop chain;
+neither should end below it.
 """
 
 import dataclasses

@@ -226,6 +226,23 @@ class TestSweep:
         users = apply_sweep_value(table2_config(), "num_users", 4.0).num_users_U
         assert users == 4 and isinstance(users, int)
 
+    def test_an_out_of_range_grid_value_runs_no_cell(self, tmp_path, monkeypatch, capsys):
+        # Every grid value's config is built before any cell runs, so a user
+        # count past SystemConfig's range exits 1 before the cells ahead of
+        # it spend their time, when no CSV would keep their rows.
+        import uavstream.cli as cli_mod
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            raise InfeasibleProblem("forced for test")
+
+        monkeypatch.setattr(cli_mod, "run_benchmark", counted)
+        out = tmp_path / "huge.csv"
+        assert main(["sweep", "--grid", "30,2000000", "--seeds", "1", "--schemes", "joint",
+                     "--out", str(out)]) == 1
+        assert calls == [] and "num_users_U" in capsys.readouterr().err and not out.exists()
+
     def test_power_budget_scales_all_three(self):
         cfg = apply_sweep_value(table2_config(), "power_budget", 0.4)
         assert cfg.p_max_user == pytest.approx(0.4)

@@ -122,23 +122,23 @@ class TestRunAlgorithm1:
         assert sum(r.barrier_iterations for r in reports) <= 33
 
     def test_newton_step_budget_at_large_u(self, monkeypatch):
-        # joint and no_relay at table2, U=1000, seed 0 make 13 P7 solves in
-        # 307 Newton steps (442 cold), every one converged.
+        # joint at table2, U=1000, seed 0 makes 8 P7 solves, all in
+        # position_only's placement run, in 204 Newton steps, every one
+        # converged.
         reports = self.solve_reports(monkeypatch)
-        sc = small_scenario(seed=0, users=1000)
-        for scheme in ("joint", "no_relay"):
-            run_benchmark(sc, scheme)
-        assert len(reports) == 13
+        run_benchmark(small_scenario(seed=0, users=1000), "joint")
+        assert len(reports) == 8
         assert all(r.status == "converged" for r in reports)
-        assert sum(r.barrier_iterations for r in reports) <= 307
+        assert sum(r.barrier_iterations for r in reports) <= 204
 
     @pytest.mark.parametrize("scheme, fills", [("joint", 14), ("resource_only", 2),
                                                ("position_only", 11), ("relay_baseline", 1),
-                                               ("no_relay", 16)])
+                                               ("no_relay", 15)])
     def test_exact_fill_budget(self, monkeypatch, scheme, fills):
         # At table2, U=30, seed 0.  The heuristic start is filled once, on
         # the scheme's own chain (no_relay's has no relay), and its exact
-        # fill is handed to the scheme's start.  Each P7 step takes
+        # fill is handed to the scheme's start; no_relay's stage starts
+        # there, with no placement run.  Each P7 step takes
         # the fill at its expansion point from the caller (the previous
         # step's answer, or the start's fill) instead of recomputing it, P5
         # takes the fill of its start split from the start, and joint's stage
@@ -166,7 +166,7 @@ class TestRunAlgorithm1:
         assert calls["fill"] == fills
         assert calls["links"] <= fills
 
-    @pytest.mark.parametrize("scheme", ["position_only", "no_relay"])
+    @pytest.mark.parametrize("scheme", ["position_only"])
     def test_placement_tolerance_follows_the_last_accepted_gain(self, monkeypatch, scheme):
         # Each P7 is solved to max(sca_tol, kappa * g): g is |objective|
         # before the run's first placement step, then the exact gain of the
@@ -302,7 +302,7 @@ class TestRunAlgorithm1:
         assert joint.avg_utility >= position_only.avg_utility + 0.2
         joint.state.validate(sc, make_link_budget(sc.config))
 
-    @pytest.mark.parametrize("scheme", ["position_only", "no_relay", "joint"])
+    @pytest.mark.parametrize("scheme", ["position_only", "joint"])
     def test_a_run_of_capped_p7_solves_is_not_converged(self, monkeypatch, scheme):
         # With a 3-step Newton budget every P7 solve of these runs (table2,
         # U=10, seed 0) ends max_iters, and the run reports it.
@@ -367,6 +367,57 @@ class TestTrustStep:
         s, gain = self.step(g, np.full((2, 2), np.nan), 2.0)
         assert np.allclose(s, 2.0 * g / 5.0, rtol=1e-14, atol=0.0)
         assert gain == pytest.approx(10.0, rel=1e-14)
+
+
+class TestStageRadius:
+    """orchestrator._reduced_ascent's radius after a trial that gains too
+    little, on a stub J* over q_obs = (q, 0) with a zero Hessian: from
+    q_obs = 0 the first step runs along the gradient to the first radius, a
+    quarter of P7's box."""
+
+    @staticmethod
+    def trials(monkeypatch, objective, slope, raises_at=()):
+        """The q of each point the stage evaluates, in units of its first
+        step's length; the evaluations numbered in raises_at raise."""
+        from uavstream import orchestrator
+        from uavstream.orchestrator import IterationTrace, SchemeResult, _reduced_ascent
+        from uavstream.subproblems import ReducedPoint, placement_extent
+        sc = small_scenario(seed=0)
+        start = dataclasses.replace(initialize_state(sc, relay=False),
+                                    placement=UavPlacement(np.zeros(2)))
+        first, calls = 0.25 * placement_extent(sc.config), []
+
+        def stub(scenario, budget, q_obs, relay):
+            calls.append(q_obs[0])
+            if len(calls) in raises_at:
+                raise NumericError("P5's Newton search stalled")
+            q = q_obs[0] / first
+            return ReducedPoint(objective(q), dataclasses.replace(
+                start, placement=UavPlacement(q_obs)), np.array([slope(q) / first, 0.0]),
+                np.zeros((2, 2)))
+
+        trace = IterationTrace()
+        trace.add(0, objective(0.0), objective(0.0))
+        monkeypatch.setattr(orchestrator, "reduced_point", stub)
+        _reduced_ascent(sc, None, SchemeResult("no_relay", start, objective(0.0), trace, 0, True))
+        assert calls[0] == 0.0 and calls[1] == pytest.approx(first, rel=1e-12)
+        return [q / first for q in calls]
+
+    def test_a_rejected_trial_shrinks_to_where_the_linear_models_meet(self, monkeypatch):
+        # J* = min(q, 0.6 - q) in units of the first step: a tent with its
+        # kink at 0.3.  The first trial, at 1, falls below the start and is
+        # rejected; the start's model q and the trial's 0.6 - q meet at the
+        # kink, so the next trial lands on it, where the fixed shrink to a
+        # quarter of the step would stop short.
+        calls = self.trials(monkeypatch, lambda q: min(q, 0.6 - q),
+                            lambda q: 1.0 if q < 0.3 else -1.0)
+        assert calls[2] == pytest.approx(0.3, rel=1e-12)
+
+    def test_a_trial_that_returned_no_point_shrinks_to_a_quarter(self, monkeypatch):
+        # J* = q: the first trial's P5 raises, and the next trial is a
+        # quarter of the first step out.
+        calls = self.trials(monkeypatch, lambda q: q, lambda q: 1.0, raises_at=(2,))
+        assert calls[2] == pytest.approx(0.25, rel=1e-12)
 
 
 class TestBenchmarks:
@@ -444,6 +495,35 @@ class TestBenchmarks:
             assert run_algorithm1(sc).avg_utility >= algorithm1(sc)[0] - 1e-9, seed
             assert (run_benchmark(sc, "no_relay").avg_utility
                     >= algorithm1(sc, relay=False)[0] - 1e-9), seed
+
+    @pytest.mark.parametrize("users", [10, 3000])
+    def test_a_no_relay_run_solves_no_p7(self, monkeypatch, users):
+        # no_relay is the stage alone, from the user centroid on the one-hop
+        # chain.  At U=3000 (table2, seed 0) its old placement run spent a
+        # P7 solve's Newton step budget and reported unconverged.
+        solves = TestRunAlgorithm1.solve_reports(monkeypatch)
+        result = run_benchmark(small_scenario(seed=0, users=users), "no_relay")
+        assert solves == [] and result.converged and result.iterations >= 1
+
+    @pytest.mark.parametrize("fields", [
+        # Widened census draws 312 and 977 (tests/census.py --widened
+        # --seed 7): P5 raised at the stage's start, the end of a P7
+        # placement run, when no_relay ran one.
+        dict(num_users_U=2, rng_seed=5384, p_max_user=2.529203312850381e-07,
+             p_max_obs=2.7693496535968653e-05, p_max_relay=0.00189868916289522,
+             rician_K=5.594384874509153, outage_target_rho=0.2958596330873553,
+             area_side=3994.837798942725, network_size_D=10183.397960140912,
+             height_obs_Ho=276.34823731499296, height_relay_Hr=29.727408430730616),
+        dict(num_users_U=17, rng_seed=6832, p_max_user=1.7592572325637736e-05,
+             p_max_obs=6.958176165417521e-06, p_max_relay=2.352717268366335e-06,
+             rician_K=17.119929633868068, outage_target_rho=0.14625135392748045,
+             area_side=1.6365932626638546, network_size_D=12061.540257231376,
+             height_obs_Ho=261.8056344519674, height_relay_Hr=277.2238332923321),
+    ], ids=["widened_312", "widened_977"])
+    def test_no_relay_runs_on_two_widened_census_draws(self, fields):
+        sc = generate_scenario(table2_config(**fields))
+        result = run_benchmark(sc, "no_relay")
+        result.state.validate(sc, make_link_budget(sc.config))
 
     def test_no_relay_monotone_trace(self):
         res = run_benchmark(small_scenario(seed=7), "no_relay")

@@ -693,8 +693,9 @@ def test_nearly_equal_cap_slopes_are_solved():
 
 
 # A valid config where P5's Newton search stalls (ROADMAP item 2): link_cap
-# is 2.5e-5 and the users' c spread only 40x.  Every scheme runs there, but
-# P5 at the one-hop start raises.
+# is 2.5e-5 and the users' c spread only 40x.  P5 at the one-hop start
+# raises, and so does no_relay, whose stage starts there; the other four
+# schemes run.
 STALL_CONFIG = dict(
     num_users_U=9, rng_seed=60, p_max_user=2.3824530059568693e-07,
     p_max_obs=4.878956151634408e-07, p_max_relay=0.17493753079133112,
@@ -705,15 +706,17 @@ STALL_CONFIG = dict(
 
 @pytest.mark.xfail(raises=NumericError, strict=True,
                    reason="P5's Newton search stalls on this valid config")
-@pytest.mark.parametrize("call", ["solve_p5", "reduced_point"])
+@pytest.mark.parametrize("call", ["solve_p5", "reduced_point", "no_relay"])
 def test_p5_at_the_one_hop_start_of_a_valid_config_is_solved(call):
     sc = generate_scenario(table2_config(**STALL_CONFIG))
     budget = make_link_budget(sc.config)
     if call == "solve_p5":
         state = initialize_state(sc, budget, relay=False)
         solve_p5(sc, state.placement, state, budget).validate(sc, budget)
-    else:
+    elif call == "reduced_point":
         reduced_point(sc, budget, sc.agu_pos_wu.mean(axis=0), relay=False)
+    else:
+        run_benchmark(sc, "no_relay").state.validate(sc, budget)
 
 
 def test_p5_takes_few_share_passes_in_a_joint_run(monkeypatch):
