@@ -1,4 +1,4 @@
-"""The benchmark schemes, each a straight run of stages from the heuristic start.
+"""The benchmark schemes, each a straight run of stages (_STAGES) from its start.
 
 relay_baseline keeps the start, and resource_only solves the resource
 subproblem (P5) there once.  position_only takes SCA placement steps (P7) at
@@ -29,8 +29,6 @@ _TR_SHRINK, _TR_GROW = 0.25, 0.75   # gain ratios that shrink and grow the trust
 _TR_ACCEPT = 1e-4                   # gain ratio above which a trial point is accepted
 _TR_BISECTIONS = 100                # most halvings of the trust-region step's bisection
 _SCA_KAPPA = 1e-4      # P7 tolerance per unit of the last accepted placement gain
-
-SCHEMES = ("joint", "resource_only", "position_only", "relay_baseline", "no_relay")
 
 
 @dataclass
@@ -83,14 +81,6 @@ def initialize_state(scenario: Scenario, budget: LinkBudget | None = None,
                          placement=placement, r_tilde=r_tilde)
 
 
-def _filled(scenario, budget, state: DecisionState) -> DecisionState:
-    """A copy of state with its exact fill in r_tilde: for a state the package
-    did not fill itself (a caller's, or one moved to another chain)."""
-    r_tilde = exact_fill_objective(scenario, budget, state.x, state.p_user, state.p_obs,
-                                   state.p_relay, state.placement)[1]
-    return dataclasses.replace(state.copy(), r_tilde=r_tilde)
-
-
 def _start(scenario, state: DecisionState, scheme: str) -> SchemeResult:
     """A zero-iteration result at state, whose r_tilde holds its exact fill."""
     obj = average_utility(state.r_tilde, utility_params(scenario.config))
@@ -99,11 +89,11 @@ def _start(scenario, state: DecisionState, scheme: str) -> SchemeResult:
     return SchemeResult(scheme, state, obj, trace, 0, True)
 
 
-def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> SchemeResult:
-    """A trace record at state (exactly filled, as in _start), then SCA
-    placement steps (P7) at its split, one record each, until a step stalls
-    or gains less than bcd_tol; unconverged after max_bcd_iters steps, or
-    if any P7 solve spent its Newton step budget (status max_iters).
+def _placement_run(scenario, budget, result: SchemeResult) -> SchemeResult:
+    """SCA placement steps (P7) from result (a zero-iteration one, from
+    _start) at its split, one trace record each, until a step stalls or
+    gains less than bcd_tol; unconverged after max_bcd_iters steps, or if
+    any P7 solve spent its Newton step budget (status max_iters).
 
     Each P7 is solved to max(sca_tol, _SCA_KAPPA * gain), gain being the
     exact-objective gain of the run's last accepted step (|objective| before
@@ -111,7 +101,6 @@ def _placement_run(scenario, budget, state: DecisionState, scheme: str) -> Schem
     gain, and late steps are solved tightly.  Each P7 solve is warm-started
     from an iterate of the previous one's path (solve_p7's warm)."""
     cfg = scenario.config
-    result = _start(scenario, state, scheme)
     state, obj, gain, warm, capped = result.state, result.avg_utility, None, None, False
     for step in range(1, cfg.max_bcd_iters + 1):
         scale = abs(obj) if gain is None else gain
@@ -233,55 +222,57 @@ def _reduced_ascent(scenario, budget, result: SchemeResult) -> SchemeResult:
                                converged=result.converged and converged)
 
 
-def run_algorithm1(scenario: Scenario, initial_state: DecisionState | None = None) -> SchemeResult:
-    """Joint placement and resource optimization: the reduced-space ascent
-    (_reduced_ascent) from initial_state, by default position_only's answer
-    (the heuristic placement refined at the equal split).
+def _restart(scenario, budget, result: SchemeResult) -> SchemeResult:
+    """A zero-iteration result at result's answer, with its converged flag."""
+    return dataclasses.replace(_start(scenario, result.state, result.scheme),
+                               converged=result.converged)
 
-    The paper's Algorithm 1 alternates P5 and P7 (block coordinate descent)
-    and stalls where each is optimal given the other; the ascent moves the
-    split and the UAVs together.  The result starts as a zero-iteration one
-    at initial_state, so its trace is that state's exact objective, then the
-    ascent's records, which iterations counts; by default it is unconverged
-    where position_only's run is.  It is never below its start:
-    the ascent records only strict gains, and the result is the last record.
-    """
-    budget = make_link_budget(scenario.config)
-    if initial_state is not None:
-        start = _start(scenario, _filled(scenario, budget, initial_state), "joint")
-    else:
-        run = _placement_run(scenario, budget, initialize_state(scenario, budget), "joint")
-        start = dataclasses.replace(_start(scenario, run.state, "joint"), converged=run.converged)
-    return _reduced_ascent(scenario, budget, start)
+
+def _resource_step(scenario, budget, result: SchemeResult) -> SchemeResult:
+    """One P5 solve at result's placement, as one more trace record."""
+    state = solve_p5(scenario, result.state.placement, result.state, budget)
+    obj = average_utility(state.r_tilde, utility_params(scenario.config))
+    step = result.iterations + 1
+    result.trace.add(step, obj, obj)
+    return dataclasses.replace(result, state=state, avg_utility=obj, iterations=step)
+
+
+# The stages each scheme runs after its start (from _start), in order.  The
+# paper's Algorithm 1 alternates P5 and P7 and stalls where each is optimal
+# given the other; joint's ascent moves the split and the UAVs together, and
+# records only strict gains, so joint never ends below its placement run.
+_STAGES = {
+    "joint": (_placement_run, _restart, _reduced_ascent),
+    "resource_only": (_resource_step,),
+    "position_only": (_placement_run,),
+    "relay_baseline": (),
+    "no_relay": (_reduced_ascent,),
+}
+SCHEMES = tuple(_STAGES)
 
 
 def run_benchmark(scenario: Scenario, scheme_id: str,
                   initial_state: DecisionState | None = None) -> SchemeResult:
-    """Run one scheme from initial_state, by default the heuristic start;
-    'joint' dispatches to run_algorithm1.  no_relay's start (the user
-    centroid, or initial_state's observation UAV, on the one-hop chain) goes
-    straight to the reduced-space stage, with no P7 solve."""
-    if scheme_id not in SCHEMES:
+    """Run one scheme's stages (_STAGES) from initialize_state's start, or
+    from initial_state refilled exactly (on the one-hop chain for no_relay).
+    A caller's initial_state for joint stands for its first stage's answer,
+    so that stage is skipped."""
+    if scheme_id not in _STAGES:
         raise ValueError(f"unknown scheme {scheme_id!r}, expected one of {SCHEMES}")
-    if scheme_id == "joint":
-        return run_algorithm1(scenario, initial_state)
     budget = make_link_budget(scenario.config)
     relay = scheme_id != "no_relay"
+    stages = _STAGES[scheme_id]
     if initial_state is None:
         state = initialize_state(scenario, budget, relay)
     else:
-        state = initial_state
-        if not relay:     # the one-hop chain: a new placement
-            state = dataclasses.replace(state, placement=UavPlacement(state.placement.q_obs))
-        state = _filled(scenario, budget, state)
-    if scheme_id == "position_only":
-        return _placement_run(scenario, budget, state, scheme_id)
+        placement = initial_state.placement
+        placement = placement if relay else UavPlacement(placement.q_obs)
+        r_tilde = exact_fill_objective(scenario, budget, initial_state.x, initial_state.p_user,
+                                       initial_state.p_obs, initial_state.p_relay, placement)[1]
+        state = dataclasses.replace(initial_state.copy(), placement=placement, r_tilde=r_tilde)
+        if scheme_id == "joint":
+            stages = stages[1:]
     result = _start(scenario, state, scheme_id)
-    if scheme_id == "no_relay":
-        return _reduced_ascent(scenario, budget, result)
-    if scheme_id == "resource_only":
-        state = solve_p5(scenario, state.placement, state, budget)
-        obj = average_utility(state.r_tilde, utility_params(scenario.config))
-        result.trace.add(1, obj, obj)
-        result = dataclasses.replace(result, state=state, avg_utility=obj, iterations=1)
+    for stage in stages:
+        result = stage(scenario, budget, result)
     return result

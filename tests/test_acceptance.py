@@ -14,7 +14,7 @@ import pytest
 
 from uavstream.channel import (LinkBudget, outage_probability, rate_agu, rate_gbs,
                                rate_relay, rician_cdf, rician_cdf_inverse)
-from uavstream.orchestrator import initialize_state, run_algorithm1, run_benchmark
+from uavstream.orchestrator import initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (DecisionState, exact_fill_objective, lower_bound_rates,
                                    make_link_budget, sca_coefficients, solve_p5, solve_p7,
@@ -43,7 +43,7 @@ def user_count_table():
     for users in (10, 20, 30):
         for seed in range(20):
             sc = generate_scenario(table2_config(num_users_U=users, rng_seed=seed))
-            table[("joint", users, seed)] = run_algorithm1(sc).avg_utility
+            table[("joint", users, seed)] = run_benchmark(sc, "joint").avg_utility
             for scheme in BENCHMARKS:
                 table[(scheme, users, seed)] = run_benchmark(sc, scheme).avg_utility
     return table
@@ -134,7 +134,7 @@ def test_criterion_4_convergence():
         t0 = time.perf_counter()
         sc = generate_scenario(table2_config(num_users_U=30, rng_seed=0))
         # joint, and the position_only placement run it starts from.
-        for result in (run_algorithm1(sc), run_benchmark(sc, "position_only")):
+        for result in (run_benchmark(sc, "joint"), run_benchmark(sc, "position_only")):
             exact = result.trace.exact_objectives
             lower = result.trace.lower_bound_objectives
             assert result.converged
@@ -180,7 +180,7 @@ def test_criterion_6_trends(user_count_table):
                 if variable is not None:
                     cfg = apply_sweep_value(cfg, variable, value)
                 sc = generate_scenario(dataclasses.replace(cfg, rng_seed=seed))
-                vals.append(run_algorithm1(sc).avg_utility)
+                vals.append(run_benchmark(sc, "joint").avg_utility)
             return float(np.mean(vals))
 
         # power saturation: non-decreasing with a diminishing final increment

@@ -10,6 +10,7 @@ from scipy.special import ive
 
 from uavstream.channel import (LinkBudget, _persp_rate, marcum_q1, outage_probability, rate_agu,
                                rate_gbs, rate_relay, rician_cdf, rician_cdf_inverse)
+from uavstream.scenario import _MIN_OUTAGE_RHO, table2_config
 
 
 def marcum_q1_quadrature(a, b):
@@ -170,6 +171,14 @@ class TestRicianInverse:
     def test_inverse_meets_the_reference_cdf(self, K, rho):
         z = rician_cdf_inverse(rho, K)
         assert abs(rician_cdf_reference(z, K) - rho) <= 1e-10
+
+    @pytest.mark.parametrize("K", [0.0, 4.0, 1e2, 1e6])
+    def test_outage_meets_the_least_configurable_target(self, K):
+        # The inversion's tolerance is absolute: at the least target a
+        # config accepts, the outage still lies within 1e-4 of it, relative.
+        rho = table2_config(rician_K=K, outage_target_rho=_MIN_OUTAGE_RHO).outage_target_rho
+        z = rician_cdf_inverse(rho, K)
+        assert abs(rician_cdf(z, K) / rho - 1.0) <= 1e-4
 
     def test_round_trip_at_a_large_k_factor(self):
         # K = 1e6: the recurrence runs about 13,000 terms per CDF value.

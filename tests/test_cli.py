@@ -320,8 +320,8 @@ class TestMainEntry:
         assert "config error" in err and "rician_K" in err and "Traceback" not in err
 
     def test_bad_grid_exit_1(self, tmp_path, capsys):
-        # A non-finite value would reach int(round(value)) in
-        # apply_sweep_value, and NaN passes the increasing-order check.
+        # NaN passes the increasing-order check; a non-finite value is
+        # rejected by SystemConfig as each cell's config is built.
         for grid in ("3,2,1", "nan", "inf", "10,nan"):
             code = main(["sweep", "--grid", grid, "--seeds", "1",
                          "--schemes", "relay_baseline", "--out", str(tmp_path / "g.csv")])
@@ -354,10 +354,10 @@ class TestMainEntry:
     def test_infeasible_maps_to_exit_2(self, tmp_path, monkeypatch):
         import uavstream.cli as cli_mod
 
-        def boom(scenario, initial_state=None):
+        def boom(scenario, scheme_id, initial_state=None):
             raise InfeasibleProblem("forced")
 
-        monkeypatch.setattr(cli_mod, "run_algorithm1", boom)
+        monkeypatch.setattr(cli_mod, "run_benchmark", boom)
         code = main(["converge", "--out", str(tmp_path / "c.csv")])
         assert code == 2
 

@@ -8,8 +8,7 @@ import pytest
 
 from uavstream.channel import rate_agu, rate_gbs
 from uavstream.convex_core import NumericError
-from uavstream.orchestrator import (SCHEMES, initialize_state, run_algorithm1,
-                                    run_benchmark)
+from uavstream.orchestrator import SCHEMES, initialize_state, run_benchmark
 from uavstream.scenario import Scenario, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (InfeasibleProblem, exact_fill_objective, make_link_budget,
                                    utility_params)
@@ -66,7 +65,7 @@ class TestInitializeState:
 
 class TestRunAlgorithm1:
     def test_monotone_trace_and_tight_gap(self):
-        res = run_algorithm1(small_scenario(seed=3))
+        res = run_benchmark(small_scenario(seed=3), "joint")
         ex = res.trace.exact_objectives
         lb = res.trace.lower_bound_objectives
         assert res.converged
@@ -76,22 +75,22 @@ class TestRunAlgorithm1:
 
     def test_fixed_point_terminates_immediately(self):
         sc = small_scenario(seed=5)
-        first = run_algorithm1(sc)
-        again = run_algorithm1(sc, initial_state=first.state)
+        first = run_benchmark(sc, "joint")
+        again = run_benchmark(sc, "joint", initial_state=first.state)
         assert again.iterations == 0
         assert again.converged
         assert again.avg_utility == pytest.approx(first.avg_utility, abs=1e-6)
 
     def test_deterministic(self):
-        a = run_algorithm1(small_scenario(seed=8))
-        b = run_algorithm1(small_scenario(seed=8))
+        a = run_benchmark(small_scenario(seed=8), "joint")
+        b = run_benchmark(small_scenario(seed=8), "joint")
         assert a.avg_utility == b.avg_utility
         assert np.array_equal(a.state.x, b.state.x)
 
     def test_final_state_feasible(self):
         sc = small_scenario(seed=2)
         budget = make_link_budget(sc.config)
-        res = run_algorithm1(sc)
+        res = run_benchmark(sc, "joint")
         res.state.validate(sc, budget)
 
     @staticmethod
@@ -216,7 +215,7 @@ class TestRunAlgorithm1:
         from uavstream import orchestrator
         sc = small_scenario(seed=0, users=10)
         start = run_benchmark(sc, "position_only").state
-        exact = run_algorithm1(sc, start)
+        exact = run_benchmark(sc, "joint", start)
         reduced_point, calls = orchestrator.reduced_point, []
 
         def first_nan(*args):
@@ -229,7 +228,7 @@ class TestRunAlgorithm1:
         monkeypatch.setattr(orchestrator, "reduced_point", first_nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fallback = run_algorithm1(sc, start)
+            fallback = run_benchmark(sc, "joint", start)
         assert fallback.avg_utility > fallback.trace.exact_objectives[0]
         assert fallback.avg_utility == pytest.approx(exact.avg_utility, abs=1e-9)
 
@@ -248,7 +247,7 @@ class TestRunAlgorithm1:
             return reduced_point(*args)
 
         monkeypatch.setattr(orchestrator, "reduced_point", third_raises)
-        result = run_algorithm1(sc, start)
+        result = run_benchmark(sc, "joint", start)
         assert len(calls) > 3
         exact = result.trace.exact_objectives
         assert all(b >= a for a, b in zip(exact, exact[1:]))
@@ -265,7 +264,7 @@ class TestRunAlgorithm1:
         start = run_benchmark(sc, "position_only").state
         monkeypatch.setattr(orchestrator, "reduced_point", raises)
         with pytest.raises(NumericError):
-            run_algorithm1(sc, start)
+            run_benchmark(sc, "joint", start)
 
     def test_stage_stops_where_the_model_gains_nothing(self, monkeypatch):
         # g = 0 and H negative semidefinite: the step is zero, and the stage
@@ -281,7 +280,7 @@ class TestRunAlgorithm1:
                                        hessian=np.diag([-1.0, 0.0]))
 
         monkeypatch.setattr(orchestrator, "reduced_point", stationary)
-        result = run_algorithm1(sc, start)
+        result = run_benchmark(sc, "joint", start)
         assert len(calls) == 1
         assert result.converged and len(result.trace.records) <= 2
 
@@ -432,7 +431,7 @@ class TestBenchmarks:
 
     def test_resource_only_fixed_point_of_joint(self):
         sc = small_scenario(seed=4)
-        joint = run_algorithm1(sc)
+        joint = run_benchmark(sc, "joint")
         reopt = run_benchmark(sc, "resource_only", initial_state=joint.state)
         assert reopt.avg_utility == pytest.approx(joint.avg_utility,
                                                   abs=sc.config.bcd_tol)
@@ -482,7 +481,7 @@ class TestBenchmarks:
     def test_joint_dominates_on_sample_seeds(self):
         for seed in [0, 1, 2]:
             sc = small_scenario(seed=seed)
-            joint = run_algorithm1(sc).avg_utility
+            joint = run_benchmark(sc, "joint").avg_utility
             for scheme in ["resource_only", "position_only", "no_relay"]:
                 assert joint >= run_benchmark(sc, scheme).avg_utility - 1e-9
 
@@ -492,7 +491,7 @@ class TestBenchmarks:
         # the one-hop chain for no_relay.
         for seed in range(5):
             sc = small_scenario(seed=seed, users=users)
-            assert run_algorithm1(sc).avg_utility >= algorithm1(sc)[0] - 1e-9, seed
+            assert run_benchmark(sc, "joint").avg_utility >= algorithm1(sc)[0] - 1e-9, seed
             assert (run_benchmark(sc, "no_relay").avg_utility
                     >= algorithm1(sc, relay=False)[0] - 1e-9), seed
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uavstream.convex_core import NumericError
-from uavstream.orchestrator import SCHEMES, initialize_state, run_algorithm1, run_benchmark
+from uavstream.orchestrator import SCHEMES, initialize_state, run_benchmark
 from uavstream.scenario import ConfigError, UavPlacement, generate_scenario, table2_config
 from uavstream.subproblems import (InfeasibleProblem, _price_split, exact_fill_objective,
                                    make_link_budget, solve_p5, solve_p7)
@@ -138,7 +138,7 @@ def test_joint_is_never_below_position_only(cfg):
         warnings.simplefilter("error")
         sc = generate_scenario(cfg)
         try:
-            joint = run_algorithm1(sc).avg_utility
+            joint = run_benchmark(sc, "joint").avg_utility
             position_only = run_benchmark(sc, "position_only").avg_utility
         except (InfeasibleProblem, NumericError, ConfigError):
             return

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uavstream.channel import fspl_rate
-from uavstream.orchestrator import run_algorithm1, run_benchmark
+from uavstream.orchestrator import run_benchmark
 from uavstream.scenario import generate_scenario, table2_config
 from uavstream.subproblems import (_p5_at, _price_split, equal_hop_placement, make_link_budget,
                                    reduced_point)
@@ -192,7 +192,7 @@ def test_joint_reaches_the_reduced_optimum(num_users, seed, overrides):
     budget = make_link_budget(sc.config)
     spacing = 50.0 if overrides.get("area_side") else 25.0
     optimum, _ = reduced_optimum(sc, budget, spacing)
-    result = run_algorithm1(sc)
+    result = run_benchmark(sc, "joint")
     assert abs(result.avg_utility - optimum) <= 1e-6, (result.avg_utility, optimum)
     exact = result.trace.exact_objectives
     lower = result.trace.lower_bound_objectives
@@ -211,4 +211,4 @@ def test_joint_is_never_below_the_reduced_optimum(num_users, seed):
     # stopped short of the optimum.
     sc = generate_scenario(table2_config(num_users_U=num_users, rng_seed=seed))
     optimum, _ = reduced_optimum(sc, make_link_budget(sc.config))
-    assert run_algorithm1(sc).avg_utility >= optimum - 1e-6
+    assert run_benchmark(sc, "joint").avg_utility >= optimum - 1e-6

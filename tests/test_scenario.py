@@ -40,7 +40,7 @@ class TestSystemConfig:
         ("outage_target_rho", 1.0), ("num_users_U", 0), ("rician_K", -1.0),
         ("rician_K", float("nan")), ("rician_K", float("inf")), ("rician_K", 1e9),
         ("p_max_user", 0.0), ("area_side", -5.0), ("network_size_D", 0.0),
-        ("rng_seed", -1), ("num_users_U", 1_000_001),
+        ("rng_seed", -1), ("num_users_U", 1_000_001), ("outage_target_rho", 9.9e-7),
     ])
     def test_invalid_configs_rejected(self, field, value):
         with pytest.raises(ConfigError):
@@ -232,6 +232,13 @@ class TestDistances:
 
 
 class TestConfigIO:
+    @staticmethod
+    def preset_with(key, value):
+        """table2's config text with key's line set to value."""
+        lines = [f"{key} = {value}" if line.partition("=")[0].strip() == key else line
+                 for line in format_config(table2_config()).splitlines()]
+        return "\n".join(lines) + "\n"
+
     def test_round_trip(self):
         cfg = table2_config(rng_seed=17, num_users_U=12)
         again = parse_config_text(format_config(cfg))
@@ -255,6 +262,29 @@ class TestConfigIO:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config_text(format_config(table2_config()) + "mystery_knob = 3\n")
 
+    @staticmethod
+    def line_of(text, key):
+        return 1 + [line.partition("=")[0].strip() for line in text.splitlines()].index(key)
+
+    def test_repeated_key_rejected(self):
+        # Not the last value silently: table2's text plus this line would run at 0.5 W.
+        text = format_config(table2_config()) + "p_max_user = 0.5\n"
+        message = (f"line {len(text.splitlines())}: p_max_user already set on line "
+                   f"{self.line_of(text, 'p_max_user')}$")
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("line,field", [
+        ("noise_density_N0_dbm = -100", "noise_density_N0"),
+        ("ref_gain_alpha0_db = -50", "ref_gain_alpha0"),
+    ])
+    def test_linear_and_db_keys_of_one_field_rejected(self, line, field):
+        # Above the preset's lines, the dB line was silently overridden.
+        text = line + "\n" + format_config(table2_config())
+        message = f"line {self.line_of(text, field)}: {field} already set on line 1$"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_text(text)
+
     def test_non_numeric_rejected(self):
         with pytest.raises(ConfigError, match="non-numeric"):
             parse_config_text("bandwidth_B = fast\n")
@@ -265,20 +295,20 @@ class TestConfigIO:
     ])
     def test_non_integer_value_of_integer_key_rejected(self, key, value):
         # Truncation would run a different scenario than the file asks for.
-        text = format_config(table2_config()) + f"{key} = {value}\n"
+        text = self.preset_with(key, value)
         with pytest.raises(ConfigError, match="integer"):
             parse_config_text(text)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e9"])
     def test_non_finite_rician_k_rejected(self, value):
         # 1e9 is finite but above the 60 dB cap.
-        text = format_config(table2_config()) + f"rician_K = {value}\n"
+        text = self.preset_with("rician_K", value)
         with pytest.raises(ConfigError, match="rician_K"):
             parse_config_text(text)
 
     def test_huge_user_count_rejected(self):
         # Caught here rather than as an allocation failure in generate_scenario.
-        text = format_config(table2_config()) + "num_users_U = 1e30\n"
+        text = self.preset_with("num_users_U", "1e30")
         with pytest.raises(ConfigError, match="num_users_U"):
             parse_config_text(text)
 
